@@ -9,6 +9,12 @@ rate is chosen by an outer grid search on the converged objective, and
 outliers are down-weighted by iteratively reweighted least squares with
 a Tukey bisquare on median/MAD-standardized residuals.
 
+Recovery enters linearly too: for one quote set the design is
+U(eta, R) = (A - R B) Phi(eta) and the target V(R) = v0 - R v1, with A,
+B, v0, v1 free of eta and R.  Each call precomputes them once, caches
+Phi products per eta, and solves DAS only for the fit it returns, so
+``implied_recovery`` is one precompute, 91 small fits and one DAS pass.
+
 ``calibrate_from_cds`` bootstraps a piecewise-constant hazard curve from
 par CDS quotes instead, and ``implied_recovery`` scans the recovery rate
 for the value that minimizes the weighted fit error.
@@ -17,6 +23,7 @@ for the value that minimizes the weighted fit error.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -56,6 +63,12 @@ class BondQuote:
     include: bool = True
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.clean_price):
+            raise ValueError(f"{self.id}: clean_price must be finite, got {self.clean_price!r}")
+        if self.spread_duration is not None and not math.isfinite(self.spread_duration):
+            raise ValueError(
+                f"{self.id}: spread_duration must be finite, got {self.spread_duration!r}"
+            )
         if self.clean_price <= 0.0:
             raise ValueError(f"{self.id}: clean price must be > 0")
         if self.spread_duration is not None and self.spread_duration <= 0.0:
@@ -74,6 +87,8 @@ class FitConfig:
     outlier_tol: float = 1e-8
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(e) for e in self.eta_grid):
+            raise ValueError(f"eta_grid entries must be finite, got {self.eta_grid!r}")
         if not self.eta_grid or any(e <= 0.0 for e in self.eta_grid):
             raise ValueError("eta_grid must be non-empty and positive")
         if self.weight_scheme not in ("formula", "prose"):
@@ -107,21 +122,69 @@ def build_regressors(
     Substituting Q(t) = sum_k beta_k Phi_k(t) into the bond pricing
     equation makes the dirty price linear in beta; the first-period
     recovery term R*(1 + C/2q)*Z(t_1), which multiplies Q(0) = 1, moves
-    to the left-hand side.
+    to the left-hand side.  A one-bond view of the fit's precompute.
     """
-    bond = quote.spec
-    times = bond.payment_times
-    n = len(times)
-    cpn = bond.coupon / bond.freq
-    rec = recovery * (1.0 + bond.coupon / (2.0 * bond.freq))
-    dfs = [base.df(t) for t in times]
-    row = np.zeros(basis.size)
-    for i in range(n - 1):
-        weight = cpn * dfs[i] - rec * (dfs[i] - dfs[i + 1])
-        row += weight * basis.row(times[i])
-    row += dfs[-1] * (cpn + 1.0 - rec) * basis.row(times[-1])
-    dirty = quote.clean_price + bond.accrued_interest
-    return row, dirty - rec * dfs[0]
+    one = _QuoteSet([quote], base)
+    a_phi, b_phi = one.for_basis(basis)[:2]
+    return a_phi[0] - recovery * b_phi[0], float(one.v0[0] - recovery * one.v1[0])
+
+
+class _QuoteSet:
+    """The parts of one quote set's regression that depend on neither eta nor R.
+
+    With discount factors z_i at a bond's payment times t_i and
+    g = 1 + C/2q, its design row is sum_i (a_i - R b_i) Phi(t_i), where
+    a_i = (C/q) z_i and b_i = g (z_i - z_{i+1}), except a_N = (C/q + 1) z_N
+    and b_N = g z_N; its target is v0 - R v1 with v0 the dirty price and
+    v1 = g z_1.  Lives for one call; per-basis results are cached on first use.
+    A fit passes its config, which adds the base weights and checks the count.
+    """
+
+    def __init__(self, quotes: list[BondQuote], base: BaseCurve,
+                 config: FitConfig | None = None) -> None:
+        if config is not None and len(quotes) < config.factors:
+            raise InsufficientDataError(
+                f"insufficient quotes: need at least {config.factors}, got {len(quotes)}"
+            )
+        self.quotes, self.base, self.config, self._by_basis = quotes, base, config, {}
+        self.times: list[float] = []
+        starts, a, b, v1 = [], [], [], []
+        for q in quotes:
+            z = np.array([base.df(t) for t in q.spec.payment_times])
+            cpn = q.spec.coupon / q.spec.freq
+            g = 1.0 + q.spec.coupon / (2.0 * q.spec.freq)
+            starts.append(len(self.times))
+            self.times.extend(q.spec.payment_times)
+            a.append(np.append(cpn * z[:-1], z[-1] * (cpn + 1.0)))
+            b.append(g * np.append(z[:-1] - z[1:], z[-1]))
+            v1.append(g * z[0])
+        self.starts, self.a, self.b, self.v1 = starts, np.concatenate(a), np.concatenate(b), np.array(v1)
+        self.v0 = np.array([q.clean_price + q.spec.accrued_interest for q in quotes])
+        if config is not None and config.constraint_grid is not None:
+            self.grid = tuple(config.constraint_grid)
+        else:
+            steps = int(round((max(q.spec.maturity for q in quotes) + 5.0) / 0.5))
+            self.grid = tuple(0.5 * i for i in range(1, steps + 1))
+        if config is not None:
+            sd = _spread_durations(quotes, base)
+            self.base_w = 1.0 / np.sqrt(sd) if config.weight_scheme == "formula" else 1.0 / sd**2
+
+    def for_basis(self, basis: SplineBasis) -> tuple:
+        """(A Phi, B Phi, constraint rows G, bounds b, labels) with G beta >= b
+        keeping Q decreasing on the grid and positive at its end."""
+        if basis not in self._by_basis:
+            phi = np.array([basis.row(t) for t in self.times])
+            ks = np.arange(1, basis.size + 1, dtype=float)
+            ineq = [ks * np.exp(-ks * basis.eta * t) for t in self.grid]  # -dQ/dt (up to eta)
+            ineq.append(np.exp(-ks * basis.eta * self.grid[-1]))         # Q(T_max)
+            self._by_basis[basis] = (
+                np.add.reduceat(self.a[:, None] * phi, self.starts, axis=0),
+                np.add.reduceat(self.b[:, None] * phi, self.starts, axis=0),
+                np.vstack(ineq),
+                np.full(len(ineq), CONSTRAINT_SLACK),
+                [f"monotonicity@{t:g}" for t in self.grid] + [f"positivity@{self.grid[-1]:g}"],
+            )
+        return self._by_basis[basis]
 
 
 def _bisquare_weights(residuals: np.ndarray, tuning: float) -> np.ndarray:
@@ -189,38 +252,21 @@ def _solve_constrained_wls(
             continue
         # Step toward the candidate, stopping at the first blocking
         # constraint among those not in the working set.
+        slopes = ineq @ step
+        rooms = ineq @ beta - bound
         alpha = 1.0
         blocker = -1
-        for i in range(len(ineq)):
+        for i in np.flatnonzero(slopes < -1e-14):
             if i in active:
                 continue
-            slope = ineq[i] @ step
-            if slope >= -1e-14:
-                continue
-            room = ineq[i] @ beta - bound[i]
-            limit = max(room, 0.0) / (-slope)
+            limit = max(rooms[i], 0.0) / (-slopes[i])
             if limit < alpha - 1e-14:
                 alpha = limit
-                blocker = i
+                blocker = int(i)
         beta = beta + alpha * step
         if blocker >= 0:
             active.append(blocker)
     raise FitError("active-set iteration did not converge")
-
-
-def _constraint_rows(
-    basis: SplineBasis, grid: tuple[float, ...]
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    ks = np.arange(1, basis.size + 1, dtype=float)
-    rows = []
-    labels = []
-    for t in grid:
-        rows.append(ks * np.exp(-ks * basis.eta * t))  # -dQ/dt > 0 (up to eta)
-        labels.append(f"monotonicity@{t:g}")
-    t_max = grid[-1]
-    rows.append(np.exp(-ks * basis.eta * t_max))       # Q(T_max) > 0
-    labels.append(f"positivity@{t_max:g}")
-    return np.vstack(rows), np.full(len(rows), CONSTRAINT_SLACK), labels
 
 
 def _spread_durations(
@@ -252,39 +298,22 @@ def _check_rank(design: np.ndarray, quotes: list[BondQuote], k: int) -> None:
     raise FitError(f"design matrix rank-deficient; collinear bonds: {', '.join(names)}")
 
 
-def fit_survival(
-    quotes: list[BondQuote], base: BaseCurve, config: FitConfig | None = None
-) -> FitResult:
-    """Fit a spline survival curve to a cross-section of bond prices."""
-    config = config or FitConfig()
-    live = [q for q in quotes if q.include]
-    if len(live) < config.factors:
-        raise InsufficientDataError(
-            f"insufficient quotes: need at least {config.factors}, got {len(live)}"
-        )
-    t_max = max(q.spec.maturity for q in live)
-    if config.constraint_grid is not None:
-        grid = tuple(config.constraint_grid)
-    else:
-        steps = int(round((t_max + 5.0) / 0.5))
-        grid = tuple(0.5 * i for i in range(1, steps + 1))
-    sd = _spread_durations(live, base)
-    base_w = 1.0 / np.sqrt(sd) if config.weight_scheme == "formula" else 1.0 / sd**2
+def _fit_core(prepared: _QuoteSet, recovery: float) -> FitResult:
+    """Eta grid search with IRLS outlier weights; DAS is left NaN for ``_finish``."""
+    config, base_w = prepared.config, prepared.base_w
+    target = prepared.v0 - recovery * prepared.v1
 
     best = None
     failures: list[FitError] = []
+    rejections: list[str] = []
     for eta in config.eta_grid:
         basis = SplineBasis(eta=eta, size=config.factors)
-        rows = [build_regressors(q, base, basis, config.recovery) for q in live]
-        design = np.vstack([r for r, _ in rows])
-        target = np.array([v for _, v in rows])
+        a_phi, b_phi, ineq, bound, labels = prepared.for_basis(basis)
+        design = a_phi - recovery * b_phi
         try:
-            _check_rank(design, live, config.factors)
-            ineq, bound, labels = _constraint_rows(basis, grid)
-            w_out = np.ones(len(live))
+            _check_rank(design, prepared.quotes, config.factors)
+            w_out = np.ones(len(target))
             history: list[float] = []
-            beta = np.zeros(config.factors)
-            active: list[int] = []
             for _ in range(config.outlier_max_iter):
                 weights = w_out * base_w
                 beta, active = _solve_constrained_wls(design, target, weights, ineq, bound)
@@ -295,48 +324,59 @@ def fit_survival(
                 w_out = w_new
                 if done:
                     break
-            # The pointwise constraint grid is coarser than the curve's own
-            # validation grid; a candidate that slips between the points is
-            # dropped from the eta search rather than failing the fit.
-            SplineSurvivalCurve(basis, tuple(beta), horizon=grid[-1])
         except FitError as exc:
             failures.append(exc)
             continue
-        except ValueError:
+        # The pointwise constraint grid is coarser than the curve's own
+        # validation grid; a candidate that slips between the points is
+        # dropped from the eta search rather than failing the fit.
+        try:
+            curve = SplineSurvivalCurve(basis, tuple(beta), horizon=prepared.grid[-1])
+        except ValueError as exc:
+            rejections.append(f"eta={eta:g}: {exc}")
             continue
-        candidate = (history[-1], eta, beta, w_out, active, history, labels)
-        if best is None or candidate[0] < best[0]:
-            best = candidate
-
+        if best is None or history[-1] < best.objective_history[-1]:
+            weights = w_out * base_w
+            total = float(np.sum(weights))
+            error = float(np.sqrt(np.sum(weights * eps**2) / total)) if total > 0 else float("nan")
+            best = FitResult(
+                curve=curve,
+                ids=tuple(q.id for q in prepared.quotes),
+                residuals=eps,
+                das=np.full(len(eps), np.nan),
+                outlier_weights=w_out,
+                weighted_error=error,
+                eta=eta,
+                active_constraints=tuple(labels[i] for i in active),
+                objective_history=tuple(history),
+            )
     if best is None:
         if failures:
             raise failures[0]
-        raise FitError("no eta candidate produced a valid survival curve")
-    _, eta, beta, w_out, active, history, labels = best
-    basis = SplineBasis(eta=eta, size=config.factors)
-    curve = SplineSurvivalCurve(basis, tuple(beta), horizon=grid[-1])
+        raise FitError("no eta candidate produced a valid survival curve; "
+                       f"first rejection {rejections[0]}")
+    return best
 
-    rows = [build_regressors(q, base, basis, config.recovery) for q in live]
-    design = np.vstack([r for r, _ in rows])
-    target = np.array([v for _, v in rows])
-    eps = target - design @ beta
-    weights = w_out * base_w
-    total = float(np.sum(weights))
-    weighted_error = float(np.sqrt(np.sum(weights * eps**2) / total)) if total > 0 else float("nan")
-    das = np.array([
-        measures.das(q.spec, q.clean_price, base, curve, config.recovery) for q in live
-    ])
-    return FitResult(
-        curve=curve,
-        ids=tuple(q.id for q in live),
-        residuals=eps,
-        das=das,
-        outlier_weights=w_out,
-        weighted_error=weighted_error,
-        eta=eta,
-        active_constraints=tuple(labels[i] for i in active),
-        objective_history=tuple(history),
-    )
+
+def _finish(fit: FitResult, prepared: _QuoteSet, recovery: float) -> FitResult:
+    """Solve each bond's DAS against the fitted curve."""
+    return replace(fit, das=np.array([
+        measures.das(q.spec, q.clean_price, prepared.base, fit.curve, recovery)
+        for q in prepared.quotes
+    ]))
+
+
+def fit_survival(
+    quotes: list[BondQuote], base: BaseCurve, config: FitConfig | None = None
+) -> FitResult:
+    """Fit a spline survival curve to a cross-section of bond prices.
+
+    The quote set is precomputed once for all eta candidates, and DAS is
+    solved only for the winning curve.
+    """
+    config = config or FitConfig()
+    prepared = _QuoteSet([q for q in quotes if q.include], base, config)
+    return _finish(_fit_core(prepared, config.recovery), prepared, config.recovery)
 
 
 def calibrate_from_cds(
@@ -386,6 +426,9 @@ def implied_recovery(
     the objective is flat across the scan the recovery is not identified
     by the cross-section; a warning is issued and the config default is
     returned.
+
+    All 91 fits share one precompute of the quote set, and DAS is solved
+    only for the fit returned.
     """
     config = config or FitConfig()
     live = [q for q in quotes if q.include]
@@ -395,10 +438,8 @@ def implied_recovery(
     if span < 5.0:
         raise InsufficientDataError("implied recovery needs >= 5y of maturity span")
 
-    fits: dict[float, FitResult] = {}
-    for step in range(91):
-        rate = step / 100.0
-        fits[rate] = fit_survival(live, base, replace(config, recovery=rate))
+    prepared = _QuoteSet(live, base, config)
+    fits = {step / 100.0: _fit_core(prepared, step / 100.0) for step in range(91)}
     errors = {r: f.weighted_error for r, f in fits.items()}
     if max(errors.values()) - min(errors.values()) < 1e-6:
         warnings.warn(
@@ -407,10 +448,11 @@ def implied_recovery(
             stacklevel=2,
         )
         rate = config.recovery
-        fit = fits.get(rate) or fit_survival(live, base, config)
-        return rate, fit
-    rate = min(errors, key=lambda r: (errors[r], r))
-    return rate, fits[rate]
+        fit = fits.get(rate) or _fit_core(prepared, rate)
+    else:
+        rate = min(errors, key=lambda r: (errors[r], r))
+        fit = fits[rate]
+    return rate, _finish(fit, prepared, rate)
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,8 @@ def fwd_cds_spread(
     s1 = pricing.cds_par_spread(t1, BCDS_FREQ, base, curve, recovery)
     s2 = pricing.cds_par_spread(t2, BCDS_FREQ, base, curve, recovery)
     kappa = pricing.rpv01(t1, BCDS_FREQ, base, curve) / pricing.rpv01(t2, BCDS_FREQ, base, curve)
-    assert kappa < 1.0, "rpv01 must be increasing in maturity"
+    if not kappa < 1.0:
+        raise ValueError(f"rpv01 must be increasing in maturity (ratio {kappa!r})")
     return (s2 - kappa * s1) / (1.0 - kappa)
 
 

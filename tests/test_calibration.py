@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,25 @@ from creditcurves.splines import SplineBasis
 from creditcurves.survival import PiecewiseHazardCurve, SplineSurvivalCurve
 
 FIT_CONFIG = FitConfig(eta_grid=(0.01, 0.025, 0.05), recovery=0.40)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_clean_price(self, value):
+        spec = BondSpec(coupon=0.05, freq=2, maturity=5.0)
+        with pytest.raises(ValueError, match="clean_price"):
+            BondQuote(id="bad", spec=spec, clean_price=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_spread_duration(self, value):
+        spec = BondSpec(coupon=0.05, freq=2, maturity=5.0)
+        with pytest.raises(ValueError, match="spread_duration"):
+            BondQuote(id="bad", spec=spec, clean_price=0.95, spread_duration=value)
+
+    @pytest.mark.parametrize("grid", [(0.01, float("nan")), (float("inf"),)])
+    def test_non_finite_eta_grid(self, grid):
+        with pytest.raises(ValueError, match="eta_grid"):
+            FitConfig(eta_grid=grid)
 
 
 class TestBuildRegressors:
@@ -164,6 +184,28 @@ class TestFitSurvival:
         with pytest.raises(FitError):
             fit_survival(quotes, base_curve, FitConfig(eta_grid=(0.005, 0.02), recovery=0.0))
 
+    def test_every_candidate_rejected_names_first_rejection(
+        self, monkeypatch, base_curve, round_trip_quotes
+    ):
+        class Rejecting(SplineSurvivalCurve):
+            def __init__(self, basis, beta, horizon):
+                raise ValueError(f"curve rejected at eta {basis.eta:g}")
+
+        monkeypatch.setattr(calibration, "SplineSurvivalCurve", Rejecting)
+        with pytest.raises(FitError, match="no eta candidate produced a valid survival curve"
+                           r".*eta=0.01: curve rejected at eta 0.01$"):
+            fit_survival(round_trip_quotes, base_curve, FIT_CONFIG)
+
+    def test_value_error_outside_curve_validation_propagates(
+        self, monkeypatch, base_curve, round_trip_quotes
+    ):
+        def broken(residuals, tuning):
+            raise ValueError("broken weights")
+
+        monkeypatch.setattr(calibration, "_bisquare_weights", broken)
+        with pytest.raises(ValueError, match="broken weights"):
+            fit_survival(round_trip_quotes, base_curve, FIT_CONFIG)
+
     def test_default_eta_grid_is_multiplicative(self):
         grid = default_eta_grid()
         assert grid[0] == pytest.approx(0.0025)
@@ -255,16 +297,60 @@ class TestImpliedRecovery:
     def test_flat_objective_flags_and_returns_default(self, base_curve):
         # A cross-section with no default information in it (prices sit on
         # the risk-free curve) cannot identify recovery at any level.
-        quotes = []
-        for j, maturity in enumerate((1, 2, 3, 5, 6, 8)):
-            spec = BondSpec(coupon=0.05, freq=2, maturity=float(maturity))
-            price = sum(cf * base_curve.df(t) for t, cf in spec.cash_flows())
-            quotes.append(BondQuote(id=f"RF{j}", spec=spec, clean_price=price))
+        quotes = risk_free_quotes(base_curve)
         config = FitConfig(factors=1, eta_grid=(1e-9,))
         with pytest.warns(RuntimeWarning, match="not identified"):
             rate, fit = implied_recovery(quotes, base_curve, config)
         assert rate == config.recovery
         assert fit is not None
+
+
+def risk_free_quotes(base):
+    """Prices on the risk-free curve: recovery is not identified."""
+    quotes = []
+    for j, maturity in enumerate((1, 2, 3, 5, 6, 8)):
+        spec = BondSpec(coupon=0.05, freq=2, maturity=float(maturity))
+        price = sum(cf * base.df(t) for t, cf in spec.cash_flows())
+        quotes.append(BondQuote(id=f"RF{j}", spec=spec, clean_price=price))
+    return quotes
+
+
+class TestImpliedRecoverySharedPrecompute:
+    def test_returned_fit_equals_direct_fit(self, base_curve):
+        quotes = synthetic_quotes(base_curve, 0.15, 0.30, sigma=2e-4, count=8)
+        config = FitConfig(eta_grid=(0.01, 0.05, 0.1))
+        rate, fit = implied_recovery(quotes, base_curve, config)
+        direct = fit_survival(quotes, base_curve, replace(config, recovery=rate))
+        assert fit.eta == direct.eta
+        assert fit.active_constraints == direct.active_constraints
+        assert fit.ids == direct.ids
+        assert fit.residuals == pytest.approx(direct.residuals, abs=1e-12)
+        assert fit.das == pytest.approx(direct.das, abs=1e-12)
+        assert fit.weighted_error == pytest.approx(direct.weighted_error, abs=1e-12)
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_one_spread_duration_and_one_das_per_bond(self, monkeypatch, base_curve, flat):
+        if flat:
+            quotes = risk_free_quotes(base_curve)
+            config = FitConfig(factors=1, eta_grid=(1e-9,))
+        else:
+            quotes = synthetic_quotes(base_curve, 0.04, 0.30, count=6)
+            config = FitConfig(eta_grid=(0.01, 0.05))
+        calls = {"das": 0, "z_spread_duration": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(measures, "das", counted("das", measures.das))
+        monkeypatch.setattr(calibration, "z_spread_duration",
+                            counted("z_spread_duration", calibration.z_spread_duration))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            implied_recovery(quotes, base_curve, config)
+        assert calls == {"das": len(quotes), "z_spread_duration": len(quotes)}
 
 
 class TestLoaders:

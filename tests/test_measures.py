@@ -149,6 +149,12 @@ class TestForwardCdsSpread:
             pytest.approx(expected, abs=1e-15)
         )
 
+    def test_non_increasing_rpv01_raises(self, monkeypatch, base_curve, true_spline_curve):
+        # The guard is a ValueError, so it also holds under python -O.
+        monkeypatch.setattr(pricing, "rpv01", lambda *args: 1.0)
+        with pytest.raises(ValueError, match="rpv01 must be increasing"):
+            measures.fwd_cds_spread(2.0, 7.0, base_curve, true_spline_curve, 0.4)
+
     def test_matches_forward_curve_pricing(self, base_curve, true_spline_curve):
         # Re-price the forward CDS off the forward discount and survival
         # functions directly; both routes must agree.
