@@ -87,6 +87,10 @@ class FitConfig:
     outlier_tol: float = 1e-8
 
     def __post_init__(self) -> None:
+        # Knot-free factors only: the monotonicity rows in _QuoteSet.for_basis
+        # are k exp(-k eta t), which is wrong for knotted factors 4 and up.
+        if self.factors not in (1, 2, 3):
+            raise ValueError(f"factors must be 1, 2 or 3, got {self.factors!r}")
         if not all(math.isfinite(e) for e in self.eta_grid):
             raise ValueError(f"eta_grid entries must be finite, got {self.eta_grid!r}")
         if not self.eta_grid or any(e <= 0.0 for e in self.eta_grid):
@@ -396,8 +400,8 @@ def calibrate_from_cds(
     maturities = [m for m, _ in quotes]
     if any(b <= a for a, b in zip(maturities, maturities[1:])) or maturities[0] <= 0.0:
         raise ValueError("CDS maturities must be strictly increasing and > 0")
-    if any(s <= 0.0 for _, s in quotes):
-        raise ValueError("CDS spreads must be > 0")
+    if not all(0.0 < s < math.inf for _, s in quotes):
+        raise ValueError(f"CDS spreads must be finite and > 0, got {[s for _, s in quotes]!r}")
 
     segments: list[tuple[float, float]] = []
     for maturity, spread in quotes:
@@ -464,8 +468,12 @@ BOND_CSV_FIELDS = ("id", "coupon", "freq", "maturity_years", "accrued_years",
 
 
 def load_bond_quotes(path: str) -> list[BondQuote]:
-    """Read bond quotes CSV; ``spread_duration`` may be absent or empty."""
+    """Read bond quotes CSV; ``spread_duration`` may be absent or empty.
+
+    Bond ids must be unique: results are reported by id.
+    """
     out: list[BondQuote] = []
+    rows_by_id: dict[str, int] = {}
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         fields = reader.fieldnames or []
@@ -491,6 +499,10 @@ def load_bond_quotes(path: str) -> list[BondQuote]:
                 ))
             except (TypeError, ValueError, KeyError) as exc:
                 raise ParseError(f"{path}: row {line}: {exc}") from exc
+            if row["id"] in rows_by_id:
+                raise ParseError(f"{path}: row {line}: duplicate bond id {row['id']!r}, "
+                                 f"first on row {rows_by_id[row['id']]}")
+            rows_by_id[row["id"]] = line
     return out
 
 

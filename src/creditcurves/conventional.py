@@ -12,12 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .curves import BaseCurve
-from .errors import ScheduleError
-from .rootfind import solve_bracketed
-
-RATE_BRACKET = (-0.5, 5.0)
-PRICE_TOL = 1e-12
+from .curves import BaseCurve, grid_times
+from .rootfind import PRICE_TOL, RATE_BRACKET, solve_bracketed
 
 
 @dataclass(frozen=True)
@@ -35,20 +31,15 @@ class BondSpec:
     accrued_time: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.coupon < 0.0:
-            raise ValueError("coupon must be >= 0")
+        if not 0.0 <= self.coupon < math.inf:
+            raise ValueError(f"coupon must be finite and >= 0, got {self.coupon!r}")
         if self.freq not in (1, 2, 4):
             raise ValueError("freq must be 1, 2 or 4")
-        if self.maturity <= 0.0:
-            raise ValueError("maturity must be > 0")
+        if not self.maturity > 0.0:
+            raise ValueError(f"maturity must be > 0, got {self.maturity!r}")
         if not 0.0 <= self.accrued_time < 1.0 / self.freq:
             raise ValueError("accrued_time must lie in [0, 1/freq)")
-        n = (self.maturity + self.accrued_time) * self.freq
-        if abs(n - round(n)) > 1e-8 or round(n) < 1:
-            raise ScheduleError(
-                f"maturity {self.maturity} with accrued {self.accrued_time} does not "
-                f"sit on a 1/{self.freq} coupon grid"
-            )
+        grid_times(self.maturity + self.accrued_time, self.freq)
 
     @property
     def n_payments(self) -> int:
@@ -89,13 +80,13 @@ class FrnSpec:
     def __post_init__(self) -> None:
         if self.freq < 1:
             raise ValueError("freq must be >= 1")
-        n = self.maturity * self.freq
-        if abs(n - round(n)) > 1e-8 or round(n) < 1:
-            raise ScheduleError(f"maturity {self.maturity} not on a 1/{self.freq} grid")
+        if not math.isfinite(self.quoted_margin):
+            raise ValueError(f"quoted_margin must be finite, got {self.quoted_margin!r}")
+        n = len(grid_times(self.maturity, self.freq))
         if self.fixings is not None:
             fixings = tuple(float(x) for x in self.fixings)
-            if len(fixings) != round(n):
-                raise ValueError("need one fixing per payment period")
+            if len(fixings) != n or not all(math.isfinite(x) for x in fixings):
+                raise ValueError(f"need one finite fixing per payment period, got {fixings!r}")
             object.__setattr__(self, "fixings", fixings)
 
     @property

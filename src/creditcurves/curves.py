@@ -32,8 +32,8 @@ class BaseCurve:
             raise ValueError("curve needs at least one node")
         prev_t, prev_df = 0.0, 1.0
         for t, df in pts:
-            if t <= prev_t:
-                raise ValueError("node tenors must be strictly increasing and > 0")
+            if not prev_t < t < math.inf:
+                raise ValueError("node tenors must be finite, strictly increasing and > 0")
             if not 0.0 < df <= 1.0:
                 raise ValueError(f"discount factor at t={t} must be in (0, 1]")
             if df > prev_df:
@@ -65,8 +65,8 @@ class BaseCurve:
 
     def df(self, t: float) -> float:
         """Discount factor Z(t); log-linear between nodes, flat forward beyond."""
-        if t < 0.0:
-            raise ValueError("t must be >= 0")
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"t must be finite and >= 0, got {t!r}")
         if t == 0.0:
             return 1.0
         times = self._times
@@ -77,14 +77,14 @@ class BaseCurve:
 
     def zero_rate(self, t: float) -> float:
         """Continuously compounded zero rate r(t) = -ln Z(t) / t, t > 0."""
-        if t <= 0.0:
+        if not t > 0.0:
             raise ValueError("t must be > 0")
         return -math.log(self.df(t)) / t
 
     def fwd_rate(self, t: float) -> float:
         """Instantaneous forward rate; right-limit at nodes, flat beyond the end."""
-        if t < 0.0:
-            raise ValueError("t must be >= 0")
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"t must be finite and >= 0, got {t!r}")
         times = self._times
         if t >= times[-1]:
             return self._fwds[-1]
@@ -94,15 +94,9 @@ class BaseCurve:
         """Coupon rate pricing a riskless bullet bond at par.
 
         The maturity must be an integer number of coupon periods; coupon
-        dates are i/freq for i = 1..N.
+        dates are ``grid_times(maturity, freq)``.
         """
-        n = maturity * freq
-        n_int = round(n)
-        if n_int < 1 or abs(n - n_int) > 1e-9:
-            raise ScheduleError(
-                f"maturity {maturity} is not an integer number of 1/{freq} periods"
-            )
-        annuity = sum(self.df(i / freq) for i in range(1, n_int + 1))
+        annuity = sum(self.df(t) for t in grid_times(maturity, freq))
         return freq * (1.0 - self.df(maturity)) / annuity
 
     def __repr__(self) -> str:
@@ -150,6 +144,19 @@ def save_base_curve(curve: BaseCurve, path: str) -> None:
         writer.writerow(["tenor_years", "discount_factor"])
         for t in curve.node_tenors:
             writer.writerow([repr(t), repr(curve.df(t))])
+
+
+def grid_times(span: float, freq: int) -> tuple[float, ...]:
+    """Payment times (1/freq, 2/freq, ..., n/freq) of a schedule of n periods.
+
+    The single home of the payment-grid rule: ``span`` must be finite and
+    lie within 1e-8 of a whole number n >= 1 of 1/freq periods, otherwise
+    ``ScheduleError`` names the offending value.
+    """
+    n = span * freq
+    if not math.isfinite(n) or abs(n - round(n)) > 1e-8 or round(n) < 1:
+        raise ScheduleError(f"span {span!r} is not a whole number >= 1 of 1/{freq} periods")
+    return tuple(i / freq for i in range(1, round(n) + 1))
 
 
 def sorted_unique(values: Sequence[float], tol: float = 1e-12) -> list[float]:

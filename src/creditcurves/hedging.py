@@ -5,7 +5,9 @@ coupon stream; matching the protection notional to the forward price
 profile makes the default payout replicate the bond value at every
 horizon.  The hedge grid and CDS legs are quarterly throughout.
 Exposure NPVs are weighted by the default-leg measure Z * dQ * (1 - R),
-since hedge errors only realize in default states.
+since hedge errors only realize in default states.  Grids come from
+``curves.grid_times`` and CDS legs price through ``pricing.leg_sums``;
+the CDS-bond basis is ``measures.das`` taken on the CDS-implied curve.
 """
 
 from __future__ import annotations
@@ -15,13 +17,10 @@ from dataclasses import dataclass
 
 from . import measures, pricing
 from .conventional import BondSpec
-from .curves import BaseCurve
+from .curves import BaseCurve, grid_times
 from .pricing import RecoveryAssumption, _recovery_rate
-from .rootfind import solve_bracketed
 from .survival import SurvivalCurve
 
-RATE_BRACKET = (-0.5, 5.0)
-PRICE_TOL = 1e-12
 HEDGE_FREQ = 4
 
 
@@ -86,7 +85,7 @@ def fwd_bond_price(
     forward survival (both ratios to time t); P(T, T) = 1.
     """
     T = bond.maturity
-    if t < 0.0 or t > T:
+    if not 0.0 <= t <= T:
         raise ValueError("need 0 <= t <= maturity")
     if t == T:
         return 1.0
@@ -165,24 +164,6 @@ def _aggregate_spread(
     return num / den
 
 
-def _exposure_npv(
-    grid: list[float],
-    coverage: dict[float, float],
-    fwd_notional: dict[float, float],
-    base: BaseCurve,
-    curve: SurvivalCurve,
-    R: float,
-) -> float:
-    """NPV of residual default exposures Z * dQ * (1-R) * (target - hedged)."""
-    npv = 0.0
-    q_prev = 1.0
-    for t in grid:
-        q = curve.survival(t)
-        npv += base.df(t) * (q_prev - q) * (1.0 - R) * (fwd_notional[t] - coverage[t])
-        q_prev = q
-    return npv
-
-
 def spot_hedge_notionals(
     bond: BondSpec,
     base: BaseCurve,
@@ -255,10 +236,7 @@ def coarse_hedge(
     if candidates[0] <= 0.0 or candidates[-1] > T + 1e-9:
         raise ValueError("candidate maturities must lie in (0, maturity]")
 
-    steps = round(T * HEDGE_FREQ)
-    if abs(T * HEDGE_FREQ - steps) > 1e-8:
-        raise ValueError("bond maturity must sit on the quarterly hedge grid")
-    grid = [i / HEDGE_FREQ for i in range(1, steps + 1)]
+    grid = grid_times(T, HEDGE_FREQ)
     fwd_n = {
         t: fwd_hedge_notional(bond, base, curve_cds, recovery, t) for t in grid
     }
@@ -279,8 +257,9 @@ def coarse_hedge(
         if covered <= 0.0:
             continue
         notional = total_gap / covered
+        # NPV of residual default exposures Z * dQ * (1-R) * (target - hedged).
         coverage = {t: 1.0 + (notional if t <= m + 1e-12 else 0.0) for t in grid}
-        residual = _exposure_npv(grid, coverage, fwd_n, base, curve_cds, R)
+        residual = sum(weights[t] * (1.0 - R) * (fwd_n[t] - coverage[t]) for t in grid)
         if abs(m - T) <= 1e-9:
             legs = [(T, 1.0 + notional, spread_T)]
         else:
@@ -307,19 +286,9 @@ def basis_spread(
     recovery: RecoveryAssumption | float,
 ) -> float:
     """Constant spread reconciling the market price with the CDS-implied
-    fair value; the DAS analogue with the CDS-calibrated curve."""
-    R = _recovery_rate(recovery)
-    if market_clean_price + bond.accrued_interest <= 0.0:
-        raise ValueError("dirty price must be > 0")
-
-    def residual(s: float) -> float:
-        return (
-            pricing.bond_pv_frp(bond, base, curve_cds, R, das=s)
-            - bond.accrued_interest
-            - market_clean_price
-        )
-
-    return solve_bracketed(residual, *RATE_BRACKET, f_tol=PRICE_TOL)
+    fair value: ``measures.das`` taken on the CDS-calibrated curve, with
+    the same solver, rate bracket and price tolerance."""
+    return measures.das(bond, market_clean_price, base, curve_cds, _recovery_rate(recovery))
 
 
 def approx_basis(

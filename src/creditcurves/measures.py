@@ -5,7 +5,8 @@ curve: par coupons and P-spreads, constant coupon price (CCP) curves,
 bond-implied CDS, forward CDS spreads, and the bond-level measures
 (fitted price, fitted par coupon, default-adjusted spread, excess
 spread).  Sign convention: DAS > 0 means the bond trades cheap to the
-fitted curve.
+fitted curve.  Par coupons take their schedule from ``curves.grid_times``
+(or the bond's own payment times) and their sums from ``pricing.leg_sums``.
 """
 
 from __future__ import annotations
@@ -15,46 +16,19 @@ from dataclasses import dataclass
 
 from . import pricing
 from .conventional import BondSpec
-from .curves import BaseCurve
-from .errors import ScheduleError
-from .rootfind import solve_bracketed
+from .curves import BaseCurve, grid_times
+from .rootfind import PRICE_TOL, RATE_BRACKET, solve_bracketed
 from .survival import SurvivalCurve
 
-RATE_BRACKET = (-0.5, 5.0)
-PRICE_TOL = 1e-12
 BCDS_FREQ = 4
 DEFAULT_CCP_COUPONS = (0.06, 0.08, 0.10)
-
-
-def _schedule(maturity: float, freq: int) -> tuple[float, ...]:
-    n = maturity * freq
-    if abs(n - round(n)) > 1e-8 or round(n) < 1:
-        raise ScheduleError(f"maturity {maturity} not on a 1/{freq} coupon grid")
-    return tuple(i / freq for i in range(1, round(n) + 1))
-
-
-def _leg_sums(
-    times: tuple[float, ...], base: BaseCurve, curve: SurvivalCurve
-) -> tuple[float, float, float]:
-    """(sum Z*Q, sum Z*(Q_prev - Q), Z*Q at maturity) over a schedule."""
-    annuity = 0.0
-    protection = 0.0
-    q_prev = 1.0
-    for t in times:
-        z = base.df(t)
-        q = curve.survival(t)
-        annuity += z * q
-        protection += z * (q_prev - q)
-        q_prev = q
-    return annuity, protection, base.df(times[-1]) * curve.survival(times[-1])
 
 
 def par_coupon(
     maturity: float, freq: int, base: BaseCurve, curve: SurvivalCurve, recovery: float
 ) -> float:
     """Coupon making a hypothetical bond price exactly at par (clean)."""
-    times = _schedule(maturity, freq)
-    annuity, protection, survived = _leg_sums(times, base, curve)
+    annuity, protection, survived = pricing.leg_sums(grid_times(maturity, freq), base, curve)
     den = annuity + 0.5 * recovery * protection
     if den <= 0.0:
         raise ValueError("non-positive par-coupon denominator")
@@ -111,12 +85,6 @@ def fitted_price(
     return pricing.bond_pv_frp(bond, base, curve, recovery) - bond.accrued_interest
 
 
-def _bond_leg_sums(
-    bond: BondSpec, base: BaseCurve, curve: SurvivalCurve
-) -> tuple[float, float, float]:
-    return _leg_sums(bond.payment_times, base, curve)
-
-
 def fitted_par_coupon(
     bond: BondSpec, base: BaseCurve, curve: SurvivalCurve, recovery: float
 ) -> float:
@@ -126,7 +94,7 @@ def fitted_par_coupon(
     carries a slightly higher fitted par coupon than the generic same-
     maturity one.
     """
-    annuity, protection, survived = _bond_leg_sums(bond, base, curve)
+    annuity, protection, survived = pricing.leg_sums(bond.payment_times, base, curve)
     den = annuity + 0.5 * recovery * protection - bond.accrued_time
     if den <= 0.0:
         raise ValueError("non-positive par-coupon denominator")
@@ -249,13 +217,14 @@ def term_structure_report(
         raise ValueError("report grid must be strictly increasing and > 0")
     rows = []
     for t in tenors:
+        par = par_coupon(t, freq, base, curve, recovery)
         row = TermStructureRow(
             tenor=t,
             survival=curve.survival(t),
             hazard=curve.hazard(t),
             zz_spread=curve.zz_spread(t),
-            par_coupon=par_coupon(t, freq, base, curve, recovery),
-            p_spread=p_spread(t, freq, base, curve, recovery),
+            par_coupon=par,
+            p_spread=par - base.par_yield(t, freq),
             ccp=tuple(ccp(t, c, freq, base, curve, recovery) for c in coupons),
             bcds=bcds(t, base, curve, recovery),
         )

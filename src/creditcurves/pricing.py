@@ -4,7 +4,10 @@ A defaulted bond pays the recovery fraction R of face plus R on half a
 coupon of accrued interest, settled on the first coupon date after
 default.  CDS legs net accrued premium against the protection payment.
 All discrete schedules live on the instrument's own payment grid; CDS
-default to quarterly payments.
+default to quarterly payments.  ``leg_sums`` is the single home of the
+schedule sums sum Z*Q and sum Z*(Q_prev - Q) behind every discrete bond
+and CDS leg here and every par coupon in ``measures``; ``curves.grid_times``
+is the single home of the payment-grid rule.
 
 The continuous-time forms evaluate the survival-weighted discount
 integrals in closed form: both curve families reduce, segment by
@@ -17,8 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .conventional import BondSpec
-from .curves import BaseCurve, sorted_unique
-from .errors import ScheduleError
+from .curves import BaseCurve, grid_times, sorted_unique
 from .survival import SurvivalCurve
 
 
@@ -52,11 +54,13 @@ class CdsSpec:
     recovery: float = 0.40
 
     def __post_init__(self) -> None:
-        if self.maturity <= 0.0:
-            raise ValueError("maturity must be > 0")
+        if not math.isfinite(self.contractual_coupon):
+            raise ValueError(f"contractual_coupon must be finite, got {self.contractual_coupon!r}")
+        if not self.maturity > 0.0:
+            raise ValueError(f"maturity must be > 0, got {self.maturity!r}")
         if not 0.0 <= self.recovery < 1.0:
             raise ValueError("recovery must be in [0, 1)")
-        _cds_grid(self.maturity, self.freq)
+        grid_times(self.maturity, self.freq)
 
 
 @dataclass(frozen=True)
@@ -82,12 +86,26 @@ def _recovery_rate(recovery: RecoveryAssumption | float) -> float:
     return rate
 
 
-def _cds_grid(maturity: float, freq: int) -> tuple[float, ...]:
-    n = maturity * freq
-    if abs(n - round(n)) > 1e-8 or round(n) < 1:
-        raise ScheduleError(f"CDS maturity {maturity} not on a 1/{freq} payment grid")
-    n = round(n)
-    return tuple(i / freq for i in range(1, n + 1))
+def leg_sums(
+    times: tuple[float, ...], base: BaseCurve, curve: SurvivalCurve, das: float = 0.0
+) -> tuple[float, float, float]:
+    """(sum Z*Q, sum Z*(Q_prev - Q), Z*Q at the last time) over a schedule.
+
+    Z(t) = base.df(t) * exp(-das * t) and Q_prev = 1 before the first
+    time: the annuity, protection and survived legs of every discrete
+    price.  With das = 0 the extra factor is exactly 1.0.
+    """
+    if not times:
+        raise ValueError("empty payment schedule")
+    annuity = protection = 0.0
+    q_prev = 1.0
+    for t in times:
+        z = base.df(t) * math.exp(-das * t)
+        q = curve.survival(t)
+        annuity += z * q
+        protection += z * (q_prev - q)
+        q_prev = q
+    return annuity, protection, z * q
 
 
 def bond_pv_frp(
@@ -104,37 +122,16 @@ def bond_pv_frp(
     discounts all three legs by exp(-das * t).
     """
     R = _recovery_rate(recovery)
-    times = bond.payment_times
-    if not times:
-        raise ValueError("bond has no remaining payments")
-    cpn = bond.coupon / bond.freq
+    annuity, protection, survived = leg_sums(bond.payment_times, base, curve, das)
     rec_factor = R * (1.0 + bond.coupon / (2.0 * bond.freq))
-    pv = 0.0
-    q_prev = 1.0
-    for t in times:
-        z = base.df(t) * math.exp(-das * t)
-        q = curve.survival(t)
-        pv += cpn * z * q + rec_factor * z * (q_prev - q)
-        q_prev = q
-    pv += base.df(times[-1]) * math.exp(-das * times[-1]) * curve.survival(times[-1])
-    return pv
+    return bond.coupon / bond.freq * annuity + rec_factor * protection + survived
 
 
 def cds_upfront(cds: CdsSpec, base: BaseCurve, curve: SurvivalCurve) -> float:
     """Upfront payment equating premium and protection legs."""
-    times = _cds_grid(cds.maturity, cds.freq)
-    R = cds.recovery
+    prem, prot, _ = leg_sums(grid_times(cds.maturity, cds.freq), base, curve)
     cpn = cds.contractual_coupon
-    prot = 0.0
-    prem = 0.0
-    q_prev = 1.0
-    for t in times:
-        z = base.df(t)
-        q = curve.survival(t)
-        prot += z * (q_prev - q)
-        prem += z * q
-        q_prev = q
-    return (1.0 - R - cpn / (2.0 * cds.freq)) * prot - (cpn / cds.freq) * prem
+    return (1.0 - cds.recovery - cpn / (2.0 * cds.freq)) * prot - (cpn / cds.freq) * prem
 
 
 def cds_par_spread(
@@ -144,31 +141,23 @@ def cds_par_spread(
     curve: SurvivalCurve,
     recovery: RecoveryAssumption | float,
 ) -> float:
-    """Breakeven running premium for zero upfront."""
+    """Breakeven running premium for zero upfront.
+
+    The premium leg pays on the average survival of each period, so its
+    annuity is sum Z*(Q_prev + Q)/2 = annuity + protection/2.
+    """
     R = _recovery_rate(recovery)
-    num = 0.0
-    den = 0.0
-    q_prev = 1.0
-    for t in _cds_grid(maturity, freq):
-        z = base.df(t)
-        q = curve.survival(t)
-        num += z * (q_prev - q)
-        den += z * (q_prev + q)
-        q_prev = q
+    annuity, protection, _ = leg_sums(grid_times(maturity, freq), base, curve)
+    den = 2.0 * annuity + protection
     if den <= 0.0:
         raise ValueError("degenerate premium annuity")
-    return 2.0 * freq * (1.0 - R) * num / den
+    return 2.0 * freq * (1.0 - R) * protection / den
 
 
 def rpv01(maturity: float, freq: int, base: BaseCurve, curve: SurvivalCurve) -> float:
     """Risky PV01: value of a unit running premium paid until default."""
-    total = 0.0
-    q_prev = 1.0
-    for t in _cds_grid(maturity, freq):
-        q = curve.survival(t)
-        total += base.df(t) * (q_prev + q)
-        q_prev = q
-    return total / (2.0 * freq)
+    annuity, protection, _ = leg_sums(grid_times(maturity, freq), base, curve)
+    return (2.0 * annuity + protection) / (2.0 * freq)
 
 
 def cds_mtm(cds: CdsSpec, par_spread: float, risky_pv01: float) -> float:

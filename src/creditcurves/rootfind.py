@@ -1,7 +1,7 @@
 """Bracketed scalar root finding.
 
 All spread/yield solvers in this package reduce to finding the root of a
-monotone pricing residual on a fixed rate bracket, typically (-0.5, 5).
+monotone pricing residual on the fixed rate bracket ``RATE_BRACKET``.
 The solver below is a bisection loop refined by secant steps: secant gives
 fast local convergence, bisection guarantees progress for the distressed
 price configurations where Newton-style iterations diverge.
@@ -12,6 +12,9 @@ from __future__ import annotations
 from typing import Callable
 
 from .errors import ConvergenceError
+
+RATE_BRACKET = (-0.5, 5.0)  # search interval of every spread and yield solve
+PRICE_TOL = 1e-12           # price residual accepted by those solves
 
 
 def solve_bracketed(

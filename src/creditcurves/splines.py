@@ -24,8 +24,8 @@ class SplineBasis:
     knots: tuple[tuple[int, float], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.eta <= 0.0:
-            raise ValueError("eta must be > 0")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and > 0, got {self.eta!r}")
         if self.size < 1:
             raise ValueError("need at least one factor")
         knots = tuple((int(k), float(t)) for k, t in self.knots)
@@ -34,7 +34,7 @@ class SplineBasis:
         if [k for k, _ in knots] != expected:
             raise ValueError("factors 4..size each require exactly one knot, in order")
         tenors = [t for _, t in knots]
-        if any(t <= 0.0 for t in tenors) or any(
+        if any(not 0.0 < t < math.inf for t in tenors) or any(
             b <= a for a, b in zip(tenors, tenors[1:])
         ):
             raise ValueError("knot tenors must be strictly increasing and > 0")
@@ -50,7 +50,7 @@ class SplineBasis:
         """Value of Phi_k at tenor t >= 0."""
         if not 1 <= k <= self.size:
             raise ValueError(f"factor index {k} out of range 1..{self.size}")
-        if t < 0.0:
+        if not t >= 0.0:
             raise ValueError("t must be >= 0")
         if k <= 3:
             return math.exp(-k * self.eta * t)

@@ -39,7 +39,7 @@ class SurvivalCurve:
 
     def default_prob(self, t1: float, t2: float) -> float:
         """Probability of default inside [t1, t2]: Q(t1) - Q(t2)."""
-        if t1 < 0.0 or t2 < t1:
+        if not 0.0 <= t1 <= t2:
             raise ValueError("need 0 <= t1 <= t2")
         return self.survival(t1) - self.survival(t2)
 
@@ -48,7 +48,7 @@ class SurvivalCurve:
 
     def fwd_survival(self, t: float, T: float) -> float:
         """Conditional survival to T given survival to t: Q(T)/Q(t)."""
-        if t < 0.0 or T < t:
+        if not 0.0 <= t <= T:
             raise ValueError("need 0 <= t <= T")
         qt = self.survival(t)
         if qt <= 0.0:
@@ -57,7 +57,7 @@ class SurvivalCurve:
 
     def zz_spread(self, T: float) -> float:
         """Average hazard to T: -ln Q(T) / T (zero-coupon zero-recovery spread)."""
-        if T <= 0.0:
+        if not T > 0.0:
             raise ValueError("T must be > 0")
         return -math.log(self.survival(T)) / T
 
@@ -88,8 +88,10 @@ class SplineSurvivalCurve(SurvivalCurve):
         beta = tuple(float(b) for b in beta)
         if len(beta) != basis.size:
             raise ValueError("beta length must match basis size")
-        if horizon <= 0.0:
-            raise ValueError("horizon must be > 0")
+        if not 0.0 < horizon < math.inf:
+            raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
+        if not all(math.isfinite(b) for b in beta):
+            raise ValueError(f"beta entries must be finite, got {beta!r}")
         if abs(sum(beta) - 1.0) > _Q0_TOL:
             raise ValueError(f"Q(0) = sum(beta) = {sum(beta)!r} must equal 1")
         self.basis = basis
@@ -123,15 +125,15 @@ class SplineSurvivalCurve(SurvivalCurve):
         return -dq / q
 
     def survival(self, t: float) -> float:
-        if t < 0.0:
-            raise ValueError("t must be >= 0")
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"t must be finite and >= 0, got {t!r}")
         if t <= self.horizon:
             return self._spline_q(t)
         return self._q_horizon * math.exp(-self._tail_hazard * (t - self.horizon))
 
     def hazard(self, t: float) -> float:
-        if t < 0.0:
-            raise ValueError("t must be >= 0")
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"t must be finite and >= 0, got {t!r}")
         if t <= self.horizon:
             return self._spline_hazard(t)
         return self._tail_hazard
@@ -170,10 +172,10 @@ class PiecewiseHazardCurve(SurvivalCurve):
             raise ValueError("need at least one hazard segment")
         prev = 0.0
         for t, h in segs:
-            if t <= prev:
-                raise ValueError("segment tenors must be strictly increasing and > 0")
-            if h < 0.0:
-                raise ValueError(f"hazard rate at tenor {t} must be >= 0")
+            if not prev < t < math.inf:
+                raise ValueError("segment tenors must be finite, strictly increasing and > 0")
+            if not 0.0 <= h < math.inf:
+                raise ValueError(f"hazard rate at tenor {t} must be finite and >= 0, got {h!r}")
             prev = t
         self.segments = segs
         self.horizon = segs[-1][0]
@@ -202,14 +204,14 @@ class PiecewiseHazardCurve(SurvivalCurve):
         return self._cum[-1] + self.segments[-1][1] * (t - self.horizon)
 
     def survival(self, t: float) -> float:
-        if t < 0.0:
-            raise ValueError("t must be >= 0")
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"t must be finite and >= 0, got {t!r}")
         return math.exp(-self._cumulative(t))
 
     def hazard(self, t: float) -> float:
         """Right-continuous hazard rate; terminal rate past the last tenor."""
-        if t < 0.0:
-            raise ValueError("t must be >= 0")
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"t must be finite and >= 0, got {t!r}")
         for tenor, h in self.segments:
             if t < tenor:
                 return h

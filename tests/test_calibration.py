@@ -43,6 +43,11 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="eta_grid"):
             FitConfig(eta_grid=grid)
 
+    @pytest.mark.parametrize("factors", [0, 4])
+    def test_factors_outside_knot_free_range(self, factors):
+        with pytest.raises(ValueError, match="factors"):
+            FitConfig(factors=factors)
+
 
 class TestBuildRegressors:
     def test_zero_recovery_zero_coupon(self, base_curve):

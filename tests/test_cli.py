@@ -100,6 +100,21 @@ class TestFit:
         assert code == 2
         assert "row 3" in capsys.readouterr().err
 
+    def test_duplicate_bond_id_exits_2(self, tmp_path, capsys):
+        write_base(tmp_path / "base.csv")
+        bonds = tmp_path / "bonds.csv"
+        bonds.write_text(
+            "id,coupon,freq,maturity_years,accrued_years,clean_price,spread_duration\n"
+            "a,0.05,2,5.0,0.0,0.97,\n"
+            "b,0.06,2,7.0,0.0,0.99,\n"
+            "a,0.04,2,3.0,0.0,0.98,\n"
+        )
+        code = run(["fit", "--base", tmp_path / "base.csv", "--bonds", bonds,
+                    "--out", tmp_path / "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "duplicate bond id 'a'" in err and "row 4" in err and "row 2" in err
+
     def test_too_few_bonds_exits_3(self, tmp_path, true_curve, capsys):
         write_base(tmp_path / "base.csv")
         write_bonds(tmp_path / "bonds.csv", true_curve, subset=2)

@@ -8,6 +8,7 @@ from creditcurves import hedging, measures, pricing
 from creditcurves.calibration import calibrate_from_cds
 from creditcurves.conventional import BondSpec
 from creditcurves.curves import BaseCurve
+from creditcurves.errors import ScheduleError
 from creditcurves.hedging import HedgeLeg, HedgePlan
 from creditcurves.survival import PiecewiseHazardCurve
 
@@ -299,6 +300,9 @@ class TestCoarseHedge:
             hedging.coarse_hedge(bond, base, curve, 0.5, [2.0, 3.0])  # missing T
         with pytest.raises(ValueError):
             hedging.coarse_hedge(bond, base, curve, 0.5, [5.0, 6.0])
+        off_quarter = BondSpec(coupon=0.08, freq=2, maturity=4.9, accrued_time=0.1)
+        with pytest.raises(ScheduleError, match="4.9"):
+            hedging.coarse_hedge(off_quarter, base, curve, 0.5, [4.9])
 
 
 class TestRfcReplication:

@@ -5,12 +5,18 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from creditcurves import pricing
-from creditcurves.conventional import BondSpec, z_spread
-from creditcurves.curves import BaseCurve
+from creditcurves import hedging, measures, pricing
+from creditcurves.calibration import BondQuote, FitConfig, calibrate_from_cds
+from creditcurves.conventional import BondSpec, FrnSpec, z_spread
+from creditcurves.curves import BaseCurve, grid_times
+from creditcurves.errors import ParseError, ScheduleError
 from creditcurves.pricing import CdsSpec, RecoveryAssumption, TriangleQuotes
 from creditcurves.splines import SplineBasis
-from creditcurves.survival import PiecewiseHazardCurve, SplineSurvivalCurve
+from creditcurves.survival import (
+    PiecewiseHazardCurve,
+    SplineSurvivalCurve,
+    survival_curve_from_dict,
+)
 
 
 @pytest.fixture
@@ -31,6 +37,165 @@ def frp_pv_oracle(bond, base, curve, recovery, das=0.0):
                * base.df(t) * math.exp(-das * t) * (q_prev - q))
         q_prev = q
     return pv
+
+
+def _schedule_terms(maturity, freq, base, curve):
+    """(t_i, Z(t_i), Q(t_{i-1}), Q(t_i)) on the schedule i/freq, i = 1..N."""
+    n = round(maturity * freq)
+    return [(i / freq, base.df(i / freq), curve.survival((i - 1) / freq),
+             curve.survival(i / freq)) for i in range(1, n + 1)]
+
+
+def cds_upfront_oracle(cds, base, curve):
+    """Protection less premium less premium accrued to default, period by period."""
+    cpn, f, R = cds.contractual_coupon, cds.freq, cds.recovery
+    upfront = 0.0
+    for _, z, q_prev, q in _schedule_terms(cds.maturity, f, base, curve):
+        upfront += (1 - R) * z * (q_prev - q)
+        upfront -= cpn / f * z * q
+        upfront -= cpn / (2 * f) * z * (q_prev - q)
+    return upfront
+
+
+def rpv01_oracle(maturity, freq, base, curve):
+    """Each period's premium is paid on the average of its end-point survivals."""
+    return sum(z * 0.5 * (q_prev + q) / freq
+               for _, z, q_prev, q in _schedule_terms(maturity, freq, base, curve))
+
+
+def cds_par_spread_oracle(maturity, freq, base, curve, recovery):
+    protection = sum((1 - recovery) * z * (q_prev - q)
+                     for _, z, q_prev, q in _schedule_terms(maturity, freq, base, curve))
+    return protection / rpv01_oracle(maturity, freq, base, curve)
+
+
+def par_coupon_oracle(maturity, freq, base, curve, recovery):
+    """The FRP price is affine in the coupon: solve it from coupons 0 and 1."""
+    p0, p1 = (frp_pv_oracle(BondSpec(coupon=c, freq=freq, maturity=maturity),
+                            base, curve, recovery) for c in (0.0, 1.0))
+    return (1.0 - p0) / (p1 - p0)
+
+
+hazard_curves = st.one_of(
+    st.floats(0.0, 0.3).map(PiecewiseHazardCurve.flat),
+    st.lists(st.floats(0.0, 0.3), min_size=2, max_size=5).map(
+        lambda hs: PiecewiseHazardCurve([(1.5 * (i + 1), h) for i, h in enumerate(hs)])
+    ),
+)
+
+
+def _safe_base(rates):
+    try:
+        return BaseCurve.from_zero_rates([(2.5 * (i + 1), r) for i, r in enumerate(rates)])
+    except ValueError:  # a falling zero curve can imply a negative forward
+        return BaseCurve.flat(rates[0])
+
+
+base_curves = st.one_of(
+    st.floats(0.0, 0.10).map(BaseCurve.flat),
+    st.lists(st.floats(0.0, 0.08), min_size=1, max_size=4).map(_safe_base),
+)
+
+
+class TestScheduleKernelOracles:
+    @given(base=base_curves, curve=hazard_curves, quarters=st.integers(1, 40),
+           coupon=st.floats(0.0, 0.1), recovery=st.floats(0.0, 0.9))
+    def test_cds_legs(self, base, curve, quarters, coupon, recovery):
+        maturity = quarters / 4
+        cds = CdsSpec(contractual_coupon=coupon, maturity=maturity, recovery=recovery)
+        assert pricing.cds_upfront(cds, base, curve) == pytest.approx(
+            cds_upfront_oracle(cds, base, curve), abs=1e-13)
+        assert pricing.rpv01(maturity, 4, base, curve) == pytest.approx(
+            rpv01_oracle(maturity, 4, base, curve), abs=1e-13)
+        assert pricing.cds_par_spread(maturity, 4, base, curve, recovery) == pytest.approx(
+            cds_par_spread_oracle(maturity, 4, base, curve, recovery), abs=1e-13)
+
+    @given(base=base_curves, curve=hazard_curves, freq=st.sampled_from([1, 2, 4]),
+           periods=st.integers(1, 20), recovery=st.floats(0.0, 0.9))
+    def test_par_coupon(self, base, curve, freq, periods, recovery):
+        maturity = periods / freq
+        assert measures.par_coupon(maturity, freq, base, curve, recovery) == pytest.approx(
+            par_coupon_oracle(maturity, freq, base, curve, recovery), abs=1e-13)
+
+    def test_basis_spread_is_das_on_the_cds_curve(self, base_curve):
+        curve = calibrate_from_cds([(1.0, 0.008), (3.0, 0.012), (5.0, 0.015)], base_curve, 0.4)
+        bond = BondSpec(coupon=0.06, freq=2, maturity=4.75, accrued_time=0.25)
+        for price in (0.9, 1.0, 1.1):
+            assert hedging.basis_spread(bond, price, base_curve, curve, 0.4) == measures.das(
+                bond, price, base_curve, curve, 0.4)
+
+
+class TestGridTimes:
+    def test_whole_periods(self):
+        assert grid_times(1.0, 4) == (0.25, 0.5, 0.75, 1.0)
+        assert grid_times(0.5, 2) == (0.5,)
+        assert grid_times(3.0 + 5e-9 / 2, 2) == tuple(i / 2 for i in range(1, 7))
+
+    @pytest.mark.parametrize("span, freq", [
+        (5.1, 4),            # off the grid
+        (3.0 + 2e-8, 2),     # off by more than the 1e-8 period tolerance
+        (0.0, 4),            # zero periods
+        (0.1, 4),            # shorter than one period, rounds to zero
+        (-1.0, 2),
+        (math.nan, 4),
+        (math.inf, 4),
+        (-math.inf, 2),
+    ])
+    def test_rejects_and_names_the_span(self, span, freq):
+        with pytest.raises(ScheduleError, match=f"span {span!r} "):
+            grid_times(span, freq)
+
+
+_SPLINE = SplineSurvivalCurve(SplineBasis(eta=0.05), (0.6, 0.3, 0.1))
+_NON_FINITE_INPUTS = {
+    "bond coupon": lambda x: BondSpec(coupon=x, freq=2, maturity=5.0),
+    "bond maturity": lambda x: BondSpec(coupon=0.05, freq=2, maturity=x),
+    "bond accrued_time": lambda x: BondSpec(coupon=0.05, freq=2, maturity=5.0, accrued_time=x),
+    "cds contractual_coupon": lambda x: CdsSpec(contractual_coupon=x, maturity=5.0),
+    "cds maturity": lambda x: CdsSpec(contractual_coupon=0.01, maturity=x),
+    "cds recovery": lambda x: CdsSpec(contractual_coupon=0.01, maturity=5.0, recovery=x),
+    "frn quoted_margin": lambda x: FrnSpec(quoted_margin=x, freq=4, maturity=2.0),
+    "frn maturity": lambda x: FrnSpec(quoted_margin=0.01, freq=4, maturity=x),
+    "frn fixings": lambda x: FrnSpec(quoted_margin=0.01, freq=4, maturity=0.5,
+                                     fixings=(0.02, x)),
+    "quote clean_price": lambda x: BondQuote("q", BondSpec(0.05, 2, 5.0), clean_price=x),
+    "fit eta_grid": lambda x: FitConfig(eta_grid=(0.05, x)),
+    "fit recovery": lambda x: FitConfig(recovery=x),
+    "cds quote spread": lambda x: calibrate_from_cds(
+        [(1.0, 0.01), (3.0, x)], BaseCurve.flat(0.03), 0.4),
+    "recovery principal": RecoveryAssumption,
+    "hazard rate": lambda x: PiecewiseHazardCurve([(1.0, 0.01), (3.0, x)]),
+    "hazard tenor": lambda x: PiecewiseHazardCurve([(1.0, 0.01), (x, 0.02)]),
+    "spline beta": lambda x: SplineSurvivalCurve(SplineBasis(eta=0.05), (0.6, x, 0.1)),
+    "spline horizon": lambda x: SplineSurvivalCurve(SplineBasis(eta=0.05), (1.0, 0.0, 0.0), x),
+    "basis eta": lambda x: SplineBasis(eta=x),
+    "curve json beta": lambda x: survival_curve_from_dict(
+        {"type": "spline", "eta": 0.05, "beta": [0.7, x, 0.1]}),
+    "curve json eta": lambda x: survival_curve_from_dict(
+        {"type": "spline", "eta": x, "beta": [1.0]}),
+    "base node tenor": lambda x: BaseCurve([(1.0, 0.97), (x, 0.9)]),
+    "base node df": lambda x: BaseCurve([(1.0, x)]),
+    "df time": lambda x: BaseCurve.flat(0.03).df(x),
+    "fwd_rate time": lambda x: BaseCurve.flat(0.03).fwd_rate(x),
+    "zero_rate time": lambda x: BaseCurve.flat(0.03).zero_rate(x),
+    "par_yield maturity": lambda x: BaseCurve.flat(0.03).par_yield(x, 2),
+    "piecewise survival time": lambda x: PiecewiseHazardCurve.flat(0.0).survival(x),
+    "piecewise hazard time": lambda x: PiecewiseHazardCurve.flat(0.02).hazard(x),
+    "spline survival time": _SPLINE.survival,
+    "spline hazard time": _SPLINE.hazard,
+    "zz_spread tenor": lambda x: _SPLINE.zz_spread(x),
+    "default_prob time": lambda x: _SPLINE.default_prob(0.5, x),
+    "grid span": lambda x: grid_times(x, 4),
+    "par spread maturity": lambda x: pricing.cds_par_spread(
+        x, 4, BaseCurve.flat(0.03), PiecewiseHazardCurve.flat(0.02), 0.4),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_NON_FINITE_INPUTS))
+@given(value=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_non_finite_input_raises_a_typed_error(field, value):
+    with pytest.raises((ValueError, ScheduleError, ParseError)):
+        _NON_FINITE_INPUTS[field](value)
 
 
 class TestDomainTypes:
