@@ -19,15 +19,7 @@ import sys
 from . import calibration, hedging, measures
 from .calibration import FitConfig, load_bond_quotes, load_cds_quotes
 from .curves import load_base_curve
-from .errors import (
-    ArbitrageError,
-    ConvergenceError,
-    CreditCurveError,
-    FitError,
-    InsufficientDataError,
-    ParseError,
-    ScheduleError,
-)
+from .errors import CreditCurveError, InsufficientDataError, ParseError
 from .survival import load_survival_curve
 
 EXIT_OK = 0
@@ -231,10 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     except _MissingInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except (FitError, ConvergenceError, ArbitrageError, ScheduleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (CreditCurveError, ValueError) as exc:
+    except (CreditCurveError, ValueError) as exc:  # fit, root, schedule, arbitrage
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

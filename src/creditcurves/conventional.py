@@ -5,6 +5,8 @@ survival-based ones: yield to maturity, yield/I-spread against benchmark
 yields, Z-spread over a base curve, and the floating-rate-note discount
 margin.  Accrued interest handling: full coupons are discounted at their
 scheduled times and compared against the dirty price (clean + accrued).
+The Z-spread is ``rootfind.solve_spread`` on the discounted cash flows
+CF * Z_base(t): the survival-based DAS with survival Q = 1.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .curves import BaseCurve, grid_times
-from .rootfind import PRICE_TOL, RATE_BRACKET, solve_bracketed
+from .rootfind import PRICE_TOL, RATE_BRACKET, check_price, solve_bracketed, solve_spread
 
 
 @dataclass(frozen=True)
@@ -104,9 +106,7 @@ def ytm(bond: BondSpec, clean_price: float, q_conv: float | None = None) -> floa
     """Yield to maturity in compounding convention q_conv (default: the
     bond's own frequency; ``math.inf`` for continuous compounding)."""
     conv = float(bond.freq) if q_conv is None else float(q_conv)
-    dirty = clean_price + bond.accrued_interest
-    if dirty <= 0.0:
-        raise ValueError("dirty price must be > 0")
+    dirty = check_price(clean_price + bond.accrued_interest)
     return solve_bracketed(
         lambda y: _pv_at_yield(bond, y, conv) - dirty,
         *RATE_BRACKET,
@@ -137,26 +137,22 @@ def i_spread(
     return bond_yield - ((1.0 - w) * y1 + w * y2)
 
 
+def _z_spread(bond: BondSpec, dirty: float, base: BaseCurve) -> tuple[float, list]:
+    """The Z-spread and the (time, CF, Z_base) triples it discounts."""
+    flows = [(t, cf, base.df(t)) for t, cf in bond.cash_flows()]
+    return solve_spread([t for t, _, _ in flows], [cf * z for _, cf, z in flows], dirty), flows
+
+
 def z_spread(bond: BondSpec, clean_price: float, base: BaseCurve) -> float:
     """Constant spread s with dirty = sum CF * Z_base(t) * exp(-s*t)."""
-    dirty = clean_price + bond.accrued_interest
-    if dirty <= 0.0:
-        raise ValueError("dirty price must be > 0")
-    flows = bond.cash_flows()
-    dfs = [base.df(t) for t, _ in flows]
-
-    def residual(s: float) -> float:
-        return sum(cf * df * math.exp(-s * t) for (t, cf), df in zip(flows, dfs)) - dirty
-
-    return solve_bracketed(residual, *RATE_BRACKET, f_tol=PRICE_TOL)
+    return _z_spread(bond, clean_price + bond.accrued_interest, base)[0]
 
 
 def z_spread_duration(bond: BondSpec, clean_price: float, base: BaseCurve) -> float:
     """Sensitivity -d ln PV / d s at the bond's fitted Z-spread, in years."""
-    s = z_spread(bond, clean_price, base)
     dirty = clean_price + bond.accrued_interest
-    weighted = sum(t * cf * base.df(t) * math.exp(-s * t) for t, cf in bond.cash_flows())
-    return weighted / dirty
+    s, flows = _z_spread(bond, dirty, base)
+    return sum(t * cf * z * math.exp(-s * t) for t, cf, z in flows) / dirty
 
 
 def discount_margin(frn: FrnSpec, price: float, base: BaseCurve | None = None) -> float:
@@ -166,8 +162,7 @@ def discount_margin(frn: FrnSpec, price: float, base: BaseCurve | None = None) -
     discounting compounds 1/(1 + (L_i + DM)/q) per period.  Forward
     fixings come from the spec, or are implied from ``base`` when absent.
     """
-    if price <= 0.0:
-        raise ValueError("price must be > 0")
+    check_price(price, "price")
     n = frn.n_payments
     delta = 1.0 / frn.freq
     if frn.fixings is not None:

@@ -6,8 +6,9 @@ profile makes the default payout replicate the bond value at every
 horizon.  The hedge grid and CDS legs are quarterly throughout.
 Exposure NPVs are weighted by the default-leg measure Z * dQ * (1 - R),
 since hedge errors only realize in default states.  Grids come from
-``curves.grid_times`` and CDS legs price through ``pricing.leg_sums``;
-the CDS-bond basis is ``measures.das`` taken on the CDS-implied curve.
+``curves.grid_times``; CDS legs and those weights come from the terms of
+``pricing.leg_terms``.  The CDS-bond basis is ``measures.das`` (one
+``rootfind.solve_spread``) taken on the CDS-implied curve.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from . import measures, pricing
 from .conventional import BondSpec
 from .curves import BaseCurve, grid_times
-from .pricing import RecoveryAssumption, _recovery_rate
+from .pricing import _recovery_rate
 from .survival import SurvivalCurve
 
 HEDGE_FREQ = 4
@@ -76,7 +77,7 @@ def fwd_bond_price(
     bond: BondSpec,
     base: BaseCurve,
     curve: SurvivalCurve,
-    recovery: RecoveryAssumption | float,
+    recovery: float,
     t: float,
 ) -> float:
     """Projected forward price P(t, T) in the continuous approximation.
@@ -89,25 +90,15 @@ def fwd_bond_price(
         raise ValueError("need 0 <= t <= maturity")
     if t == T:
         return 1.0
-    R = _recovery_rate(recovery)
-    C = bond.coupon
-    q = bond.freq
-    denom = base.df(t) * curve.survival(t)
-    i_zq, i_hzq, _ = pricing.survival_discount_integrals(base, curve, t, T)
-    survived = base.df(T) * curve.survival(T) / denom
-    return (
-        C * i_zq / denom
-        + survived
-        - C / (2.0 * q) * (1.0 - survived)
-        + R * (1.0 + C / (2.0 * q)) * i_hzq / denom
-    )
+    scale = base.df(t) * curve.survival(t)
+    return pricing._continuous_price(bond, base, curve, _recovery_rate(recovery), t, scale)
 
 
 def fwd_hedge_notional(
     bond: BondSpec,
     base: BaseCurve,
     curve: SurvivalCurve,
-    recovery: RecoveryAssumption | float,
+    recovery: float,
     t: float,
 ) -> float:
     """Forward CDS notional (P(t,T) - R) / (1 - R) equating default payouts."""
@@ -119,7 +110,7 @@ def rfc_stream(
     bond: BondSpec,
     base: BaseCurve,
     curve: SurvivalCurve,
-    recovery: RecoveryAssumption | float,
+    recovery: float,
     t: float,
 ) -> float:
     """Risk-free-equivalent coupon RFC(t, T) = C - h(t) * (P(t,T) - R).
@@ -136,17 +127,13 @@ def rfc_profile(
     bond: BondSpec,
     base: BaseCurve,
     curve: SurvivalCurve,
-    recovery: RecoveryAssumption | float,
+    recovery: float,
     grid: list[float],
 ) -> tuple[RfcPoint, ...]:
     """Sample the risk-free-equivalent coupon stream on a tenor grid."""
     return tuple(
         RfcPoint(t=t, rfc=rfc_stream(bond, base, curve, recovery, t)) for t in grid
     )
-
-
-def _leg_spread(maturity: float, base: BaseCurve, curve: SurvivalCurve, R: float) -> float:
-    return pricing.cds_par_spread(maturity, HEDGE_FREQ, base, curve, R)
 
 
 def _aggregate_spread(
@@ -168,7 +155,7 @@ def spot_hedge_notionals(
     bond: BondSpec,
     base: BaseCurve,
     curve: SurvivalCurve,
-    recovery: RecoveryAssumption | float,
+    recovery: float,
     grid: list[float],
 ) -> HedgePlan:
     """Staggered spot-CDS hedge on the given maturity grid.
@@ -192,7 +179,7 @@ def spot_hedge_notionals(
     terminal = (prices[pts[-1]] - R) / (1.0 - R)
     notionals[T] = notionals.get(T, 0.0) + terminal
     legs = [
-        (m, n, _leg_spread(m, base, curve, R))
+        (m, n, pricing.cds_par_spread(m, HEDGE_FREQ, base, curve, R))
         for m, n in sorted(notionals.items())
         if m > 0.0
     ]
@@ -216,7 +203,7 @@ def coarse_hedge(
     bond: BondSpec,
     base: BaseCurve,
     curve_cds: SurvivalCurve,
-    recovery: RecoveryAssumption | float,
+    recovery: float,
     candidate_maturities: list[float],
 ) -> HedgePlan:
     """Two-CDS hedge: face notional to final maturity plus one staggered leg.
@@ -240,15 +227,10 @@ def coarse_hedge(
     fwd_n = {
         t: fwd_hedge_notional(bond, base, curve_cds, recovery, t) for t in grid
     }
-    spread_T = _leg_spread(T, base, curve_cds, R)
+    spread_T = pricing.cds_par_spread(T, HEDGE_FREQ, base, curve_cds, R)
 
     # Default-leg weights Z * dQ per grid bucket.
-    weights = {}
-    q_prev = 1.0
-    for t in grid:
-        q = curve_cds.survival(t)
-        weights[t] = base.df(t) * (q_prev - q)
-        q_prev = q
+    weights = dict(zip(grid, pricing.leg_terms(grid, base, curve_cds)[1]))
     total_gap = sum(weights[t] * (fwd_n[t] - 1.0) for t in grid)
 
     best: HedgePlan | None = None
@@ -263,7 +245,7 @@ def coarse_hedge(
         if abs(m - T) <= 1e-9:
             legs = [(T, 1.0 + notional, spread_T)]
         else:
-            legs = [(m, notional, _leg_spread(m, base, curve_cds, R)),
+            legs = [(m, notional, pricing.cds_par_spread(m, HEDGE_FREQ, base, curve_cds, R)),
                     (T, 1.0, spread_T)]
         cost = _aggregate_spread(legs, base, curve_cds)
         plan = HedgePlan(
@@ -283,12 +265,12 @@ def basis_spread(
     market_clean_price: float,
     base: BaseCurve,
     curve_cds: SurvivalCurve,
-    recovery: RecoveryAssumption | float,
+    recovery: float,
 ) -> float:
     """Constant spread reconciling the market price with the CDS-implied
     fair value: ``measures.das`` taken on the CDS-calibrated curve, with
     the same solver, rate bracket and price tolerance."""
-    return measures.das(bond, market_clean_price, base, curve_cds, _recovery_rate(recovery))
+    return measures.das(bond, market_clean_price, base, curve_cds, recovery)
 
 
 def approx_basis(
@@ -297,7 +279,7 @@ def approx_basis(
     base: BaseCurve,
     curve_bond: SurvivalCurve,
     curve_cds: SurvivalCurve,
-    recovery: RecoveryAssumption | float,
+    recovery: float,
     plan: HedgePlan,
 ) -> float:
     """Excess spread over the bond-market curve less the plan's

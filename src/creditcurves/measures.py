@@ -6,7 +6,8 @@ bond-implied CDS, forward CDS spreads, and the bond-level measures
 (fitted price, fitted par coupon, default-adjusted spread, excess
 spread).  Sign convention: DAS > 0 means the bond trades cheap to the
 fitted curve.  Par coupons take their schedule from ``curves.grid_times``
-(or the bond's own payment times) and their sums from ``pricing.leg_sums``.
+(or the bond's own payment times) and their sums from ``pricing.leg_sums``;
+DAS is ``rootfind.solve_spread`` on ``pricing.frp_cash_flows``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 from . import pricing
 from .conventional import BondSpec
 from .curves import BaseCurve, grid_times
-from .rootfind import PRICE_TOL, RATE_BRACKET, solve_bracketed
-from .survival import SurvivalCurve
+from .rootfind import solve_spread
+from .survival import PiecewiseHazardCurve, SurvivalCurve
 
 BCDS_FREQ = 4
 DEFAULT_CCP_COUPONS = (0.06, 0.08, 0.10)
@@ -102,13 +103,9 @@ def fitted_par_coupon(
 
 
 def fitted_base_par_coupon(bond: BondSpec, base: BaseCurve) -> float:
-    """Risk-free par coupon on the bond's schedule (the h = 0 limit of
-    fitted_par_coupon), used as the benchmark leg of the fitted P-spread."""
-    annuity = sum(base.df(t) for t in bond.payment_times)
-    den = annuity - bond.accrued_time
-    if den <= 0.0:
-        raise ValueError("non-positive par-coupon denominator")
-    return bond.freq * (1.0 - base.df(bond.payment_times[-1])) / den
+    """Risk-free par coupon on the bond's schedule: fitted_par_coupon on a
+    zero-hazard curve with R = 0, the benchmark leg of the fitted P-spread."""
+    return fitted_par_coupon(bond, base, PiecewiseHazardCurve.flat(0.0), 0.0)
 
 
 def fitted_p_spread(
@@ -125,18 +122,13 @@ def das(
     recovery: float,
 ) -> float:
     """Default-adjusted spread: constant discount spread applied to all
-    legs that reconciles the fitted price with the market clean price."""
-    if market_clean_price + bond.accrued_interest <= 0.0:
-        raise ValueError("dirty price must be > 0")
+    legs that reconciles the fitted price with the market clean price.
 
-    def residual(s: float) -> float:
-        return (
-            pricing.bond_pv_frp(bond, base, curve, recovery, das=s)
-            - bond.accrued_interest
-            - market_clean_price
-        )
-
-    return solve_bracketed(residual, *RATE_BRACKET, f_tol=PRICE_TOL)
+    The curves are walked once, into ``pricing.frp_cash_flows``; the root
+    search only re-discounts those flows.
+    """
+    flows = pricing.frp_cash_flows(bond, base, curve, recovery)
+    return solve_spread(bond.payment_times, flows, market_clean_price + bond.accrued_interest)
 
 
 def excess_spread(
@@ -198,7 +190,7 @@ class TermStructureReport:
 
 
 def report_grid() -> tuple[float, ...]:
-    """Default report tenors: half-year steps to 10y, annual to 30y."""
+    """Report tenors: half-year steps to 10y, annual to 30y."""
     half_years = [0.5 * i for i in range(1, 21)]
     years = [float(y) for y in range(11, 31)]
     return tuple(half_years + years)
@@ -212,7 +204,12 @@ def term_structure_report(
     grid: tuple[float, ...] | None = None,
     freq: int = 2,
 ) -> TermStructureReport:
-    tenors = report_grid() if grid is None else tuple(grid)
+    """Measures per tenor with par coupons paid ``freq`` times a year; the
+    default grid is ``report_grid`` on whole 1/freq periods (freq 1: 1y-30y)."""
+    if grid is None:
+        on_grid = set(grid_times(report_grid()[-1], freq))
+        grid = [t for t in report_grid() if t in on_grid]
+    tenors = tuple(grid)
     if any(b <= a for a, b in zip(tenors, tenors[1:])) or tenors[0] <= 0.0:
         raise ValueError("report grid must be strictly increasing and > 0")
     rows = []

@@ -4,10 +4,12 @@ A defaulted bond pays the recovery fraction R of face plus R on half a
 coupon of accrued interest, settled on the first coupon date after
 default.  CDS legs net accrued premium against the protection payment.
 All discrete schedules live on the instrument's own payment grid; CDS
-default to quarterly payments.  ``leg_sums`` is the single home of the
-schedule sums sum Z*Q and sum Z*(Q_prev - Q) behind every discrete bond
-and CDS leg here and every par coupon in ``measures``; ``curves.grid_times``
-is the single home of the payment-grid rule.
+default to quarterly payments.  ``leg_terms`` is the one schedule walk
+(per-date Z*Q and Z*(Q_prev - Q)) behind every discrete leg, par coupon
+and hedge weight; ``frp_cash_flows`` turns it into a bond's discounted
+expected cash flows w_i, priced at spread s as sum w_i * exp(-s * t_i),
+the form ``rootfind.solve_spread`` solves.  ``curves.grid_times`` is the
+single home of the payment-grid rule.
 
 The continuous-time forms evaluate the survival-weighted discount
 integrals in closed form: both curve families reduce, segment by
@@ -24,24 +26,17 @@ from .curves import BaseCurve, grid_times, sorted_unique
 from .survival import SurvivalCurve
 
 
-@dataclass(frozen=True)
-class RecoveryAssumption:
-    """Fractional recovery of par; accrued interest recovers the same rate."""
+class RecoveryAssumption(float):
+    """Fractional recovery of par, validated; accrued recovers the same rate."""
 
-    principal: float
-    accrued: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.principal < 1.0:
+    def __new__(cls, principal: float, accrued: float | None = None):
+        if not 0.0 <= principal < 1.0:
             raise ValueError("principal recovery must be in [0, 1)")
-        acc = self.principal if self.accrued is None else float(self.accrued)
-        if acc != self.principal:
+        if accrued is not None and float(accrued) != principal:
             raise ValueError("accrued recovery must equal principal recovery")
-        object.__setattr__(self, "accrued", acc)
+        return super().__new__(cls, principal)
 
-    @property
-    def rate(self) -> float:
-        return self.principal
+    rate = principal = accrued = property(float)  # all three are the one rate
 
 
 @dataclass(frozen=True)
@@ -79,52 +74,62 @@ class TriangleQuotes:
                 raise ValueError(f"{name} must be in [0, 1)")
 
 
-def _recovery_rate(recovery: RecoveryAssumption | float) -> float:
-    rate = recovery.rate if isinstance(recovery, RecoveryAssumption) else float(recovery)
+def _recovery_rate(recovery: float) -> float:
+    rate = float(recovery)
     if not 0.0 <= rate < 1.0:
         raise ValueError("recovery rate must be in [0, 1)")
     return rate
 
 
-def leg_sums(
-    times: tuple[float, ...], base: BaseCurve, curve: SurvivalCurve, das: float = 0.0
-) -> tuple[float, float, float]:
-    """(sum Z*Q, sum Z*(Q_prev - Q), Z*Q at the last time) over a schedule.
-
-    Z(t) = base.df(t) * exp(-das * t) and Q_prev = 1 before the first
-    time: the annuity, protection and survived legs of every discrete
-    price.  With das = 0 the extra factor is exactly 1.0.
-    """
+def leg_terms(
+    times: tuple[float, ...], base: BaseCurve, curve: SurvivalCurve
+) -> tuple[list[float], list[float]]:
+    """Per-time Z*Q and Z*(Q_prev - Q) over a schedule, Q_prev = 1 before
+    the first time: the survival and default terms of every discrete leg."""
     if not times:
         raise ValueError("empty payment schedule")
-    annuity = protection = 0.0
-    q_prev = 1.0
-    for t in times:
-        z = base.df(t) * math.exp(-das * t)
-        q = curve.survival(t)
-        annuity += z * q
-        protection += z * (q_prev - q)
-        q_prev = q
-    return annuity, protection, z * q
+    zs = [base.df(t) for t in times]
+    qs = [curve.survival(t) for t in times]
+    return ([z * q for z, q in zip(zs, qs)],
+            [z * (q_prev - q) for z, q_prev, q in zip(zs, [1.0] + qs, qs)])
+
+
+def leg_sums(
+    times: tuple[float, ...], base: BaseCurve, curve: SurvivalCurve
+) -> tuple[float, float, float]:
+    """(sum Z*Q, sum Z*(Q_prev - Q), Z*Q at the last time): the annuity,
+    protection and survived legs of ``leg_terms``."""
+    zq, zdq = leg_terms(times, base, curve)
+    return sum(zq), sum(zdq), zq[-1]
+
+
+def frp_cash_flows(
+    bond: BondSpec, base: BaseCurve, curve: SurvivalCurve, recovery: float
+) -> list[float]:
+    """Discounted expected cash flow w_i on each of the bond's payment dates.
+
+    The coupon C/q on survival, plus R*(1 + C/2q) of face on default in
+    the period ending there, plus the survived principal at maturity.
+    """
+    rec_factor = _recovery_rate(recovery) * (1.0 + bond.coupon / (2.0 * bond.freq))
+    zq, zdq = leg_terms(bond.payment_times, base, curve)
+    flows = [bond.coupon / bond.freq * a + rec_factor * p for a, p in zip(zq, zdq)]
+    flows[-1] += zq[-1]
+    return flows
 
 
 def bond_pv_frp(
     bond: BondSpec,
     base: BaseCurve,
     curve: SurvivalCurve,
-    recovery: RecoveryAssumption | float,
+    recovery: float,
     das: float = 0.0,
 ) -> float:
-    """Dirty present value of a credit bond under fractional recovery of par.
-
-    Survival-weighted coupons and principal, plus R*(1 + C/2q) of face
-    paid on the coupon date ending the default period.  A non-zero ``das``
-    discounts all three legs by exp(-das * t).
-    """
-    R = _recovery_rate(recovery)
-    annuity, protection, survived = leg_sums(bond.payment_times, base, curve, das)
-    rec_factor = R * (1.0 + bond.coupon / (2.0 * bond.freq))
-    return bond.coupon / bond.freq * annuity + rec_factor * protection + survived
+    """Dirty present value of a credit bond under fractional recovery of par:
+    sum w_i * exp(-das * t_i) over ``frp_cash_flows``, so a non-zero
+    ``das`` discounts all three legs by exp(-das * t)."""
+    flows = frp_cash_flows(bond, base, curve, recovery)
+    return sum(w * math.exp(-das * t) for t, w in zip(bond.payment_times, flows))
 
 
 def cds_upfront(cds: CdsSpec, base: BaseCurve, curve: SurvivalCurve) -> float:
@@ -139,7 +144,7 @@ def cds_par_spread(
     freq: int,
     base: BaseCurve,
     curve: SurvivalCurve,
-    recovery: RecoveryAssumption | float,
+    recovery: float,
 ) -> float:
     """Breakeven running premium for zero upfront.
 
@@ -236,7 +241,7 @@ def bond_price_continuous(
     bond: BondSpec,
     base: BaseCurve,
     curve: SurvivalCurve,
-    recovery: RecoveryAssumption | float,
+    recovery: float,
     das: float = 0.0,
 ) -> float:
     """Clean price in the continuous-coupon approximation.
@@ -246,17 +251,21 @@ def bond_price_continuous(
     over the period, via the -C/2q * (1 - E) term and the (1 + C/2q)
     recovery load.
     """
-    R = _recovery_rate(recovery)
-    T = bond.maturity
-    q = bond.freq
-    C = bond.coupon
-    i_zq, i_hzq, _ = survival_discount_integrals(base, curve, 0.0, T, extra_decay=das)
-    survived = base.df(T) * curve.survival(T) * math.exp(-das * T)
+    return _continuous_price(bond, base, curve, _recovery_rate(recovery), 0.0, 1.0, das)
+
+
+def _continuous_price(bond: BondSpec, base: BaseCurve, curve: SurvivalCurve, R: float,
+                      t: float, scale: float, das: float = 0.0) -> float:
+    """``bond_price_continuous`` from time t, every leg divided by ``scale``:
+    1 for the spot price, Z(t) Q(t) for the forward price given survival."""
+    C, q, T = bond.coupon, bond.freq, bond.maturity
+    i_zq, i_hzq, _ = survival_discount_integrals(base, curve, t, T, extra_decay=das)
+    survived = base.df(T) * curve.survival(T) * math.exp(-das * T) / scale
     return (
-        C * i_zq
+        C * i_zq / scale
         + survived
         - C / (2.0 * q) * (1.0 - survived)
-        + R * (1.0 + C / (2.0 * q)) * i_hzq
+        + R * (1.0 + C / (2.0 * q)) * i_hzq / scale
     )
 
 
@@ -265,7 +274,7 @@ def cds_par_spread_continuous(
     freq: int,
     base: BaseCurve,
     curve: SurvivalCurve,
-    recovery: RecoveryAssumption | float,
+    recovery: float,
 ) -> float:
     """Continuous-premium par CDS spread with the finite-frequency
     discounting correction (1 - f/2q) applied to the premium annuity."""

@@ -5,11 +5,14 @@ monotone pricing residual on the fixed rate bracket ``RATE_BRACKET``.
 The solver below is a bisection loop refined by secant steps: secant gives
 fast local convergence, bisection guarantees progress for the distressed
 price configurations where Newton-style iterations diverge.
+``solve_spread`` is the one constant-spread solve (DAS, basis, Z-spread)
+on per-date discounted cash flows.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import math
+from typing import Callable, Sequence
 
 from .errors import ConvergenceError
 
@@ -69,3 +72,21 @@ def solve_bracketed(
                 f"bracket collapsed at x={x:.12g} with residual {fx:.6g}"
             )
     raise ConvergenceError(f"no convergence after {max_iter} iterations")
+
+
+def check_price(price: float, name: str = "dirty price") -> float:
+    """Reject a price that is not finite and > 0 before any root search."""
+    if not 0.0 < price < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {price!r}")
+    return price
+
+
+def solve_spread(times: Sequence[float], flows: Sequence[float], dirty: float) -> float:
+    """Constant spread s with sum w_i * exp(-s * t_i) = dirty, on
+    RATE_BRACKET: each root evaluation only re-discounts the flows w_i."""
+    check_price(dirty)
+
+    def residual(s: float) -> float:
+        return sum(w * math.exp(-s * t) for t, w in zip(times, flows)) - dirty
+
+    return solve_bracketed(residual, *RATE_BRACKET, f_tol=PRICE_TOL)

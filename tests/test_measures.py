@@ -311,3 +311,27 @@ class TestTermStructureReport:
         report = measures.term_structure_report(base_curve, curve, 0.4)
         for row in report.rows:
             assert row.bcds == pytest.approx(0.6 * 0.02, abs=2e-4)
+
+    def test_default_grid_keeps_whole_periods(self, base_curve, true_spline_curve):
+        annual = measures.term_structure_report(base_curve, true_spline_curve, 0.4, freq=1)
+        years = [float(y) for y in range(1, 31)]
+        assert [r.tenor for r in annual.rows] == years
+        assert annual == measures.term_structure_report(
+            base_curve, true_spline_curve, 0.4, grid=years, freq=1)
+        for freq in (2, 4):
+            report = measures.term_structure_report(
+                base_curve, true_spline_curve, 0.4, freq=freq)
+            assert report == measures.term_structure_report(
+                base_curve, true_spline_curve, 0.4, grid=measures.report_grid(), freq=freq)
+
+
+class TestFittedBaseParCoupon:
+    @pytest.mark.parametrize("freq, maturity, accrued_time", [
+        (1, 6.5, 0.5), (2, 4.75, 0.25), (2, 10.0, 0.0), (4, 2.9, 0.1),
+    ])
+    def test_is_the_zero_hazard_zero_recovery_par_coupon(
+        self, base_curve, freq, maturity, accrued_time
+    ):
+        bond = BondSpec(coupon=0.05, freq=freq, maturity=maturity, accrued_time=accrued_time)
+        assert measures.fitted_base_par_coupon(bond, base_curve) == measures.fitted_par_coupon(
+            bond, base_curve, RISKLESS, 0.0)

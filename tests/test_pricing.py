@@ -1,4 +1,6 @@
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -6,9 +8,16 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from creditcurves import hedging, measures, pricing
-from creditcurves.calibration import BondQuote, FitConfig, calibrate_from_cds
-from creditcurves.conventional import BondSpec, FrnSpec, z_spread
-from creditcurves.curves import BaseCurve, grid_times
+from creditcurves.calibration import BondQuote, FitConfig, calibrate_from_cds, load_bond_quotes
+from creditcurves.conventional import (
+    BondSpec,
+    FrnSpec,
+    discount_margin,
+    ytm,
+    z_spread,
+    z_spread_duration,
+)
+from creditcurves.curves import MAX_PERIODS, BaseCurve, grid_times
 from creditcurves.errors import ParseError, ScheduleError
 from creditcurves.pricing import CdsSpec, RecoveryAssumption, TriangleQuotes
 from creditcurves.splines import SplineBasis
@@ -125,6 +134,94 @@ class TestScheduleKernelOracles:
                 bond, price, base_curve, curve, 0.4)
 
 
+class _CountingBase(BaseCurve):
+    """Base curve that records every time it is asked for a discount factor."""
+
+    def __init__(self, nodes):
+        super().__init__(nodes)
+        self.times = []
+
+    def df(self, t):
+        self.times.append(t)
+        return super().df(t)
+
+
+class _CountingHazard(PiecewiseHazardCurve):
+    """Hazard curve that records every time it is asked for a survival."""
+
+    def __init__(self, segments):
+        super().__init__(segments)
+        self.times = []
+
+    def survival(self, t):
+        self.times.append(t)
+        return super().survival(t)
+
+
+_PRICE_BOND = BondSpec(coupon=0.05, freq=2, maturity=4.75, accrued_time=0.25)
+_PRICE_BASE, _PRICE_CURVE = BaseCurve.flat(0.03), PiecewiseHazardCurve.flat(0.02)
+_PRICED_MEASURES = {
+    "das": lambda p: measures.das(_PRICE_BOND, p, _PRICE_BASE, _PRICE_CURVE, 0.4),
+    "basis_spread": lambda p: hedging.basis_spread(
+        _PRICE_BOND, p, _PRICE_BASE, _PRICE_CURVE, 0.4),
+    "z_spread": lambda p: z_spread(_PRICE_BOND, p, _PRICE_BASE),
+    "z_spread_duration": lambda p: z_spread_duration(_PRICE_BOND, p, _PRICE_BASE),
+    "ytm": lambda p: ytm(_PRICE_BOND, p),
+    "discount_margin": lambda p: discount_margin(
+        FrnSpec(quoted_margin=0.01, freq=4, maturity=2.0), p, _PRICE_BASE),
+}
+
+
+class TestSpreadSolver:
+    def test_das_walks_each_curve_once_per_payment_time(self):
+        base = _CountingBase([(2.0, 0.95), (10.0, 0.7)])
+        curve = _CountingHazard([(3.0, 0.02), (10.0, 0.03)])
+        bond = BondSpec(coupon=0.06, freq=2, maturity=9.75, accrued_time=0.25)
+        for solve in (measures.das, hedging.basis_spread):
+            for price in (0.8, 0.93, 1.1):
+                base.times.clear()
+                curve.times.clear()
+                spread = solve(bond, price, base, curve, 0.4)
+                assert base.times == list(bond.payment_times) == curve.times
+                assert pricing.bond_pv_frp(bond, base, curve, 0.4, das=spread) == (
+                    pytest.approx(price + bond.accrued_interest, abs=1e-12))
+
+    @pytest.mark.parametrize("coupon, freq, maturity, accrued_time", [
+        (0.0, 2, 5.0, 0.0), (0.05, 1, 6.5, 0.5), (0.06, 2, 9.75, 0.25),
+        (0.08, 4, 11.9, 0.1), (0.045, 2, 30.0, 0.0),
+    ])
+    def test_z_spread_is_das_without_default_risk(
+        self, base_curve, coupon, freq, maturity, accrued_time
+    ):
+        bond = BondSpec(coupon=coupon, freq=freq, maturity=maturity, accrued_time=accrued_time)
+        riskless = PiecewiseHazardCurve.flat(0.0)
+        for price in (0.8, 1.0, 1.25):
+            for recovery in (0.0, 0.4):
+                assert measures.das(bond, price, base_curve, riskless, recovery) == (
+                    pytest.approx(z_spread(bond, price, base_curve), abs=1e-12))
+
+    @given(base=base_curves, curve=hazard_curves, freq=st.sampled_from([1, 2, 4]),
+           periods=st.integers(1, 40), coupon=st.floats(0.0, 0.1),
+           recovery=st.floats(0.0, 0.9), seasoning=st.floats(0.0, 0.99))
+    def test_frp_cash_flows_sum_to_the_price(
+        self, base, curve, freq, periods, coupon, recovery, seasoning
+    ):
+        bond = BondSpec(coupon=coupon, freq=freq, maturity=(periods - seasoning) / freq,
+                        accrued_time=seasoning / freq)
+        flows = pricing.frp_cash_flows(bond, base, curve, recovery)
+        assert len(flows) == len(bond.payment_times)
+        assert sum(flows) == pytest.approx(
+            frp_pv_oracle(bond, base, curve, recovery), abs=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(_PRICED_MEASURES))
+@given(price=st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]),
+                       st.floats(max_value=-_PRICE_BOND.accrued_interest)))
+def test_price_not_finite_and_positive_raises_value_error(name, price):
+    with pytest.raises(ValueError, match=r"price must be finite and > 0, got"):
+        _PRICED_MEASURES[name](price)
+
+
 class TestGridTimes:
     def test_whole_periods(self):
         assert grid_times(1.0, 4) == (0.25, 0.5, 0.75, 1.0)
@@ -144,6 +241,19 @@ class TestGridTimes:
     def test_rejects_and_names_the_span(self, span, freq):
         with pytest.raises(ScheduleError, match=f"span {span!r} "):
             grid_times(span, freq)
+
+    def test_period_count_is_bounded(self, tmp_path):
+        assert len(grid_times(100.0, 12)) == MAX_PERIODS
+        for span, freq in ((100.0 + 1 / 12, 12), (1e9, 2), (1e300, 1)):
+            with pytest.raises(ScheduleError, match=re.escape(f"span {span!r} has more than")):
+                grid_times(span, freq)
+        with pytest.raises(ScheduleError, match="span 1000000000.0 "):
+            BondSpec(coupon=0.05, freq=2, maturity=1e9)
+        path = tmp_path / "bonds.csv"
+        path.write_text("id,coupon,freq,maturity_years,accrued_years,clean_price\n"
+                        "B1,0.05,2,1e9,0.0,1.0\n")
+        with pytest.raises(ScheduleError):
+            load_bond_quotes(str(path))
 
 
 _SPLINE = SplineSurvivalCurve(SplineBasis(eta=0.05), (0.6, 0.3, 0.1))
@@ -206,6 +316,15 @@ class TestDomainTypes:
             RecoveryAssumption(1.0)
         with pytest.raises(ValueError):
             RecoveryAssumption(0.4, accrued=0.3)
+
+    def test_recovery_assumption_is_its_rate(self, base_curve, true_spline_curve):
+        rec = RecoveryAssumption(0.4, accrued=0.4)
+        assert isinstance(rec, float) and rec == 0.4 and rec.principal == 0.4
+        assert type(rec.rate) is float
+        assert pickle.loads(pickle.dumps(rec)) == rec
+        bond = BondSpec(coupon=0.06, freq=2, maturity=5.0)
+        assert pricing.bond_pv_frp(bond, base_curve, true_spline_curve, rec) == (
+            pricing.bond_pv_frp(bond, base_curve, true_spline_curve, 0.4))
 
     def test_cds_spec(self):
         with pytest.raises(ValueError):
