@@ -31,18 +31,15 @@ import numpy as np
 
 from . import measures, pricing
 from .conventional import BondSpec, z_spread_duration
-from .curves import BaseCurve
-from .errors import (
-    ArbitrageError,
-    FitError,
-    InsufficientDataError,
-    ParseError,
-)
+from .curves import BaseCurve, grid_times
+from .errors import ArbitrageError, FitError, InsufficientDataError, ParseError, ScheduleError
 from .rootfind import solve_bracketed
 from .splines import SplineBasis
 from .survival import PiecewiseHazardCurve, SplineSurvivalCurve
 
 CONSTRAINT_SLACK = 1e-8  # strict inequalities relaxed to >= this margin
+OUTLIER_TUNING = 4.685   # Tukey bisquare constant, in robust standard deviations
+OUTLIER_TOL = 1e-8       # IRLS stops when no outlier weight moves by this much
 _FEAS_TOL = 1e-10
 _MULT_TOL = 1e-10
 
@@ -77,14 +74,16 @@ class BondQuote:
 
 @dataclass(frozen=True)
 class FitConfig:
+    """Settings of ``fit_survival``: ``factors`` (1 to 3), ``eta_grid`` (CLI
+    ``--eta-grid``), ``recovery`` (``--recovery``), ``weight_scheme``
+    ("formula" 1/sqrt(SD) or "prose" 1/SD**2, ``--weights``) and the IRLS
+    cap ``outlier_max_iter``; no flag sets ``factors`` or ``outlier_max_iter``."""
+
     factors: int = 3
     eta_grid: tuple[float, ...] = field(default_factory=default_eta_grid)
-    constraint_grid: tuple[float, ...] | None = None  # default 0.5 .. T_max + 5
     recovery: float = 0.40
-    weight_scheme: str = "formula"  # 1/sqrt(SD); "prose" uses 1/SD**2
+    weight_scheme: str = "formula"
     outlier_max_iter: int = 10
-    outlier_tuning: float = 4.685
-    outlier_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         # Knot-free factors only: the monotonicity rows in _QuoteSet.for_basis
@@ -164,11 +163,8 @@ class _QuoteSet:
             v1.append(g * z[0])
         self.starts, self.a, self.b, self.v1 = starts, np.concatenate(a), np.concatenate(b), np.array(v1)
         self.v0 = np.array([q.clean_price + q.spec.accrued_interest for q in quotes])
-        if config is not None and config.constraint_grid is not None:
-            self.grid = tuple(config.constraint_grid)
-        else:
-            steps = int(round((max(q.spec.maturity for q in quotes) + 5.0) / 0.5))
-            self.grid = tuple(0.5 * i for i in range(1, steps + 1))
+        steps = int(round((max(q.spec.maturity for q in quotes) + 5.0) / 0.5))
+        self.grid = tuple(0.5 * i for i in range(1, steps + 1))
         if config is not None:
             sd = _spread_durations(quotes, base)
             self.base_w = 1.0 / np.sqrt(sd) if config.weight_scheme == "formula" else 1.0 / sd**2
@@ -323,8 +319,8 @@ def _fit_core(prepared: _QuoteSet, recovery: float) -> FitResult:
                 beta, active = _solve_constrained_wls(design, target, weights, ineq, bound)
                 eps = target - design @ beta
                 history.append(float(np.sum(weights * eps**2)))
-                w_new = _bisquare_weights(eps, config.outlier_tuning)
-                done = np.max(np.abs(w_new - w_out)) < config.outlier_tol
+                w_new = _bisquare_weights(eps, OUTLIER_TUNING)
+                done = np.max(np.abs(w_new - w_out)) < OUTLIER_TOL
                 w_out = w_new
                 if done:
                     break
@@ -387,13 +383,12 @@ def calibrate_from_cds(
     quotes: list[tuple[float, float]],
     base: BaseCurve,
     rs_rate: float,
-    freq: int = 4,
 ) -> PiecewiseHazardCurve:
     """Bootstrap a piecewise-constant hazard curve from par CDS quotes.
 
     Quotes are (maturity, par spread in decimal), strictly increasing in
     maturity; each segment hazard is solved so the par spread of the
-    partial curve reproduces the quote.
+    partial curve (``pricing.CDS_FREQ`` payments a year) reproduces the quote.
     """
     if not quotes:
         raise InsufficientDataError("no CDS quotes")
@@ -407,7 +402,8 @@ def calibrate_from_cds(
     for maturity, spread in quotes:
         def spread_gap(h: float) -> float:
             candidate = PiecewiseHazardCurve(segments + [(maturity, h)])
-            return pricing.cds_par_spread(maturity, freq, base, candidate, rs_rate) - spread
+            par = pricing.cds_par_spread(maturity, pricing.CDS_FREQ, base, candidate, rs_rate)
+            return par - spread
 
         if spread_gap(0.0) > 0.0:
             raise ArbitrageError(
@@ -416,7 +412,7 @@ def calibrate_from_cds(
         hi = 1.0
         while spread_gap(hi) < 0.0 and hi < 64.0:
             hi *= 2.0
-        h = solve_bracketed(spread_gap, 0.0, hi, f_tol=1e-12)
+        h = solve_bracketed(spread_gap, 0.0, hi)
         segments.append((maturity, h))
     return PiecewiseHazardCurve(segments)
 
@@ -497,7 +493,7 @@ def load_bond_quotes(path: str) -> list[BondQuote]:
                     clean_price=float(row["clean_price"]),
                     spread_duration=float(sd_raw) if sd_raw else None,
                 ))
-            except (TypeError, ValueError, KeyError) as exc:
+            except (TypeError, ValueError, KeyError, ScheduleError) as exc:
                 raise ParseError(f"{path}: row {line}: {exc}") from exc
             if row["id"] in rows_by_id:
                 raise ParseError(f"{path}: row {line}: duplicate bond id {row['id']!r}, "
@@ -507,8 +503,8 @@ def load_bond_quotes(path: str) -> list[BondQuote]:
 
 
 def load_cds_quotes(path: str) -> list[tuple[float, float]]:
-    """Read CDS quotes CSV with header ``maturity_years,par_spread_bp``;
-    spreads are returned in decimals."""
+    """Read CDS quotes CSV with header ``maturity_years,par_spread_bp``, each row a
+    finite spread and a maturity on the CDS grid; spreads are returned in decimals."""
     out: list[tuple[float, float]] = []
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
@@ -518,12 +514,14 @@ def load_cds_quotes(path: str) -> list[tuple[float, float]]:
         for row in reader:
             line = reader.line_num
             try:
-                out.append((
-                    float(row["maturity_years"]),
-                    float(row["par_spread_bp"]) / 1e4,
-                ))
-            except (TypeError, ValueError) as exc:
+                maturity = float(row["maturity_years"])
+                spread_bp = float(row["par_spread_bp"])
+                if not math.isfinite(spread_bp):
+                    raise ValueError(f"par_spread_bp must be finite, got {spread_bp!r}")
+                grid_times(maturity, pricing.CDS_FREQ)
+            except (TypeError, ValueError, ScheduleError) as exc:
                 raise ParseError(f"{path}: row {line}: {exc}") from exc
+            out.append((maturity, spread_bp / 1e4))
     if not out:
         raise ParseError(f"{path}: no quote rows")
     return out

@@ -1,7 +1,8 @@
 """Command line front end.
 
-Subcommands: fit, report, price, basis, hedge.  Inputs are the CSV/JSON
-schemas of the library loaders; outputs are deterministic (no
+Subcommands: fit, report, price, basis, hedge.  Each registers only the
+flags its runner reads, so an unread flag is a parse error.  Inputs are the
+CSV/JSON schemas of the library loaders; outputs are deterministic (no
 timestamps, floats written with full round-trip precision).
 
 Exit codes: 0 ok, 2 parse error, 3 insufficient data, 4 missing input,
@@ -104,77 +105,92 @@ def _run_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write_table(args: argparse.Namespace, stem: str, header: list[str], rows: list[list]) -> None:
+    """Write rows as ``<stem>.csv`` or, with ``--format json``, as one record per row."""
+    if args.format == "json":
+        _write_json(os.path.join(args.out, stem + ".json"), [dict(zip(header, r)) for r in rows])
+    else:
+        _write_csv(os.path.join(args.out, stem + ".csv"), header, rows)
+
+
 def _run_price(args: argparse.Namespace) -> int:
     base = load_base_curve(_require(args.base, "base curve"))
     curve = load_survival_curve(_require(args.curve, "survival curve"))
     quotes = load_bond_quotes(_require(args.bonds, "bond quotes"))
     rows = []
-    records = []
     for q in quotes:
         fitted = measures.fitted_price(q.spec, base, curve, args.recovery)
         das = measures.das(q.spec, q.clean_price, base, curve, args.recovery)
         rows.append([q.id, q.clean_price, fitted, q.clean_price - fitted, das * 1e4])
-        records.append({"id": q.id, "market": q.clean_price, "fitted": fitted,
-                        "residual": q.clean_price - fitted, "das_bp": das * 1e4})
     os.makedirs(args.out, exist_ok=True)
-    if args.format == "json":
-        _write_json(os.path.join(args.out, "prices.json"), records)
-    else:
-        _write_csv(os.path.join(args.out, "prices.csv"),
-                   ["id", "market", "fitted", "residual", "das_bp"], rows)
+    _write_table(args, "prices", ["id", "market", "fitted", "residual", "das_bp"], rows)
     return EXIT_OK
 
 
-def _hedge_plans(args: argparse.Namespace, base, curve_cds, quotes, cds_quotes):
-    plans = {}
+def _cds_hedges(args: argparse.Namespace):
+    """Inputs, CDS-bootstrapped curve and coarse hedge plans of basis and hedge."""
+    base = load_base_curve(_require(args.base, "base curve"))
+    quotes = load_bond_quotes(_require(args.bonds, "bond quotes"))
+    cds_quotes = load_cds_quotes(_require(args.cds, "CDS quotes"))
+    curve_cds = calibration.calibrate_from_cds(cds_quotes, base, args.recovery)
     maturities = [m for m, _ in cds_quotes]
+    plans = {}
     for q in quotes:
         candidates = sorted({m for m in maturities if m < q.spec.maturity} | {q.spec.maturity})
         plans[q.id] = hedging.coarse_hedge(q.spec, base, curve_cds, args.recovery, candidates)
-    return plans
+    return base, quotes, curve_cds, plans
 
 
 def _run_basis(args: argparse.Namespace) -> int:
-    base = load_base_curve(_require(args.base, "base curve"))
-    quotes = load_bond_quotes(_require(args.bonds, "bond quotes"))
-    if not args.cds:
-        raise _MissingInput("CDS quotes required")
-    cds_quotes = load_cds_quotes(_require(args.cds, "CDS quotes"))
-    curve_cds = calibration.calibrate_from_cds(cds_quotes, base, args.recovery)
+    base, quotes, curve_cds, plans = _cds_hedges(args)
     fit = calibration.fit_survival(quotes, base, _fit_config(args))
-    plans = _hedge_plans(args, base, curve_cds, quotes, cds_quotes)
     rows = []
-    records = []
     for q in quotes:
         bs = hedging.basis_spread(q.spec, q.clean_price, base, curve_cds, args.recovery)
         ab = hedging.approx_basis(q.spec, q.clean_price, base, fit.curve, curve_cds,
                                   args.recovery, plans[q.id])
         rows.append([q.id, bs * 1e4, ab * 1e4])
-        records.append({"id": q.id, "basis_spread_bp": bs * 1e4,
-                        "approx_basis_bp": ab * 1e4})
     os.makedirs(args.out, exist_ok=True)
-    if args.format == "json":
-        _write_json(os.path.join(args.out, "basis.json"), records)
-    else:
-        _write_csv(os.path.join(args.out, "basis.csv"),
-                   ["id", "basis_spread_bp", "approx_basis_bp"], rows)
+    _write_table(args, "basis", ["id", "basis_spread_bp", "approx_basis_bp"], rows)
     _write_json(os.path.join(args.out, "hedge_plans.json"),
                 {bond_id: plan.to_dict() for bond_id, plan in plans.items()})
     return EXIT_OK
 
 
 def _run_hedge(args: argparse.Namespace) -> int:
-    base = load_base_curve(_require(args.base, "base curve"))
-    quotes = load_bond_quotes(_require(args.bonds, "bond quotes"))
-    if not args.cds:
-        raise _MissingInput("CDS quotes required")
-    cds_quotes = load_cds_quotes(_require(args.cds, "CDS quotes"))
-    curve_cds = calibration.calibrate_from_cds(cds_quotes, base, args.recovery)
-    plans = _hedge_plans(args, base, curve_cds, quotes, cds_quotes)
+    plans = _cds_hedges(args)[3]
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "hedge_plans.json"),
                 {bond_id: plan.to_dict() for bond_id, plan in plans.items()})
     return EXIT_OK
+
+
+# Each subcommand registers exactly the flags its runner reads, so an
+# unread flag is a parse error (exit 2) rather than a silent no-op.
+_FLAGS = {
+    "--base": {"help": "base curve CSV"},
+    "--bonds": {"help": "bond quotes CSV"},
+    "--cds": {"help": "CDS quotes CSV"},
+    "--curve": {"help": "survival curve JSON"},
+    "--recovery": {"type": float, "default": 0.40},
+    "--out": {"default": ".", "help": "output directory"},
+    "--format": {"choices": ("csv", "json"), "default": "csv"},
+    "--eta-grid": {"help": "comma-separated decay rates for the fit"},
+    "--weights": {"choices": ("formula", "prose"), "default": "formula",
+                  "help": "duration weighting: 1/sqrt(SD) or 1/SD^2"},
+}
+_COMMON = ("--base", "--recovery", "--out")
+_COMMANDS = {
+    "fit": ("fit a survival curve to bond prices", _run_fit,
+            ("--bonds", "--eta-grid", "--weights")),
+    "report": ("emit the term structure report for a fitted curve", _run_report,
+               ("--curve",)),
+    "price": ("price bonds and compute DAS off a fitted curve", _run_price,
+              ("--curve", "--bonds", "--format")),
+    "basis": ("CDS-bond basis measures and hedge plans", _run_basis,
+              ("--bonds", "--cds", "--format", "--eta-grid", "--weights")),
+    "hedge": ("coarse-grained CDS hedge plans per bond", _run_hedge, ("--bonds", "--cds")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,49 +199,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Survival-based credit term structure analytics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    runners = {
-        "fit": ("fit a survival curve to bond prices", _run_fit),
-        "report": ("emit the term structure report for a fitted curve", _run_report),
-        "price": ("price bonds and compute DAS off a fitted curve", _run_price),
-        "basis": ("CDS-bond basis measures and hedge plans", _run_basis),
-        "hedge": ("coarse-grained CDS hedge plans per bond", _run_hedge),
-    }
-    for name, (help_text, runner) in runners.items():
+    for name, (help_text, runner, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--base", help="base curve CSV")
-        p.add_argument("--bonds", help="bond quotes CSV")
-        p.add_argument("--cds", help="CDS quotes CSV")
-        p.add_argument("--curve", help="survival curve JSON (report/price)")
-        p.add_argument("--recovery", type=float, default=0.40)
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--eta-grid", dest="eta_grid",
-                       help="comma-separated decay rates for the fit")
-        p.add_argument("--weights", choices=("formula", "prose"), default="formula",
-                       help="duration weighting: 1/sqrt(SD) or 1/SD^2")
+        for flag in _COMMON + flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(runner=runner)
     return parser
 
 
+# Exit code per failure.  The first match wins, so the numerical catch-all
+# (fit, root, schedule, arbitrage) comes last.
+_EXIT_CODES = ((ParseError, EXIT_PARSE), (InsufficientDataError, EXIT_INSUFFICIENT),
+               (_MissingInput, EXIT_MISSING_INPUT),
+               ((CreditCurveError, ValueError), EXIT_NUMERICAL))
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if not 0.0 <= args.recovery <= 0.9:
-        print("error: --recovery must be in [0, 0.9]", file=sys.stderr)
-        return EXIT_PARSE
     try:
+        if not 0.0 <= args.recovery <= 0.9:
+            raise ParseError("--recovery must be in [0, 0.9]")
         return args.runner(args)
-    except ParseError as exc:
+    except (CreditCurveError, ValueError, _MissingInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InsufficientDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
-    except _MissingInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except (CreditCurveError, ValueError) as exc:  # fit, root, schedule, arbitrage
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 def entrypoint() -> None:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .curves import BaseCurve, grid_times
-from .rootfind import PRICE_TOL, RATE_BRACKET, check_price, solve_bracketed, solve_spread
+from .rootfind import RATE_BRACKET, check_price, solve_bracketed, solve_spread
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,7 @@ def ytm(bond: BondSpec, clean_price: float, q_conv: float | None = None) -> floa
     bond's own frequency; ``math.inf`` for continuous compounding)."""
     conv = float(bond.freq) if q_conv is None else float(q_conv)
     dirty = check_price(clean_price + bond.accrued_interest)
-    return solve_bracketed(
-        lambda y: _pv_at_yield(bond, y, conv) - dirty,
-        *RATE_BRACKET,
-        f_tol=PRICE_TOL,
-    )
+    return solve_bracketed(lambda y: _pv_at_yield(bond, y, conv) - dirty, *RATE_BRACKET)
 
 
 def i_spread(
@@ -186,4 +182,4 @@ def discount_margin(frn: FrnSpec, price: float, base: BaseCurve | None = None) -
             pv += cf * disc
         return pv - price
 
-    return solve_bracketed(residual, *RATE_BRACKET, f_tol=PRICE_TOL)
+    return solve_bracketed(residual, *RATE_BRACKET)

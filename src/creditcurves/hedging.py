@@ -3,12 +3,13 @@
 A credit bond hedged with CDS leaves a residual risk-free-equivalent
 coupon stream; matching the protection notional to the forward price
 profile makes the default payout replicate the bond value at every
-horizon.  The hedge grid and CDS legs are quarterly throughout.
-Exposure NPVs are weighted by the default-leg measure Z * dQ * (1 - R),
-since hedge errors only realize in default states.  Grids come from
-``curves.grid_times``; CDS legs and those weights come from the terms of
-``pricing.leg_terms``.  The CDS-bond basis is ``measures.das`` (one
-``rootfind.solve_spread``) taken on the CDS-implied curve.
+horizon.  The hedge grid and CDS legs pay ``pricing.CDS_FREQ`` times a
+year.  Exposure NPVs are weighted by the default-leg measure
+Z * dQ * (1 - R), since hedge errors only realize in default states.
+Grids come from ``curves.grid_times``; CDS legs and those weights come
+from the terms of ``pricing.leg_terms``.  The CDS-bond basis is
+``measures.das`` (one ``rootfind.solve_spread``) taken on the
+CDS-implied curve.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ from dataclasses import dataclass
 from . import measures, pricing
 from .conventional import BondSpec
 from .curves import BaseCurve, grid_times
-from .pricing import _recovery_rate
+from .pricing import CDS_FREQ, _recovery_rate
 from .survival import SurvivalCurve
-
-HEDGE_FREQ = 4
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ def _aggregate_spread(
     num = 0.0
     den = 0.0
     for maturity, notional, spread in legs:
-        pv01 = pricing.rpv01(maturity, HEDGE_FREQ, base, curve)
+        pv01 = pricing.rpv01(maturity, CDS_FREQ, base, curve)
         num += notional * spread * pv01
         den += notional * pv01
     if den == 0.0:
@@ -179,7 +178,7 @@ def spot_hedge_notionals(
     terminal = (prices[pts[-1]] - R) / (1.0 - R)
     notionals[T] = notionals.get(T, 0.0) + terminal
     legs = [
-        (m, n, pricing.cds_par_spread(m, HEDGE_FREQ, base, curve, R))
+        (m, n, pricing.cds_par_spread(m, CDS_FREQ, base, curve, R))
         for m, n in sorted(notionals.items())
         if m > 0.0
     ]
@@ -209,7 +208,7 @@ def coarse_hedge(
     """Two-CDS hedge: face notional to final maturity plus one staggered leg.
 
     For each candidate staggered maturity the add-on notional zeroes the
-    NPV of residual default exposures on a quarterly grid; the plan with
+    NPV of residual default exposures on the CDS payment grid; the plan with
     the lowest rpv01-weighted aggregate spread wins.  The candidate at
     the bond's final maturity reproduces the single-CDS strategy.
     """
@@ -223,11 +222,11 @@ def coarse_hedge(
     if candidates[0] <= 0.0 or candidates[-1] > T + 1e-9:
         raise ValueError("candidate maturities must lie in (0, maturity]")
 
-    grid = grid_times(T, HEDGE_FREQ)
+    grid = grid_times(T, CDS_FREQ)
     fwd_n = {
         t: fwd_hedge_notional(bond, base, curve_cds, recovery, t) for t in grid
     }
-    spread_T = pricing.cds_par_spread(T, HEDGE_FREQ, base, curve_cds, R)
+    spread_T = pricing.cds_par_spread(T, CDS_FREQ, base, curve_cds, R)
 
     # Default-leg weights Z * dQ per grid bucket.
     weights = dict(zip(grid, pricing.leg_terms(grid, base, curve_cds)[1]))
@@ -245,7 +244,7 @@ def coarse_hedge(
         if abs(m - T) <= 1e-9:
             legs = [(T, 1.0 + notional, spread_T)]
         else:
-            legs = [(m, notional, pricing.cds_par_spread(m, HEDGE_FREQ, base, curve_cds, R)),
+            legs = [(m, notional, pricing.cds_par_spread(m, CDS_FREQ, base, curve_cds, R)),
                     (T, 1.0, spread_T)]
         cost = _aggregate_spread(legs, base, curve_cds)
         plan = HedgePlan(

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from . import pricing
 from .conventional import BondSpec
 from .curves import BaseCurve, grid_times
+from .pricing import CDS_FREQ
 from .rootfind import solve_spread
 from .survival import PiecewiseHazardCurve, SurvivalCurve
 
-BCDS_FREQ = 4
 DEFAULT_CCP_COUPONS = (0.06, 0.08, 0.10)
 
 
@@ -57,8 +57,8 @@ def ccp(
 
 
 def bcds(maturity: float, base: BaseCurve, curve: SurvivalCurve, recovery: float) -> float:
-    """Bond-implied CDS spread: quarterly par CDS off the fitted curve."""
-    return pricing.cds_par_spread(maturity, BCDS_FREQ, base, curve, recovery)
+    """Bond-implied CDS spread: par CDS (CDS_FREQ payments a year) off the fitted curve."""
+    return pricing.cds_par_spread(maturity, CDS_FREQ, base, curve, recovery)
 
 
 def fwd_cds_spread(
@@ -71,9 +71,9 @@ def fwd_cds_spread(
     """
     if not 0.0 < t1 < t2:
         raise ValueError("need 0 < t1 < t2")
-    s1 = pricing.cds_par_spread(t1, BCDS_FREQ, base, curve, recovery)
-    s2 = pricing.cds_par_spread(t2, BCDS_FREQ, base, curve, recovery)
-    kappa = pricing.rpv01(t1, BCDS_FREQ, base, curve) / pricing.rpv01(t2, BCDS_FREQ, base, curve)
+    s1 = pricing.cds_par_spread(t1, CDS_FREQ, base, curve, recovery)
+    s2 = pricing.cds_par_spread(t2, CDS_FREQ, base, curve, recovery)
+    kappa = pricing.rpv01(t1, CDS_FREQ, base, curve) / pricing.rpv01(t2, CDS_FREQ, base, curve)
     if not kappa < 1.0:
         raise ValueError(f"rpv01 must be increasing in maturity (ratio {kappa!r})")
     return (s2 - kappa * s1) / (1.0 - kappa)

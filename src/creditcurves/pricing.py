@@ -4,11 +4,12 @@ A defaulted bond pays the recovery fraction R of face plus R on half a
 coupon of accrued interest, settled on the first coupon date after
 default.  CDS legs net accrued premium against the protection payment.
 All discrete schedules live on the instrument's own payment grid; CDS
-default to quarterly payments.  ``leg_terms`` is the one schedule walk
-(per-date Z*Q and Z*(Q_prev - Q)) behind every discrete leg, par coupon
-and hedge weight; ``frp_cash_flows`` turns it into a bond's discounted
-expected cash flows w_i, priced at spread s as sum w_i * exp(-s * t_i),
-the form ``rootfind.solve_spread`` solves.  ``curves.grid_times`` is the
+pay quarterly (``CDS_FREQ``, the package's one statement of that
+convention).  ``leg_terms`` is the one schedule walk (per-date Z*Q and
+Z*(Q_prev - Q)) behind every discrete leg, par coupon and hedge weight;
+``frp_cash_flows`` turns it into a bond's discounted expected cash flows
+w_i, priced at spread s as sum w_i * exp(-s * t_i), the form
+``rootfind.solve_spread`` solves.  ``curves.grid_times`` is the
 single home of the payment-grid rule.
 
 The continuous-time forms evaluate the survival-weighted discount
@@ -24,6 +25,8 @@ from dataclasses import dataclass
 from .conventional import BondSpec
 from .curves import BaseCurve, grid_times, sorted_unique
 from .survival import SurvivalCurve
+
+CDS_FREQ = 4  # CDS premium payments per year: contracts, bootstrap, BCDS and hedges
 
 
 class RecoveryAssumption(float):
@@ -45,7 +48,7 @@ class CdsSpec:
 
     contractual_coupon: float
     maturity: float
-    freq: int = 4
+    freq: int = CDS_FREQ
     recovery: float = 0.40
 
     def __post_init__(self) -> None:

@@ -6,7 +6,9 @@ The solver below is a bisection loop refined by secant steps: secant gives
 fast local convergence, bisection guarantees progress for the distressed
 price configurations where Newton-style iterations diverge.
 ``solve_spread`` is the one constant-spread solve (DAS, basis, Z-spread)
-on per-date discounted cash flows.
+on per-date discounted cash flows.  Every solve in the package accepts a
+residual of at most ``PRICE_TOL``; the tolerances are fixed here, not
+passed by callers.
 """
 
 from __future__ import annotations
@@ -17,19 +19,13 @@ from typing import Callable, Sequence
 from .errors import ConvergenceError
 
 RATE_BRACKET = (-0.5, 5.0)  # search interval of every spread and yield solve
-PRICE_TOL = 1e-12           # price residual accepted by those solves
+PRICE_TOL = 1e-12           # residual accepted by every solve
+_X_TOL = 1e-14              # bracket width at which the search stops
+_MAX_ITER = 200
 
 
-def solve_bracketed(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    f_tol: float = 1e-12,
-    x_tol: float = 1e-14,
-    max_iter: int = 200,
-) -> float:
-    """Find x in [lo, hi] with |f(x)| <= f_tol, assuming f changes sign.
+def solve_bracketed(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Find x in [lo, hi] with |f(x)| <= PRICE_TOL, assuming f changes sign.
 
     Raises ConvergenceError when the bracket does not straddle a root or
     the iteration budget runs out before reaching the tolerance.
@@ -37,17 +33,17 @@ def solve_bracketed(
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
     fa = f(lo)
-    if abs(fa) <= f_tol:
+    if abs(fa) <= PRICE_TOL:
         return lo
     fb = f(hi)
-    if abs(fb) <= f_tol:
+    if abs(fb) <= PRICE_TOL:
         return hi
     if fa * fb > 0.0:
         raise ConvergenceError(
             f"no sign change on bracket [{lo}, {hi}]: f(lo)={fa:.6g}, f(hi)={fb:.6g}"
         )
     a, b = lo, hi
-    for iteration in range(max_iter):
+    for iteration in range(_MAX_ITER):
         # Secant candidate from the bracket endpoints; fall back to the
         # midpoint whenever it leaves the bracket or stalls.
         denom = fb - fa
@@ -56,22 +52,22 @@ def solve_bracketed(
         if not (a + 0.01 * width < x < b - 0.01 * width) or iteration % 3 == 2:
             x = 0.5 * (a + b)
         fx = f(x)
-        if abs(fx) <= f_tol:
+        if abs(fx) <= PRICE_TOL:
             return x
         if (fx > 0.0) == (fa > 0.0):
             a, fa = x, fx
         else:
             b, fb = x, fx
-        if b - a < x_tol:
+        if b - a < _X_TOL:
             # Bracket collapsed; accept the better endpoint if it meets a
             # relaxed tolerance, otherwise report failure honestly.
             x, fx = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-            if abs(fx) <= max(f_tol, 1e-9 * (abs(fa) + abs(fb))):
+            if abs(fx) <= max(PRICE_TOL, 1e-9 * (abs(fa) + abs(fb))):
                 return x
             raise ConvergenceError(
                 f"bracket collapsed at x={x:.12g} with residual {fx:.6g}"
             )
-    raise ConvergenceError(f"no convergence after {max_iter} iterations")
+    raise ConvergenceError(f"no convergence after {_MAX_ITER} iterations")
 
 
 def check_price(price: float, name: str = "dirty price") -> float:
@@ -89,4 +85,4 @@ def solve_spread(times: Sequence[float], flows: Sequence[float], dirty: float) -
     def residual(s: float) -> float:
         return sum(w * math.exp(-s * t) for t, w in zip(times, flows)) - dirty
 
-    return solve_bracketed(residual, *RATE_BRACKET, f_tol=PRICE_TOL)
+    return solve_bracketed(residual, *RATE_BRACKET)

@@ -19,6 +19,7 @@ import json
 import math
 from typing import Sequence
 
+from .errors import ParseError
 from .splines import SplineBasis
 
 VALIDATION_STEP = 0.25
@@ -232,7 +233,7 @@ class PiecewiseHazardCurve(SurvivalCurve):
 
 def survival_curve_from_dict(record: dict) -> SurvivalCurve:
     """Rebuild a curve from its JSON record {type, eta, beta[] | segments[]}."""
-    kind = record.get("type")
+    kind = record["type"]
     if kind == "spline":
         knots = tuple((int(k), float(t)) for k, t in record.get("knots", []))
         basis = SplineBasis(eta=float(record["eta"]),
@@ -245,5 +246,11 @@ def survival_curve_from_dict(record: dict) -> SurvivalCurve:
 
 
 def load_survival_curve(path: str) -> SurvivalCurve:
+    """Read a curve JSON record; a malformed one raises ``ParseError`` naming the path."""
     with open(path) as handle:
-        return survival_curve_from_dict(json.load(handle))
+        try:
+            return survival_curve_from_dict(json.load(handle))
+        except KeyError as exc:
+            raise ParseError(f"{path}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: {exc}") from exc

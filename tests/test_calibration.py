@@ -389,6 +389,33 @@ class TestLoaders:
         with pytest.raises(ParseError, match="row 3"):
             load_bond_quotes(str(path))
 
+    @pytest.mark.parametrize("maturity", ["5.1", "1e9"])
+    def test_bond_quotes_csv_off_schedule_row(self, tmp_path, maturity):
+        path = tmp_path / "bonds.csv"
+        path.write_text(
+            "id,coupon,freq,maturity_years,accrued_years,clean_price,spread_duration\n"
+            "a,0.05,2,5.0,0.0,0.97,\n"
+            f"B1,0.05,2,{maturity},0.0,1.0,\n"
+        )
+        with pytest.raises(ParseError, match=f"bonds.csv: row 3: span {float(maturity)!r} "):
+            load_bond_quotes(str(path))
+
+    @pytest.mark.parametrize("row, message", [
+        ("3,nan", "par_spread_bp must be finite, got nan"),
+        ("3,-inf", "par_spread_bp must be finite, got -inf"),
+        ("inf,100", "span inf "),
+        ("nan,100", "span nan "),
+        ("5.1,100", "span 5.1 is not a whole number >= 1 of 1/4 periods"),
+        ("0.1,100", "span 0.1 "),
+    ])
+    def test_cds_quotes_csv_rejects_bad_row(self, tmp_path, row, message):
+        path = tmp_path / "cds.csv"
+        path.write_text(f"maturity_years,par_spread_bp\n1.0,80\n{row}\n")
+        with pytest.raises(ParseError) as info:
+            load_cds_quotes(str(path))
+        assert str(info.value).startswith(f"{path}: row 3: ")
+        assert message in str(info.value)
+
     def test_cds_quotes_csv_in_basis_points(self, tmp_path):
         path = tmp_path / "cds.csv"
         path.write_text("maturity_years,par_spread_bp\n1.0,80\n5.0,150\n")

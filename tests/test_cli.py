@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -5,7 +6,7 @@ import pytest
 
 from creditcurves import measures, pricing
 from creditcurves.calibration import calibrate_from_cds
-from creditcurves.cli import main
+from creditcurves.cli import build_parser, main
 from creditcurves.conventional import BondSpec
 from creditcurves.curves import BaseCurve
 from creditcurves.splines import SplineBasis
@@ -114,6 +115,20 @@ class TestFit:
         assert code == 2
         err = capsys.readouterr().err
         assert "duplicate bond id 'a'" in err and "row 4" in err and "row 2" in err
+
+    @pytest.mark.parametrize("maturity", ["5.1", "1e9"])
+    def test_off_schedule_maturity_exits_2(self, tmp_path, capsys, maturity):
+        write_base(tmp_path / "base.csv")
+        bonds = tmp_path / "bonds.csv"
+        bonds.write_text(
+            "id,coupon,freq,maturity_years,accrued_years,clean_price,spread_duration\n"
+            "a,0.05,2,5.0,0.0,0.97,\n"
+            f"B1,0.05,2,{maturity},0.0,1.0,\n"
+        )
+        code = run(["fit", "--base", tmp_path / "base.csv", "--bonds", bonds,
+                    "--out", tmp_path / "out"])
+        assert code == 2
+        assert f"{bonds}: row 3: span" in capsys.readouterr().err
 
     def test_too_few_bonds_exits_3(self, tmp_path, true_curve, capsys):
         write_base(tmp_path / "base.csv")
@@ -251,3 +266,104 @@ class TestBasisAndHedge:
         assert run(["fit", "--base", fixture_dir / "base.csv",
                     "--bonds", fixture_dir / "bonds.csv",
                     "--recovery", "0.95", "--out", fixture_dir / "o"]) == 2
+
+
+CDS_QUOTES = [(1.0, 0.0080), (2.0, 0.0100), (3.0, 0.0120), (5.0, 0.0150)]
+ETA_GRID = "0.01,0.025,0.05"
+# The flags each subcommand's runner reads, and so the only ones it accepts.
+FLAGS = {
+    "fit": ("--base", "--bonds", "--recovery", "--out", "--eta-grid", "--weights"),
+    "report": ("--base", "--curve", "--recovery", "--out"),
+    "price": ("--base", "--curve", "--bonds", "--recovery", "--out", "--format"),
+    "basis": ("--base", "--bonds", "--cds", "--recovery", "--out", "--format",
+              "--eta-grid", "--weights"),
+    "hedge": ("--base", "--bonds", "--cds", "--recovery", "--out"),
+}
+
+
+@pytest.fixture
+def pipeline_dir(tmp_path):
+    """Consistent inputs for every subcommand: bonds priced off the CDS curve."""
+    write_base(tmp_path / "base.csv")
+    write_cds(tmp_path / "cds.csv", CDS_QUOTES)
+    curve = calibrate_from_cds(CDS_QUOTES, base_curve(), RECOVERY)
+    write_bonds(tmp_path / "bonds.csv", curve, subset=6)
+    curve.save(str(tmp_path / "curve.json"))
+    return tmp_path
+
+
+def full_argv(folder, command):
+    """Every flag the subcommand accepts, each with a valid value."""
+    values = {"--base": folder / "base.csv", "--bonds": folder / "bonds.csv",
+              "--cds": folder / "cds.csv", "--curve": folder / "curve.json",
+              "--recovery": "0.4", "--out": folder / "out", "--format": "json",
+              "--eta-grid": ETA_GRID, "--weights": "formula"}
+    return [command] + [str(x) for flag in FLAGS[command] for x in (flag, values[flag])]
+
+
+def subparsers():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class _Reads:
+    """Namespace proxy recording every attribute a runner reads."""
+
+    def __init__(self, namespace):
+        self._namespace, self.names = namespace, set()
+
+    def __getattr__(self, name):
+        self.names.add(name)
+        return getattr(self._namespace, name)
+
+
+class TestFlags:
+    def test_each_subcommand_accepts_exactly_its_flags(self):
+        accepted = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                    for name, p in subparsers().items()}
+        assert accepted == {name: set(flags) for name, flags in FLAGS.items()}
+        assert sum(map(len, accepted.values())) == 29
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_runner_reads_every_flag_it_accepts(self, pipeline_dir, command):
+        args = build_parser().parse_args(full_argv(pipeline_dir, command))
+        reads = _Reads(args)
+        assert args.runner(reads) == 0
+        options = [a for a in subparsers()[command]._actions if a.option_strings]
+        assert reads.names == {a.dest for a in options} - {"help"}
+
+    @pytest.mark.parametrize("command, extra", [
+        ("report", ["--format", "json"]),
+        ("hedge", ["--eta-grid", "0.1"]),
+        ("fit", ["--cds", "x.csv"]),
+        ("price", ["--weights", "prose"]),
+        ("basis", ["--curve", "c.json"]),
+    ])
+    def test_unread_flag_exits_2_and_writes_nothing(self, pipeline_dir, capsys, command, extra):
+        with pytest.raises(SystemExit) as info:
+            run(full_argv(pipeline_dir, command) + extra)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+        assert not (pipeline_dir / "out").exists()
+
+
+class TestBadInputRows:
+    @pytest.mark.parametrize("row", ["3,nan", "inf,100", "5.1,100"])
+    def test_bad_cds_row_exits_2(self, pipeline_dir, capsys, row):
+        cds = pipeline_dir / "cds.csv"
+        cds.write_text(f"maturity_years,par_spread_bp\n1,80\n{row}\n")
+        assert run(full_argv(pipeline_dir, "hedge")) == 2
+        assert f"{cds}: row 3: " in capsys.readouterr().err
+        assert not (pipeline_dir / "out").exists()
+
+    @pytest.mark.parametrize("text", [
+        '{"type": "spline", "beta": [1.0]}',
+        '{"type": "spline", "eta": 0.05,',
+        '{"type": "spline", "eta": 0.05, "beta": [0.6, 0.5]}',
+    ])
+    def test_bad_curve_json_exits_2(self, pipeline_dir, capsys, text):
+        curve = pipeline_dir / "curve.json"
+        curve.write_text(text)
+        assert run(full_argv(pipeline_dir, "report")) == 2
+        assert f"error: {curve}: " in capsys.readouterr().err

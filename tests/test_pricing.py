@@ -252,7 +252,7 @@ class TestGridTimes:
         path = tmp_path / "bonds.csv"
         path.write_text("id,coupon,freq,maturity_years,accrued_years,clean_price\n"
                         "B1,0.05,2,1e9,0.0,1.0\n")
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ParseError, match="row 2: span 1000000000.0 has more than"):
             load_bond_quotes(str(path))
 
 

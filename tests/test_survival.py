@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from creditcurves.errors import ParseError
 from creditcurves.splines import SplineBasis
 from creditcurves.survival import (
     PiecewiseHazardCurve,
@@ -149,3 +150,21 @@ def test_json_round_trip(tmp_path, spline_curve):
 def test_from_dict_rejects_unknown_type():
     with pytest.raises(ValueError):
         survival_curve_from_dict({"type": "mystery"})
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"type": "spline", "beta": [1.0]}', "missing key 'eta'"),
+    ('{"beta": [1.0], "eta": 0.05}', "missing key 'type'"),
+    ('{"type": "spline", "eta": 0.05, "beta": [0.6, 0.5]}', "sum(beta) = 1.1"),
+    ('{"type": "spline", "eta": null, "beta": [1.0]}', "NoneType"),
+    ('{"type": "piecewise_hazard", "segments": [[1.0, -0.01]]}', "hazard rate"),
+    ('{"type": "spline", "eta": 0.05,', "Expecting"),
+    ("[1.0]", "list indices"),
+])
+def test_load_rejects_malformed_record_naming_path(tmp_path, text, message):
+    path = tmp_path / "curve.json"
+    path.write_text(text)
+    with pytest.raises(ParseError) as info:
+        load_survival_curve(str(path))
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)
