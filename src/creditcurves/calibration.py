@@ -9,8 +9,9 @@ rate is chosen by an outer grid search on the converged objective, and
 outliers are down-weighted by iteratively reweighted least squares with
 a Tukey bisquare on median/MAD-standardized residuals.
 
-Recovery enters linearly too: for one quote set the design is
-U(eta, R) = (A - R B) Phi(eta) and the target V(R) = v0 - R v1, with A,
+Recovery enters linearly too: the design is the FRP cash-flow map of
+``pricing.frp_coefficients`` applied to the spline factors,
+U(eta, R) = (A - R B) Phi(eta), and the target V(R) = v0 - R v1, with A,
 B, v0, v1 free of eta and R.  Each call precomputes them once, caches
 Phi products per eta, and solves DAS only for the fit it returns, so
 ``implied_recovery`` is one precompute, 91 small fits and one DAS pass.
@@ -29,17 +30,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import measures, pricing
-from .conventional import BondSpec, z_spread_duration
+from . import pricing
+from .conventional import BondSpec
 from .curves import BaseCurve, grid_times
 from .errors import ArbitrageError, FitError, InsufficientDataError, ParseError, ScheduleError
-from .rootfind import solve_bracketed
+from .rootfind import check_price, solve_bracketed, solve_spread, spread_duration
 from .splines import SplineBasis
 from .survival import PiecewiseHazardCurve, SplineSurvivalCurve
 
 CONSTRAINT_SLACK = 1e-8  # strict inequalities relaxed to >= this margin
 OUTLIER_TUNING = 4.685   # Tukey bisquare constant, in robust standard deviations
 OUTLIER_TOL = 1e-8       # IRLS stops when no outlier weight moves by this much
+OUTLIER_MAX_ITER = 10    # IRLS cap: weighted solves per eta candidate
 _FEAS_TOL = 1e-10
 _MULT_TOL = 1e-10
 
@@ -60,46 +62,34 @@ class BondQuote:
     include: bool = True
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.clean_price):
-            raise ValueError(f"{self.id}: clean_price must be finite, got {self.clean_price!r}")
-        if self.spread_duration is not None and not math.isfinite(self.spread_duration):
-            raise ValueError(
-                f"{self.id}: spread_duration must be finite, got {self.spread_duration!r}"
-            )
-        if self.clean_price <= 0.0:
-            raise ValueError(f"{self.id}: clean price must be > 0")
-        if self.spread_duration is not None and self.spread_duration <= 0.0:
-            raise ValueError(f"{self.id}: spread duration must be > 0")
+        check_price(self.clean_price, f"{self.id}: clean_price")
+        sd = self.spread_duration
+        if sd is not None and not 0.0 < sd < math.inf:
+            raise ValueError(f"{self.id}: spread_duration must be finite and > 0, got {sd!r}")
 
 
 @dataclass(frozen=True)
 class FitConfig:
     """Settings of ``fit_survival``: ``factors`` (1 to 3), ``eta_grid`` (CLI
-    ``--eta-grid``), ``recovery`` (``--recovery``), ``weight_scheme``
-    ("formula" 1/sqrt(SD) or "prose" 1/SD**2, ``--weights``) and the IRLS
-    cap ``outlier_max_iter``; no flag sets ``factors`` or ``outlier_max_iter``."""
+    ``--eta-grid``), ``recovery`` (``--recovery``) and ``weight_scheme``
+    ("formula" 1/sqrt(SD) or "prose" 1/SD**2, ``--weights``); no flag sets
+    ``factors``."""
 
     factors: int = 3
     eta_grid: tuple[float, ...] = field(default_factory=default_eta_grid)
     recovery: float = 0.40
     weight_scheme: str = "formula"
-    outlier_max_iter: int = 10
 
     def __post_init__(self) -> None:
-        # Knot-free factors only: the monotonicity rows in _QuoteSet.for_basis
-        # are k exp(-k eta t), which is wrong for knotted factors 4 and up.
+        # Knot-free factors only: there is no setting for the knots that
+        # factors 4 and up need.
         if self.factors not in (1, 2, 3):
             raise ValueError(f"factors must be 1, 2 or 3, got {self.factors!r}")
-        if not all(math.isfinite(e) for e in self.eta_grid):
-            raise ValueError(f"eta_grid entries must be finite, got {self.eta_grid!r}")
-        if not self.eta_grid or any(e <= 0.0 for e in self.eta_grid):
-            raise ValueError("eta_grid must be non-empty and positive")
+        if not self.eta_grid or not all(0.0 < e < math.inf for e in self.eta_grid):
+            raise ValueError(f"eta_grid must be non-empty, finite and > 0, got {self.eta_grid!r}")
         if self.weight_scheme not in ("formula", "prose"):
             raise ValueError("weight_scheme must be 'formula' or 'prose'")
-        if not 0.0 <= self.recovery < 1.0:
-            raise ValueError("recovery must be in [0, 1)")
-        if self.outlier_max_iter < 1:
-            raise ValueError("outlier_max_iter must be >= 1")
+        pricing.check_recovery(self.recovery)
 
 
 @dataclass(frozen=True)
@@ -135,11 +125,12 @@ def build_regressors(
 class _QuoteSet:
     """The parts of one quote set's regression that depend on neither eta nor R.
 
-    With discount factors z_i at a bond's payment times t_i and
-    g = 1 + C/2q, its design row is sum_i (a_i - R b_i) Phi(t_i), where
-    a_i = (C/q) z_i and b_i = g (z_i - z_{i+1}), except a_N = (C/q + 1) z_N
-    and b_N = g z_N; its target is v0 - R v1 with v0 the dirty price and
-    v1 = g z_1.  Lives for one call; per-basis results are cached on first use.
+    A bond's FRP price is sum_i (a_i - R b_i) Q(t_i) + R v1, with z_i the
+    discount factors at its payment times t_i, a_i = CF_i z_i (its Z-spread
+    flows), b_i = g (z_i - z_{i+1}), z_{N+1} = 0, and v1 = g z_1, for the
+    recovery load g = 1 + C/2q of ``pricing.frp_coefficients``.  So its design
+    row is sum_i (a_i - R b_i) Phi(t_i) and its target v0 - R v1, v0 the dirty
+    price.  Lives for one call; per-basis results are cached on first use.
     A fit passes its config, which adds the base weights and checks the count.
     """
 
@@ -150,36 +141,42 @@ class _QuoteSet:
                 f"insufficient quotes: need at least {config.factors}, got {len(quotes)}"
             )
         self.quotes, self.base, self.config, self._by_basis = quotes, base, config, {}
-        self.times: list[float] = []
-        starts, a, b, v1 = [], [], [], []
+        # Python floats, not numpy scalars, feed the scalar loops of the solves.
+        self.times, self.cf_z, self.spans, b, v1 = [], [], [], [], []
         for q in quotes:
-            z = np.array([base.df(t) for t in q.spec.payment_times])
-            cpn = q.spec.coupon / q.spec.freq
-            g = 1.0 + q.spec.coupon / (2.0 * q.spec.freq)
-            starts.append(len(self.times))
-            self.times.extend(q.spec.payment_times)
-            a.append(np.append(cpn * z[:-1], z[-1] * (cpn + 1.0)))
-            b.append(g * np.append(z[:-1] - z[1:], z[-1]))
+            z = [base.df(t) for t in q.spec.payment_times]
+            g = pricing.frp_coefficients(q.spec)[1]
+            self.spans.append((len(self.times), len(self.times) + len(z)))
+            self.times += q.spec.payment_times
+            self.cf_z += [cf * zi for (_, cf), zi in zip(q.spec.cash_flows(), z)]
+            b += [g * (zi - z_next) for zi, z_next in zip(z, z[1:] + [0.0])]
             v1.append(g * z[0])
-        self.starts, self.a, self.b, self.v1 = starts, np.concatenate(a), np.concatenate(b), np.array(v1)
-        self.v0 = np.array([q.clean_price + q.spec.accrued_interest for q in quotes])
+        self.a, self.b, self.v1 = np.array(self.cf_z), np.array(b), np.array(v1)
+        self.dirty = [q.clean_price + q.spec.accrued_interest for q in quotes]
+        self.v0 = np.array(self.dirty)
         steps = int(round((max(q.spec.maturity for q in quotes) + 5.0) / 0.5))
         self.grid = tuple(0.5 * i for i in range(1, steps + 1))
         if config is not None:
-            sd = _spread_durations(quotes, base)
+            sd = np.array([
+                spread_duration(self.times[lo:hi], self.cf_z[lo:hi], dirty)
+                if q.spread_duration is None else q.spread_duration
+                for q, (lo, hi), dirty in zip(quotes, self.spans, self.dirty)
+            ])
             self.base_w = 1.0 / np.sqrt(sd) if config.weight_scheme == "formula" else 1.0 / sd**2
 
     def for_basis(self, basis: SplineBasis) -> tuple:
         """(A Phi, B Phi, constraint rows G, bounds b, labels) with G beta >= b
-        keeping Q decreasing on the grid and positive at its end."""
+        keeping Q decreasing on the grid (rows -dPhi/dt / eta) and positive
+        at its end (row Phi)."""
         if basis not in self._by_basis:
             phi = np.array([basis.row(t) for t in self.times])
-            ks = np.arange(1, basis.size + 1, dtype=float)
-            ineq = [ks * np.exp(-ks * basis.eta * t) for t in self.grid]  # -dQ/dt (up to eta)
-            ineq.append(np.exp(-ks * basis.eta * self.grid[-1]))         # Q(T_max)
+            starts = [lo for lo, _ in self.spans]
+            factors = range(1, basis.size + 1)
+            ineq = [[-basis.factor_slope(k, t) / basis.eta for k in factors] for t in self.grid]
+            ineq.append(basis.row(self.grid[-1]))
             self._by_basis[basis] = (
-                np.add.reduceat(self.a[:, None] * phi, self.starts, axis=0),
-                np.add.reduceat(self.b[:, None] * phi, self.starts, axis=0),
+                np.add.reduceat(self.a[:, None] * phi, starts, axis=0),
+                np.add.reduceat(self.b[:, None] * phi, starts, axis=0),
                 np.vstack(ineq),
                 np.full(len(ineq), CONSTRAINT_SLACK),
                 [f"monotonicity@{t:g}" for t in self.grid] + [f"positivity@{self.grid[-1]:g}"],
@@ -269,18 +266,6 @@ def _solve_constrained_wls(
     raise FitError("active-set iteration did not converge")
 
 
-def _spread_durations(
-    quotes: list[BondQuote], base: BaseCurve
-) -> np.ndarray:
-    out = []
-    for q in quotes:
-        if q.spread_duration is not None:
-            out.append(q.spread_duration)
-        else:
-            out.append(z_spread_duration(q.spec, q.clean_price, base))
-    return np.array(out)
-
-
 def _check_rank(design: np.ndarray, quotes: list[BondQuote], k: int) -> None:
     if np.linalg.matrix_rank(design) >= k:
         return
@@ -314,7 +299,7 @@ def _fit_core(prepared: _QuoteSet, recovery: float) -> FitResult:
             _check_rank(design, prepared.quotes, config.factors)
             w_out = np.ones(len(target))
             history: list[float] = []
-            for _ in range(config.outlier_max_iter):
+            for _ in range(OUTLIER_MAX_ITER):
                 weights = w_out * base_w
                 beta, active = _solve_constrained_wls(design, target, weights, ineq, bound)
                 eps = target - design @ beta
@@ -359,10 +344,11 @@ def _fit_core(prepared: _QuoteSet, recovery: float) -> FitResult:
 
 
 def _finish(fit: FitResult, prepared: _QuoteSet, recovery: float) -> FitResult:
-    """Solve each bond's DAS against the fitted curve."""
+    """Each bond's DAS on the fitted curve: ``measures.das``'s solve."""
     return replace(fit, das=np.array([
-        measures.das(q.spec, q.clean_price, prepared.base, fit.curve, recovery)
-        for q in prepared.quotes
+        solve_spread(q.spec.payment_times,
+                     pricing.frp_cash_flows(q.spec, prepared.base, fit.curve, recovery), dirty)
+        for q, dirty in zip(prepared.quotes, prepared.dirty)
     ]))
 
 
@@ -504,7 +490,8 @@ def load_bond_quotes(path: str) -> list[BondQuote]:
 
 def load_cds_quotes(path: str) -> list[tuple[float, float]]:
     """Read CDS quotes CSV with header ``maturity_years,par_spread_bp``, each row a
-    finite spread and a maturity on the CDS grid; spreads are returned in decimals."""
+    finite spread > 0 and a maturity on the CDS grid above the previous row's;
+    spreads are returned in decimals."""
     out: list[tuple[float, float]] = []
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
@@ -518,7 +505,12 @@ def load_cds_quotes(path: str) -> list[tuple[float, float]]:
                 spread_bp = float(row["par_spread_bp"])
                 if not math.isfinite(spread_bp):
                     raise ValueError(f"par_spread_bp must be finite, got {spread_bp!r}")
+                if not spread_bp > 0.0:
+                    raise ValueError(f"par_spread_bp must be > 0, got {spread_bp!r}")
                 grid_times(maturity, pricing.CDS_FREQ)
+                if out and not maturity > out[-1][0]:
+                    raise ValueError(f"maturity_years {maturity!r} is not above the "
+                                     f"previous row's {out[-1][0]!r}")
             except (TypeError, ValueError, ScheduleError) as exc:
                 raise ParseError(f"{path}: row {line}: {exc}") from exc
             out.append((maturity, spread_bp / 1e4))

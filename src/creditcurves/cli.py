@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import calibration, hedging, measures
 from .calibration import FitConfig, load_bond_quotes, load_cds_quotes
@@ -59,14 +60,13 @@ def _write_json(path: str, payload) -> None:
 
 
 def _fit_config(args: argparse.Namespace) -> FitConfig:
-    kwargs = {"recovery": args.recovery, "weight_scheme": args.weights}
-    if args.eta_grid:
-        try:
-            grid = tuple(float(x) for x in args.eta_grid.split(","))
-        except ValueError as exc:
-            raise ParseError(f"--eta-grid: {exc}") from exc
-        kwargs["eta_grid"] = grid
-    return FitConfig(**kwargs)
+    config = FitConfig(recovery=args.recovery, weight_scheme=args.weights)
+    if args.eta_grid is None:
+        return config
+    try:
+        return replace(config, eta_grid=tuple(float(x) for x in args.eta_grid.split(",")))
+    except ValueError as exc:
+        raise ParseError(f"--eta-grid: {exc}") from exc
 
 
 def _run_fit(args: argparse.Namespace) -> int:

@@ -5,8 +5,9 @@ survival-based ones: yield to maturity, yield/I-spread against benchmark
 yields, Z-spread over a base curve, and the floating-rate-note discount
 margin.  Accrued interest handling: full coupons are discounted at their
 scheduled times and compared against the dirty price (clean + accrued).
-The Z-spread is ``rootfind.solve_spread`` on the discounted cash flows
-CF * Z_base(t): the survival-based DAS with survival Q = 1.
+The Z-spread and its duration are ``rootfind.solve_spread`` and
+``rootfind.spread_duration`` on the discounted cash flows CF * Z_base(t):
+the survival-based DAS with survival Q = 1.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .curves import BaseCurve, grid_times
-from .rootfind import RATE_BRACKET, check_price, solve_bracketed, solve_spread
+from .rootfind import RATE_BRACKET, check_price, solve_bracketed, solve_spread, spread_duration
 
 
 @dataclass(frozen=True)
@@ -133,22 +134,21 @@ def i_spread(
     return bond_yield - ((1.0 - w) * y1 + w * y2)
 
 
-def _z_spread(bond: BondSpec, dirty: float, base: BaseCurve) -> tuple[float, list]:
-    """The Z-spread and the (time, CF, Z_base) triples it discounts."""
-    flows = [(t, cf, base.df(t)) for t, cf in bond.cash_flows()]
-    return solve_spread([t for t, _, _ in flows], [cf * z for _, cf, z in flows], dirty), flows
+def _z_flows(bond: BondSpec, base: BaseCurve) -> list[float]:
+    """CF * Z_base(t) on each payment date, the flows the Z-spread discounts."""
+    return [cf * base.df(t) for t, cf in bond.cash_flows()]
 
 
 def z_spread(bond: BondSpec, clean_price: float, base: BaseCurve) -> float:
     """Constant spread s with dirty = sum CF * Z_base(t) * exp(-s*t)."""
-    return _z_spread(bond, clean_price + bond.accrued_interest, base)[0]
+    dirty = clean_price + bond.accrued_interest
+    return solve_spread(bond.payment_times, _z_flows(bond, base), dirty)
 
 
 def z_spread_duration(bond: BondSpec, clean_price: float, base: BaseCurve) -> float:
     """Sensitivity -d ln PV / d s at the bond's fitted Z-spread, in years."""
     dirty = clean_price + bond.accrued_interest
-    s, flows = _z_spread(bond, dirty, base)
-    return sum(t * cf * z * math.exp(-s * t) for t, cf, z in flows) / dirty
+    return spread_duration(bond.payment_times, _z_flows(bond, base), dirty)
 
 
 def discount_margin(frn: FrnSpec, price: float, base: BaseCurve | None = None) -> float:

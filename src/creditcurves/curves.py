@@ -139,15 +139,6 @@ def load_base_curve(path: str) -> BaseCurve:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def save_base_curve(curve: BaseCurve, path: str) -> None:
-    """Write the node discount factors back out in the CSV schema."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["tenor_years", "discount_factor"])
-        for t in curve.node_tenors:
-            writer.writerow([repr(t), repr(curve.df(t))])
-
-
 def grid_times(span: float, freq: int) -> tuple[float, ...]:
     """Payment times (1/freq, 2/freq, ..., n/freq) of a schedule of n periods.
 

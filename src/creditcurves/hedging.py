@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import measures, pricing
 from .conventional import BondSpec
 from .curves import BaseCurve, grid_times
-from .pricing import CDS_FREQ, _recovery_rate
+from .pricing import CDS_FREQ, check_recovery
 from .survival import SurvivalCurve
 
 
@@ -90,7 +90,7 @@ def fwd_bond_price(
     if t == T:
         return 1.0
     scale = base.df(t) * curve.survival(t)
-    return pricing._continuous_price(bond, base, curve, _recovery_rate(recovery), t, scale)
+    return pricing._continuous_price(bond, base, curve, check_recovery(recovery), t, scale)
 
 
 def fwd_hedge_notional(
@@ -101,7 +101,7 @@ def fwd_hedge_notional(
     t: float,
 ) -> float:
     """Forward CDS notional (P(t,T) - R) / (1 - R) equating default payouts."""
-    R = _recovery_rate(recovery)
+    R = check_recovery(recovery)
     return (fwd_bond_price(bond, base, curve, recovery, t) - R) / (1.0 - R)
 
 
@@ -117,7 +117,7 @@ def rfc_stream(
     The stream a riskless bond would need to track the credit bond's
     forward price; equivalently C less the forward CDS carry.
     """
-    R = _recovery_rate(recovery)
+    R = check_recovery(recovery)
     price = fwd_bond_price(bond, base, curve, recovery, t)
     return bond.coupon - curve.hazard(t) * (price - R)
 
@@ -164,7 +164,7 @@ def spot_hedge_notionals(
     bond maturity carries the forward notional at the last grid point.
     Legs can be negative (short protection) for discount bonds.
     """
-    R = _recovery_rate(recovery)
+    R = check_recovery(recovery)
     T = bond.maturity
     pts = list(grid)
     if not pts or any(b <= a for a, b in zip(pts, pts[1:])):
@@ -212,7 +212,7 @@ def coarse_hedge(
     the lowest rpv01-weighted aggregate spread wins.  The candidate at
     the bond's final maturity reproduces the single-CDS strategy.
     """
-    R = _recovery_rate(recovery)
+    R = check_recovery(recovery)
     T = bond.maturity
     if not candidate_maturities:
         raise ValueError("need at least one candidate maturity")
@@ -283,7 +283,7 @@ def approx_basis(
 ) -> float:
     """Excess spread over the bond-market curve less the plan's
     rpv01-weighted aggregate CDS spread."""
-    R = _recovery_rate(recovery)
+    R = check_recovery(recovery)
     s_x = measures.excess_spread(bond, market_clean_price, base, curve_bond, R)
     legs = [(leg.maturity, leg.notional, leg.spread) for leg in plan.legs]
     return s_x - _aggregate_spread(legs, base, curve_cds)

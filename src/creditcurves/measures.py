@@ -29,6 +29,7 @@ def par_coupon(
     maturity: float, freq: int, base: BaseCurve, curve: SurvivalCurve, recovery: float
 ) -> float:
     """Coupon making a hypothetical bond price exactly at par (clean)."""
+    recovery = pricing.check_recovery(recovery)
     annuity, protection, survived = pricing.leg_sums(grid_times(maturity, freq), base, curve)
     den = annuity + 0.5 * recovery * protection
     if den <= 0.0:
@@ -95,6 +96,7 @@ def fitted_par_coupon(
     carries a slightly higher fitted par coupon than the generic same-
     maturity one.
     """
+    recovery = pricing.check_recovery(recovery)
     annuity, protection, survived = pricing.leg_sums(bond.payment_times, base, curve)
     den = annuity + 0.5 * recovery * protection - bond.accrued_time
     if den <= 0.0:

@@ -7,10 +7,12 @@ All discrete schedules live on the instrument's own payment grid; CDS
 pay quarterly (``CDS_FREQ``, the package's one statement of that
 convention).  ``leg_terms`` is the one schedule walk (per-date Z*Q and
 Z*(Q_prev - Q)) behind every discrete leg, par coupon and hedge weight;
-``frp_cash_flows`` turns it into a bond's discounted expected cash flows
+``frp_cash_flows`` applies the FRP coefficients (``frp_coefficients``, also
+the fit's design) to it, giving a bond's discounted expected cash flows
 w_i, priced at spread s as sum w_i * exp(-s * t_i), the form
-``rootfind.solve_spread`` solves.  ``curves.grid_times`` is the
-single home of the payment-grid rule.
+``rootfind.solve_spread`` solves.  ``check_recovery`` and
+``curves.grid_times`` are the single homes of the recovery-range and
+payment-grid rules.
 
 The continuous-time forms evaluate the survival-weighted discount
 integrals in closed form: both curve families reduce, segment by
@@ -29,12 +31,20 @@ from .survival import SurvivalCurve
 CDS_FREQ = 4  # CDS premium payments per year: contracts, bootstrap, BCDS and hedges
 
 
+def check_recovery(value: float, name: str = "recovery") -> float:
+    """``value`` as a plain float if it is a recovery rate in [0, 1); else a
+    ``ValueError`` naming the argument."""
+    rate = float(value)
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"{name} must be in [0, 1), got {value!r}")
+    return rate
+
+
 class RecoveryAssumption(float):
     """Fractional recovery of par, validated; accrued recovers the same rate."""
 
     def __new__(cls, principal: float, accrued: float | None = None):
-        if not 0.0 <= principal < 1.0:
-            raise ValueError("principal recovery must be in [0, 1)")
+        check_recovery(principal, "principal")
         if accrued is not None and float(accrued) != principal:
             raise ValueError("accrued recovery must equal principal recovery")
         return super().__new__(cls, principal)
@@ -56,8 +66,7 @@ class CdsSpec:
             raise ValueError(f"contractual_coupon must be finite, got {self.contractual_coupon!r}")
         if not self.maturity > 0.0:
             raise ValueError(f"maturity must be > 0, got {self.maturity!r}")
-        if not 0.0 <= self.recovery < 1.0:
-            raise ValueError("recovery must be in [0, 1)")
+        check_recovery(self.recovery)
         grid_times(self.maturity, self.freq)
 
 
@@ -72,16 +81,7 @@ class TriangleQuotes:
 
     def __post_init__(self) -> None:
         for name in ("dds_recovery", "rs_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{name} must be in [0, 1)")
-
-
-def _recovery_rate(recovery: float) -> float:
-    rate = float(recovery)
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("recovery rate must be in [0, 1)")
-    return rate
+            check_recovery(getattr(self, name), name)
 
 
 def leg_terms(
@@ -106,17 +106,22 @@ def leg_sums(
     return sum(zq), sum(zdq), zq[-1]
 
 
+def frp_coefficients(bond: BondSpec) -> tuple[float, float]:
+    """(C/q, 1 + C/2q): coupon paid on survival to each payment date, and face plus
+    half coupon, of which R is paid on default in the period ending there."""
+    return bond.coupon / bond.freq, 1.0 + bond.coupon / (2.0 * bond.freq)
+
+
 def frp_cash_flows(
     bond: BondSpec, base: BaseCurve, curve: SurvivalCurve, recovery: float
 ) -> list[float]:
-    """Discounted expected cash flow w_i on each of the bond's payment dates.
-
-    The coupon C/q on survival, plus R*(1 + C/2q) of face on default in
-    the period ending there, plus the survived principal at maturity.
-    """
-    rec_factor = _recovery_rate(recovery) * (1.0 + bond.coupon / (2.0 * bond.freq))
+    """Discounted expected cash flow w_i on each of the bond's payment dates:
+    ``frp_coefficients`` applied to the ``leg_terms``, plus the survived
+    principal at maturity."""
+    cpn, load = frp_coefficients(bond)
+    rec_factor = check_recovery(recovery) * load
     zq, zdq = leg_terms(bond.payment_times, base, curve)
-    flows = [bond.coupon / bond.freq * a + rec_factor * p for a, p in zip(zq, zdq)]
+    flows = [cpn * a + rec_factor * p for a, p in zip(zq, zdq)]
     flows[-1] += zq[-1]
     return flows
 
@@ -154,7 +159,7 @@ def cds_par_spread(
     The premium leg pays on the average survival of each period, so its
     annuity is sum Z*(Q_prev + Q)/2 = annuity + protection/2.
     """
-    R = _recovery_rate(recovery)
+    R = check_recovery(recovery)
     annuity, protection, _ = leg_sums(grid_times(maturity, freq), base, curve)
     den = 2.0 * annuity + protection
     if den <= 0.0:
@@ -179,23 +184,19 @@ def recovery_swap_hedge(rs_rate: float, dds_recovery: float) -> tuple[float, flo
     Short one CDS, long (1 - rs_rate)/(1 - dds_recovery) DDS: the default
     payoff nets to zero for every realized recovery.
     """
-    if dds_recovery >= 1.0:
-        raise ValueError("dds_recovery must be < 1")
-    return 1.0, (1.0 - rs_rate) / (1.0 - dds_recovery)
+    rs_rate = check_recovery(rs_rate, "rs_rate")
+    return 1.0, (1.0 - rs_rate) / (1.0 - check_recovery(dds_recovery, "dds_recovery"))
 
 
 def dds_spread_from_cds(cds_spread: float, dds_recovery: float, rs_rate: float) -> float:
     """No-arbitrage digital default swap spread from CDS and recovery swap."""
-    if rs_rate >= 1.0:
-        raise ValueError("rs_rate must be < 1")
-    return cds_spread * (1.0 - dds_recovery) / (1.0 - rs_rate)
+    dds_recovery = check_recovery(dds_recovery, "dds_recovery")
+    return cds_spread * (1.0 - dds_recovery) / (1.0 - check_recovery(rs_rate, "rs_rate"))
 
 
 def credit_triangle_hazard(cds_spread: float, rs_rate: float) -> float:
     """Flat-curve hazard rate h = S / (1 - R)."""
-    if rs_rate >= 1.0:
-        raise ValueError("rs_rate must be < 1")
-    return cds_spread / (1.0 - rs_rate)
+    return cds_spread / (1.0 - check_recovery(rs_rate, "rs_rate"))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +255,7 @@ def bond_price_continuous(
     over the period, via the -C/2q * (1 - E) term and the (1 + C/2q)
     recovery load.
     """
-    return _continuous_price(bond, base, curve, _recovery_rate(recovery), 0.0, 1.0, das)
+    return _continuous_price(bond, base, curve, check_recovery(recovery), 0.0, 1.0, das)
 
 
 def _continuous_price(bond: BondSpec, base: BaseCurve, curve: SurvivalCurve, R: float,
@@ -281,7 +282,7 @@ def cds_par_spread_continuous(
 ) -> float:
     """Continuous-premium par CDS spread with the finite-frequency
     discounting correction (1 - f/2q) applied to the premium annuity."""
-    R = _recovery_rate(recovery)
+    R = check_recovery(recovery)
     i_zq, i_hzq, i_fzq = survival_discount_integrals(base, curve, 0.0, maturity)
     den = i_zq - i_fzq / (2.0 * freq)
     if den <= 0.0:

@@ -6,9 +6,9 @@ The solver below is a bisection loop refined by secant steps: secant gives
 fast local convergence, bisection guarantees progress for the distressed
 price configurations where Newton-style iterations diverge.
 ``solve_spread`` is the one constant-spread solve (DAS, basis, Z-spread)
-on per-date discounted cash flows.  Every solve in the package accepts a
-residual of at most ``PRICE_TOL``; the tolerances are fixed here, not
-passed by callers.
+on per-date discounted cash flows, ``spread_duration`` its duration.  Every
+solve accepts a residual of at most ``PRICE_TOL``; the tolerances are fixed
+here, not passed by callers.
 """
 
 from __future__ import annotations
@@ -86,3 +86,9 @@ def solve_spread(times: Sequence[float], flows: Sequence[float], dirty: float) -
         return sum(w * math.exp(-s * t) for t, w in zip(times, flows)) - dirty
 
     return solve_bracketed(residual, *RATE_BRACKET)
+
+
+def spread_duration(times: Sequence[float], flows: Sequence[float], dirty: float) -> float:
+    """Sensitivity -d ln PV / d s at the ``solve_spread`` root, in years."""
+    s = solve_spread(times, flows, dirty)
+    return sum(t * w * math.exp(-s * t) for t, w in zip(times, flows)) / dirty

@@ -44,9 +44,6 @@ class SurvivalCurve:
             raise ValueError("need 0 <= t1 <= t2")
         return self.survival(t1) - self.survival(t2)
 
-    def cumulative_default_prob(self, t: float) -> float:
-        return self.default_prob(0.0, t)
-
     def fwd_survival(self, t: float, T: float) -> float:
         """Conditional survival to T given survival to t: Q(T)/Q(t)."""
         if not 0.0 <= t <= T:

@@ -16,7 +16,7 @@ from creditcurves.calibration import (
     load_bond_quotes,
     load_cds_quotes,
 )
-from creditcurves.conventional import BondSpec
+from creditcurves.conventional import BondSpec, z_spread_duration
 from creditcurves.curves import BaseCurve
 from creditcurves.errors import ArbitrageError, FitError, InsufficientDataError, ParseError
 from creditcurves.splines import SplineBasis
@@ -153,14 +153,14 @@ class TestFitSurvival:
             fit_survival(quotes, base_curve, FIT_CONFIG)
 
     def test_matches_closed_form_gls_when_unconstrained(self, base_curve, round_trip_quotes):
-        config = replace(FIT_CONFIG, eta_grid=(0.025,), outlier_max_iter=1)
+        config = replace(FIT_CONFIG, eta_grid=(0.025,))
         fit = fit_survival(round_trip_quotes, base_curve, config)
         assert fit.active_constraints == ()
         basis = SplineBasis(eta=0.025)
         rows = [build_regressors(q, base_curve, basis, 0.40) for q in round_trip_quotes]
         design = np.vstack([r for r, _ in rows])
         target = np.array([v for _, v in rows])
-        sd = np.array([calibration._spread_durations([q], base_curve)[0]
+        sd = np.array([z_spread_duration(q.spec, q.clean_price, base_curve)
                        for q in round_trip_quotes])
         w = 1.0 / np.sqrt(sd)
         # Lagrangian closed form for min ||W^(1/2)(U b - V)||^2 s.t. 1'b = 1.
@@ -333,6 +333,15 @@ class TestImpliedRecoverySharedPrecompute:
         assert fit.das == pytest.approx(direct.das, abs=1e-12)
         assert fit.weighted_error == pytest.approx(direct.weighted_error, abs=1e-12)
 
+    @pytest.mark.parametrize("scan", [False, True])
+    def test_das_is_measures_das_on_the_fitted_curve(self, base_curve, scan):
+        quotes = synthetic_quotes(base_curve, 0.15, 0.30, sigma=2e-4, count=8)
+        config = FitConfig(eta_grid=(0.01, 0.05, 0.1), recovery=0.30)
+        rate, fit = (implied_recovery(quotes, base_curve, config) if scan
+                     else (0.30, fit_survival(quotes, base_curve, config)))
+        assert fit.das.tolist() == [
+            measures.das(q.spec, q.clean_price, base_curve, fit.curve, rate) for q in quotes]
+
     @pytest.mark.parametrize("flat", [False, True])
     def test_one_spread_duration_and_one_das_per_bond(self, monkeypatch, base_curve, flat):
         if flat:
@@ -341,7 +350,7 @@ class TestImpliedRecoverySharedPrecompute:
         else:
             quotes = synthetic_quotes(base_curve, 0.04, 0.30, count=6)
             config = FitConfig(eta_grid=(0.01, 0.05))
-        calls = {"das": 0, "z_spread_duration": 0}
+        calls = {"das": 0, "spread_duration": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -349,13 +358,13 @@ class TestImpliedRecoverySharedPrecompute:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(measures, "das", counted("das", measures.das))
-        monkeypatch.setattr(calibration, "z_spread_duration",
-                            counted("z_spread_duration", calibration.z_spread_duration))
+        monkeypatch.setattr(calibration, "solve_spread", counted("das", calibration.solve_spread))
+        monkeypatch.setattr(calibration, "spread_duration",
+                            counted("spread_duration", calibration.spread_duration))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             implied_recovery(quotes, base_curve, config)
-        assert calls == {"das": len(quotes), "z_spread_duration": len(quotes)}
+        assert calls == {"das": len(quotes), "spread_duration": len(quotes)}
 
 
 class TestLoaders:
@@ -407,6 +416,10 @@ class TestLoaders:
         ("nan,100", "span nan "),
         ("5.1,100", "span 5.1 is not a whole number >= 1 of 1/4 periods"),
         ("0.1,100", "span 0.1 "),
+        ("0.5,100", "maturity_years 0.5 is not above the previous row's 1.0"),
+        ("1.0,100", "maturity_years 1.0 is not above the previous row's 1.0"),
+        ("3,-100", "par_spread_bp must be > 0, got -100.0"),
+        ("3,0", "par_spread_bp must be > 0, got 0.0"),
     ])
     def test_cds_quotes_csv_rejects_bad_row(self, tmp_path, row, message):
         path = tmp_path / "cds.csv"

@@ -88,6 +88,15 @@ class TestFit:
         assert diagnostics["eta"] == pytest.approx(TRUE_ETA)
         assert "weighted_error" in diagnostics and "active_constraints" in diagnostics
 
+    @pytest.mark.parametrize("grid", ["nan", "-0.1", "", "0.01,,0.02"])
+    def test_bad_eta_grid_exits_2(self, fixture_dir, capsys, grid):
+        out = fixture_dir / "out"
+        code = run(["fit", "--base", fixture_dir / "base.csv",
+                    "--bonds", fixture_dir / "bonds.csv", "--eta-grid", grid, "--out", out])
+        assert code == 2
+        assert "error: --eta-grid: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_row_exits_2(self, tmp_path, capsys):
         write_base(tmp_path / "base.csv")
         bonds = tmp_path / "bonds.csv"
@@ -349,7 +358,7 @@ class TestFlags:
 
 
 class TestBadInputRows:
-    @pytest.mark.parametrize("row", ["3,nan", "inf,100", "5.1,100"])
+    @pytest.mark.parametrize("row", ["3,nan", "inf,100", "5.1,100", "0.5,100", "3,-100"])
     def test_bad_cds_row_exits_2(self, pipeline_dir, capsys, row):
         cds = pipeline_dir / "cds.csv"
         cds.write_text(f"maturity_years,par_spread_bp\n1,80\n{row}\n")

@@ -33,3 +33,44 @@ def test_imports_are_stdlib_numpy_or_the_package(path):
 
 def test_package_modules_are_found():
     assert len(list(PACKAGE_DIR.glob("*.py"))) >= 12
+
+
+# Import layers: a module may import only from modules in lower layers.
+LAYERS = {
+    "errors": 0,
+    "curves": 1, "splines": 1, "rootfind": 1,
+    "survival": 2, "conventional": 2,
+    "pricing": 3,
+    "calibration": 4, "measures": 4,
+    "hedging": 5,
+    "cli": 6,
+}
+
+
+def _package_imports(tree):
+    """(line, module) of each import of a package module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                yield from ((node.lineno, alias.name) for alias in node.names)
+            else:
+                yield node.lineno, node.module.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("creditcurves."):
+            yield node.lineno, node.module.split(".")[1]
+        elif isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name.split(".")[1]) for alias in node.names
+                        if alias.name.startswith("creditcurves."))
+
+
+def test_layer_table_covers_every_module():
+    modules = {p.stem for p in PACKAGE_DIR.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS)
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_imports_only_lower_layers(module):
+    path = PACKAGE_DIR / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    upward = [(line, name) for line, name in _package_imports(tree)
+              if LAYERS[name] >= LAYERS[module]]
+    assert upward == [], f"{module} (layer {LAYERS[module]}) imports its layer or above: {upward}"

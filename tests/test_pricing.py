@@ -308,6 +308,34 @@ def test_non_finite_input_raises_a_typed_error(field, value):
         _NON_FINITE_INPUTS[field](value)
 
 
+_FLAT = (BaseCurve.flat(0.03), PiecewiseHazardCurve.flat(0.02))
+_RECOVERY_INPUTS = {
+    "par_coupon": ("recovery", lambda x: measures.par_coupon(5.0, 2, *_FLAT, x)),
+    "fitted_par_coupon": ("recovery", lambda x: measures.fitted_par_coupon(
+        BondSpec(0.05, 2, 5.0), *_FLAT, x)),
+    "bond_pv_frp": ("recovery", lambda x: pricing.bond_pv_frp(BondSpec(0.05, 2, 5.0), *_FLAT, x)),
+    "recovery_swap_hedge rs": ("rs_rate", lambda x: pricing.recovery_swap_hedge(x, 0.2)),
+    "recovery_swap_hedge dds": ("dds_recovery", lambda x: pricing.recovery_swap_hedge(0.4, x)),
+    "dds_spread_from_cds rs": ("rs_rate", lambda x: pricing.dds_spread_from_cds(0.01, 0.2, x)),
+    "dds_spread_from_cds dds": ("dds_recovery",
+                                lambda x: pricing.dds_spread_from_cds(0.01, x, 0.4)),
+    "credit_triangle_hazard": ("rs_rate", lambda x: pricing.credit_triangle_hazard(0.01, x)),
+    "CdsSpec": ("recovery", lambda x: CdsSpec(contractual_coupon=0.01, maturity=5.0, recovery=x)),
+    "TriangleQuotes rs": ("rs_rate", lambda x: TriangleQuotes(0.01, 0.02, 0.2, x)),
+    "TriangleQuotes dds": ("dds_recovery", lambda x: TriangleQuotes(0.01, 0.02, x, 0.4)),
+    "FitConfig": ("recovery", lambda x: FitConfig(recovery=x)),
+    "RecoveryAssumption": ("principal", RecoveryAssumption),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_RECOVERY_INPUTS))
+@given(value=st.sampled_from([math.nan, math.inf, -math.inf, -0.1, 1.0, 1.5]))
+def test_recovery_outside_unit_interval_raises_naming_it(field, value):
+    name, call = _RECOVERY_INPUTS[field]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be in [0, 1), got")):
+        call(value)
+
+
 class TestDomainTypes:
     def test_recovery_assumption(self):
         rec = RecoveryAssumption(0.4)
