@@ -13,8 +13,9 @@ Recovery enters linearly too: the design is the FRP cash-flow map of
 ``pricing.frp_coefficients`` applied to the spline factors,
 U(eta, R) = (A - R B) Phi(eta), and the target V(R) = v0 - R v1, with A,
 B, v0, v1 free of eta and R.  Each call precomputes them once, caches
-Phi products per eta, and solves DAS only for the fit it returns, so
-``implied_recovery`` is one precompute, 91 small fits and one DAS pass.
+Phi products per eta, stacks the designs of all its recovery rates, and
+solves DAS only for the fit it returns, so ``implied_recovery`` is one
+precompute, one stacked solve per eta over 91 rates and one DAS pass.
 
 ``calibrate_from_cds`` bootstraps a piecewise-constant hazard curve from
 par CDS quotes instead, and ``implied_recovery`` scans the recovery rate
@@ -42,6 +43,7 @@ CONSTRAINT_SLACK = 1e-8  # strict inequalities relaxed to >= this margin
 OUTLIER_TUNING = 4.685   # Tukey bisquare constant, in robust standard deviations
 OUTLIER_TOL = 1e-8       # IRLS stops when no outlier weight moves by this much
 OUTLIER_MAX_ITER = 10    # IRLS cap: weighted solves per eta candidate
+FLAT_ERROR_TOL = 1e-6    # recovery not identified: fit error spread across the scan below this
 _FEAS_TOL = 1e-10
 _MULT_TOL = 1e-10
 
@@ -185,9 +187,10 @@ class _QuoteSet:
 
 
 def _bisquare_weights(residuals: np.ndarray, tuning: float) -> np.ndarray:
-    centered = residuals - np.median(residuals)
-    scale = np.median(np.abs(centered)) / 0.6745
-    scale = max(scale, 1e-10)  # residuals at float noise: treat as clean
+    """Tukey bisquare weights of each row of a stack of residual vectors."""
+    centered = residuals - np.median(residuals, axis=1, keepdims=True)
+    scale = np.median(np.abs(centered), axis=1, keepdims=True) / 0.6745
+    scale = np.maximum(scale, 1e-10)  # residuals at float noise: treat as clean
     u = centered / (tuning * scale)
     w = np.where(np.abs(u) < 1.0, (1.0 - u**2) ** 2, 0.0)
     return np.asarray(w, dtype=float)
@@ -266,9 +269,8 @@ def _solve_constrained_wls(
     raise FitError("active-set iteration did not converge")
 
 
-def _check_rank(design: np.ndarray, quotes: list[BondQuote], k: int) -> None:
-    if np.linalg.matrix_rank(design) >= k:
-        return
+def _rank_error(design: np.ndarray, quotes: list[BondQuote]) -> FitError:
+    """The error for a rank-deficient design, naming its collinear bonds."""
     # Point at near-parallel design rows first; they are the usual cause.
     norms = np.linalg.norm(design, axis=1)
     culprits = set()
@@ -280,66 +282,111 @@ def _check_rank(design: np.ndarray, quotes: list[BondQuote], k: int) -> None:
             if cosine > 1.0 - 1e-10:
                 culprits.update((quotes[i].id, quotes[j].id))
     names = sorted(culprits) if culprits else [q.id for q in quotes]
-    raise FitError(f"design matrix rank-deficient; collinear bonds: {', '.join(names)}")
+    return FitError(f"design matrix rank-deficient; collinear bonds: {', '.join(names)}")
 
 
-def _fit_core(prepared: _QuoteSet, recovery: float) -> FitResult:
-    """Eta grid search with IRLS outlier weights; DAS is left NaN for ``_finish``."""
-    config, base_w = prepared.config, prepared.base_w
-    target = prepared.v0 - recovery * prepared.v1
+def _equality_stack(designs: np.ndarray, targets: np.ndarray, weights: np.ndarray,
+                    ineq: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched first step of ``_solve_constrained_wls`` on a stack sharing G and b:
+    the equality-constrained candidates, and the mask of those the routine
+    returns as they are, with no inequality active."""
+    count, _, k = designs.shape
+    start = np.eye(k)[0]
+    slack = ineq @ start - bound
+    wsqrt = np.sqrt(weights)
+    dw = designs * wsqrt[:, :, None]
+    dwt = 2.0 * np.swapaxes(dw, 1, 2)
+    kkt = np.ones((count, k + 1, k + 1))
+    kkt[:, :k, :k], kkt[:, k, k] = dwt @ dw, 0.0
+    rhs = np.ones((count, k + 1, 1))
+    rhs[:, :k] = dwt @ (wsqrt * targets)[:, :, None]
+    try:
+        candidates = np.linalg.solve(kkt, rhs)[:, :k, 0]
+    except np.linalg.LinAlgError:
+        candidates = np.full((count, k), np.nan)
+    step = candidates - start
+    slopes = (ineq @ step[:, :, None])[:, :, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        blocked = np.any((slopes < -1e-14) & (np.maximum(slack, 0) / -slopes < 1 - 1e-14), axis=1)
+    # An unblocked full step that lands within 1e-13 of the candidate ends the
+    # routine at it, unless the start was binding (a singular stack is NaN).
+    settled = np.max(np.abs(candidates - (start + step)), axis=1) <= 1e-13
+    return candidates, ~blocked & settled & np.all(slack > _FEAS_TOL)
 
-    best = None
-    failures: list[FitError] = []
-    rejections: list[str] = []
+
+def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> list[FitResult]:
+    """Eta grid search with IRLS outlier weights, one fit per recovery rate
+    (DAS is left NaN for ``_finish``).  At each eta the problems of all rates
+    run in lockstep as one stack; a candidate's curve is built only when its
+    objective beats its rate's best so far."""
+    config, base_w, quotes = prepared.config, prepared.base_w, prepared.quotes
+    rates = np.asarray(recoveries, dtype=float)
+    targets = prepared.v0 - rates[:, None] * prepared.v1
+    count, k = len(rates), config.factors
+    best: list[FitResult | None] = [None] * count
+    failures: list[list[FitError]] = [[] for _ in rates]
+    rejections: list[list[str]] = [[] for _ in rates]
     for eta in config.eta_grid:
-        basis = SplineBasis(eta=eta, size=config.factors)
+        basis = SplineBasis(eta=eta, size=k)
         a_phi, b_phi, ineq, bound, labels = prepared.for_basis(basis)
-        design = a_phi - recovery * b_phi
-        try:
-            _check_rank(design, prepared.quotes, config.factors)
-            w_out = np.ones(len(target))
-            history: list[float] = []
-            for _ in range(OUTLIER_MAX_ITER):
-                weights = w_out * base_w
-                beta, active = _solve_constrained_wls(design, target, weights, ineq, bound)
-                eps = target - design @ beta
-                history.append(float(np.sum(weights * eps**2)))
-                w_new = _bisquare_weights(eps, OUTLIER_TUNING)
-                done = np.max(np.abs(w_new - w_out)) < OUTLIER_TOL
-                w_out = w_new
-                if done:
-                    break
-        except FitError as exc:
-            failures.append(exc)
-            continue
-        # The pointwise constraint grid is coarser than the curve's own
-        # validation grid; a candidate that slips between the points is
-        # dropped from the eta search rather than failing the fit.
-        try:
-            curve = SplineSurvivalCurve(basis, tuple(beta), horizon=prepared.grid[-1])
-        except ValueError as exc:
-            rejections.append(f"eta={eta:g}: {exc}")
-            continue
-        if best is None or history[-1] < best.objective_history[-1]:
-            weights = w_out * base_w
+        designs = a_phi - rates[:, None, None] * b_phi
+        failed = {j: _rank_error(designs[j], quotes)
+                  for j in np.flatnonzero(np.linalg.matrix_rank(designs) < k).tolist()}
+        betas, eps, w_out = np.zeros((count, k)), np.zeros(targets.shape), np.ones(targets.shape)
+        actives, histories = [[] for _ in rates], [[] for _ in rates]
+        live = [j for j in range(count) if j not in failed]
+        for _ in range(OUTLIER_MAX_ITER):
+            if not live:
+                break
+            stack, target, w_live = designs[live], targets[live], w_out[live]
+            weights = w_live * base_w
+            candidates, direct = _equality_stack(stack, target, weights, ineq, bound)
+            for i, j in enumerate(live):
+                try:
+                    betas[j], actives[j] = (candidates[i], []) if direct[i] else (
+                        _solve_constrained_wls(stack[i], target[i], weights[i], ineq, bound))
+                except FitError as exc:
+                    failed[j] = exc  # its row rides along to the end of this step
+            eps[live] = residuals = target - (stack @ betas[live, :, None])[:, :, 0]
+            w_out[live] = w_new = _bisquare_weights(residuals, OUTLIER_TUNING)
+            done = np.max(np.abs(w_new - w_live), axis=1) < OUTLIER_TOL
+            for j, objective in zip(live, np.sum(weights * residuals**2, axis=1)):
+                histories[j].append(float(objective))
+            live = [j for j, stop in zip(live, done) if not stop and j not in failed]
+        for j in range(count):
+            if j in failed:
+                failures[j].append(failed[j])
+                continue
+            if best[j] is not None and not histories[j][-1] < best[j].objective_history[-1]:
+                continue
+            # The pointwise constraint grid is coarser than the curve's own
+            # validation grid; a candidate that slips between the points is
+            # dropped from the eta search rather than failing the fit.
+            try:
+                curve = SplineSurvivalCurve(basis, tuple(betas[j]), horizon=prepared.grid[-1])
+            except ValueError as exc:
+                rejections[j].append(f"eta={eta:g}: {exc}")
+                continue
+            weights = w_out[j] * base_w
             total = float(np.sum(weights))
-            error = float(np.sqrt(np.sum(weights * eps**2) / total)) if total > 0 else float("nan")
-            best = FitResult(
+            error = float(np.sqrt(np.sum(weights * eps[j]**2) / total)) if total > 0 else float("nan")
+            best[j] = FitResult(
                 curve=curve,
-                ids=tuple(q.id for q in prepared.quotes),
-                residuals=eps,
-                das=np.full(len(eps), np.nan),
-                outlier_weights=w_out,
+                ids=tuple(q.id for q in quotes),
+                residuals=eps[j],
+                das=np.full(len(eps[j]), np.nan),
+                outlier_weights=w_out[j],
                 weighted_error=error,
                 eta=eta,
-                active_constraints=tuple(labels[i] for i in active),
-                objective_history=tuple(history),
+                active_constraints=tuple(labels[i] for i in actives[j]),
+                objective_history=tuple(histories[j]),
             )
-    if best is None:
-        if failures:
-            raise failures[0]
-        raise FitError("no eta candidate produced a valid survival curve; "
-                       f"first rejection {rejections[0]}")
+    for fit, failed_j, rejected in zip(best, failures, rejections):
+        if fit is None:
+            if failed_j:
+                raise failed_j[0]
+            raise FitError("no eta candidate produced a valid survival curve; "
+                           f"first rejection {rejected[0]}")
     return best
 
 
@@ -362,7 +409,7 @@ def fit_survival(
     """
     config = config or FitConfig()
     prepared = _QuoteSet([q for q in quotes if q.include], base, config)
-    return _finish(_fit_core(prepared, config.recovery), prepared, config.recovery)
+    return _finish(_fit_core(prepared, [config.recovery])[0], prepared, config.recovery)
 
 
 def calibrate_from_cds(
@@ -413,8 +460,8 @@ def implied_recovery(
     by the cross-section; a warning is issued and the config default is
     returned.
 
-    All 91 fits share one precompute of the quote set, and DAS is solved
-    only for the fit returned.
+    The 91 rates share one precompute of the quote set and are fitted as
+    one stacked solve per eta; DAS is solved only for the fit returned.
     """
     config = config or FitConfig()
     live = [q for q in quotes if q.include]
@@ -425,16 +472,19 @@ def implied_recovery(
         raise InsufficientDataError("implied recovery needs >= 5y of maturity span")
 
     prepared = _QuoteSet(live, base, config)
-    fits = {step / 100.0: _fit_core(prepared, step / 100.0) for step in range(91)}
+    rates = [step / 100.0 for step in range(91)]
+    fits = dict(zip(rates, _fit_core(prepared, rates)))
     errors = {r: f.weighted_error for r, f in fits.items()}
-    if max(errors.values()) - min(errors.values()) < 1e-6:
+    spread = max(errors.values()) - min(errors.values())
+    if spread < FLAT_ERROR_TOL:
         warnings.warn(
-            "recovery not identified: fit error is flat across recovery rates",
+            "recovery not identified: fit error is flat across recovery rates "
+            f"(max - min = {spread:.2g} < {FLAT_ERROR_TOL:g})",
             RuntimeWarning,
             stacklevel=2,
         )
         rate = config.recovery
-        fit = fits.get(rate) or _fit_core(prepared, rate)
+        fit = fits.get(rate) or _fit_core(prepared, [rate])[0]
     else:
         rate = min(errors, key=lambda r: (errors[r], r))
         fit = fits[rate]

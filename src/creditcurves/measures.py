@@ -212,8 +212,8 @@ def term_structure_report(
         on_grid = set(grid_times(report_grid()[-1], freq))
         grid = [t for t in report_grid() if t in on_grid]
     tenors = tuple(grid)
-    if any(b <= a for a, b in zip(tenors, tenors[1:])) or tenors[0] <= 0.0:
-        raise ValueError("report grid must be strictly increasing and > 0")
+    if not tenors or any(b <= a for a, b in zip(tenors, tenors[1:])) or tenors[0] <= 0.0:
+        raise ValueError("report grid must be non-empty, strictly increasing and > 0")
     rows = []
     for t in tenors:
         par = par_coupon(t, freq, base, curve, recovery)

@@ -1,8 +1,11 @@
+import re
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from creditcurves import calibration, measures, pricing
 from creditcurves.calibration import (
@@ -304,10 +307,15 @@ class TestImpliedRecovery:
         # the risk-free curve) cannot identify recovery at any level.
         quotes = risk_free_quotes(base_curve)
         config = FitConfig(factors=1, eta_grid=(1e-9,))
-        with pytest.warns(RuntimeWarning, match="not identified"):
+        with pytest.warns(RuntimeWarning, match="not identified") as caught:
             rate, fit = implied_recovery(quotes, base_curve, config)
         assert rate == config.recovery
         assert fit is not None
+        message = str(caught[0].message)
+        flat = re.fullmatch(r"recovery not identified: fit error is flat across recovery rates "
+                            r"\(max - min = (\S+) < 1e-06\)", message)
+        assert flat, message
+        assert 0.0 <= float(flat.group(1)) < calibration.FLAT_ERROR_TOL == 1e-6
 
 
 def risk_free_quotes(base):
@@ -329,9 +337,9 @@ class TestImpliedRecoverySharedPrecompute:
         assert fit.eta == direct.eta
         assert fit.active_constraints == direct.active_constraints
         assert fit.ids == direct.ids
-        assert fit.residuals == pytest.approx(direct.residuals, abs=1e-12)
-        assert fit.das == pytest.approx(direct.das, abs=1e-12)
-        assert fit.weighted_error == pytest.approx(direct.weighted_error, abs=1e-12)
+        assert fit.residuals.tolist() == direct.residuals.tolist()
+        assert fit.das.tolist() == direct.das.tolist()
+        assert fit.weighted_error == direct.weighted_error
 
     @pytest.mark.parametrize("scan", [False, True])
     def test_das_is_measures_das_on_the_fitted_curve(self, base_curve, scan):
@@ -365,6 +373,81 @@ class TestImpliedRecoverySharedPrecompute:
             warnings.simplefilter("ignore", RuntimeWarning)
             implied_recovery(quotes, base_curve, config)
         assert calls == {"das": len(quotes), "spread_duration": len(quotes)}
+
+
+def fit_fields(fit):
+    """Every field of a core fit, floats as bit patterns (DAS is NaN there)."""
+    return (fit.ids, fit.eta, fit.active_constraints, fit.curve.horizon,
+            [float(b).hex() for b in fit.curve.beta], fit.residuals.tobytes(),
+            fit.das.tobytes(), fit.outlier_weights.tobytes(), float(fit.weighted_error).hex(),
+            [float(h).hex() for h in fit.objective_history])
+
+
+def routine_only(designs, targets, weights, ineq, bound):
+    """Reference for the batched step: leave every problem to the active-set routine."""
+    return None, np.zeros(len(designs), dtype=bool)
+
+
+BASE = BaseCurve.from_zero_rates([(0.5, 0.02), (2.0, 0.025), (5.0, 0.03), (10.0, 0.035),
+                                  (30.0, 0.04)])
+RATES = [step / 100.0 for step in range(91)]
+
+
+class TestBatchedFitCore:
+    @settings(max_examples=25, deadline=None)
+    @given(sigma=st.sampled_from([0.0, 2e-4, 1e-3]), hazard=st.floats(0.005, 0.2),
+           recovery=st.floats(0.0, 0.6),
+           picks=st.lists(st.integers(0, 90), min_size=1, max_size=6, unique=True))
+    def test_each_rate_of_a_stack_equals_its_own_fit(self, sigma, hazard, recovery, picks):
+        quotes = synthetic_quotes(BASE, hazard, recovery, sigma=sigma)
+        prepared = calibration._QuoteSet(quotes, BASE, FitConfig(eta_grid=(0.005, 0.02, 0.1)))
+        rates = [RATES[i] for i in picks]
+        fits = calibration._fit_core(prepared, rates)
+        with mock.patch.object(calibration, "_equality_stack", routine_only):
+            reference = calibration._fit_core(prepared, rates)
+        assert len(fits) == len(rates)
+        for rate, fit, ref in zip(rates, fits, reference):
+            assert fit_fields(fit) == fit_fields(ref)
+            assert fit_fields(fit) == fit_fields(calibration._fit_core(prepared, [rate])[0])
+
+    def test_failed_candidate_drops_only_its_rate(self, monkeypatch):
+        quotes = synthetic_quotes(BASE, 0.04, 0.30, count=8)
+        prepared = calibration._QuoteSet(quotes, BASE, FitConfig(eta_grid=(0.01, 0.05, 0.1)))
+        solve = calibration._solve_constrained_wls
+        seen = []
+
+        def spy(design, target, *args):
+            seen.append((design.copy(), target.copy()))
+            return solve(design, target, *args)
+
+        def locate(design, target):
+            for eta in prepared.config.eta_grid:
+                a_phi, b_phi = prepared.for_basis(SplineBasis(eta=eta))[:2]
+                for j, rate in enumerate(RATES):
+                    if (np.array_equal(a_phi - rate * b_phi, design)
+                            and np.array_equal(prepared.v0 - rate * prepared.v1, target)):
+                        return eta, j
+
+        monkeypatch.setattr(calibration, "_solve_constrained_wls", spy)
+        clean = calibration._fit_core(prepared, RATES)
+        # Fail a candidate that wins its rate, in an eta stack that also holds
+        # other rates' winners.
+        bad_design, bad_target, bad_eta, j = next(
+            (design, target, eta, j) for design, target in seen
+            for eta, j in [locate(design, target)] if clean[j].eta == eta)
+
+        def failing(design, target, *args):
+            if np.array_equal(design, bad_design) and np.array_equal(target, bad_target):
+                raise FitError("forced failure")
+            return solve(design, target, *args)
+
+        monkeypatch.setattr(calibration, "_solve_constrained_wls", failing)
+        patched = calibration._fit_core(prepared, RATES)
+        assert patched[j].eta != bad_eta
+        assert sum(fit.eta == bad_eta for fit in patched) > 1
+        for i, (before, after) in enumerate(zip(clean, patched)):
+            if i != j:
+                assert fit_fields(after) == fit_fields(before)
 
 
 class TestLoaders:

@@ -324,6 +324,12 @@ class TestTermStructureReport:
             assert report == measures.term_structure_report(
                 base_curve, true_spline_curve, 0.4, grid=measures.report_grid(), freq=freq)
 
+    @pytest.mark.parametrize("grid", [(), (2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-1.0,)])
+    def test_bad_grid_raises(self, base_curve, true_spline_curve, grid):
+        with pytest.raises(ValueError, match="report grid must be non-empty, strictly "
+                                             "increasing and > 0"):
+            measures.term_structure_report(base_curve, true_spline_curve, 0.4, grid=grid)
+
 
 class TestFittedBaseParCoupon:
     @pytest.mark.parametrize("freq, maturity, accrued_time", [
