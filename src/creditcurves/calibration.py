@@ -13,13 +13,13 @@ Recovery enters linearly too: the design is the FRP cash-flow map of
 ``pricing.frp_coefficients`` applied to the spline factors,
 U(eta, R) = (A - R B) Phi(eta), and the target V(R) = v0 - R v1, with A,
 B, v0, v1 free of eta and R.  Each call precomputes them once, caches
-Phi products per eta, stacks the designs of all its recovery rates, and
-solves DAS only for the fit it returns, so ``implied_recovery`` is one
-precompute, one stacked solve per eta over 91 rates and one DAS pass.
-
-``calibrate_from_cds`` bootstraps a piecewise-constant hazard curve from
-par CDS quotes instead, and ``implied_recovery`` scans the recovery rate
-for the value that minimizes the weighted fit error.
+Phi products per eta, and at each eta hands the problems of all its
+recovery rates, as one stack, to the one constrained-WLS solver, whose
+active-set iterations run in lockstep.  DAS is solved only for the fit
+returned, so ``implied_recovery``, which scans 91 rates for the lowest
+weighted fit error, is one precompute, one stack per eta and IRLS step,
+and one DAS pass.  ``calibrate_from_cds`` bootstraps a piecewise-constant
+hazard curve from par CDS quotes instead.
 """
 
 from __future__ import annotations
@@ -186,87 +186,109 @@ class _QuoteSet:
         return self._by_basis[basis]
 
 
+def _row_medians(x: np.ndarray) -> np.ndarray:
+    """``np.median(x, axis=1, keepdims=True)`` of rows of finite values, by one partition."""
+    lo, hi = (x.shape[1] - 1) // 2, x.shape[1] // 2
+    part = np.partition(x, (lo, hi), axis=1)
+    return (part[:, lo:lo + 1] + part[:, hi:hi + 1]) / 2
+
+
 def _bisquare_weights(residuals: np.ndarray, tuning: float) -> np.ndarray:
     """Tukey bisquare weights of each row of a stack of residual vectors."""
-    centered = residuals - np.median(residuals, axis=1, keepdims=True)
-    scale = np.median(np.abs(centered), axis=1, keepdims=True) / 0.6745
-    scale = np.maximum(scale, 1e-10)  # residuals at float noise: treat as clean
-    u = centered / (tuning * scale)
-    w = np.where(np.abs(u) < 1.0, (1.0 - u**2) ** 2, 0.0)
-    return np.asarray(w, dtype=float)
+    centered = residuals - _row_medians(residuals)
+    # Residuals at float noise are treated as clean.
+    u = centered / (tuning * np.maximum(_row_medians(np.abs(centered)) / 0.6745, 1e-10))
+    return np.where(np.abs(u) < 1.0, (1.0 - u**2) ** 2, 0.0)
 
 
 def _solve_constrained_wls(
-    design: np.ndarray,
-    target: np.ndarray,
+    designs: np.ndarray,
+    targets: np.ndarray,
     weights: np.ndarray,
     ineq: np.ndarray,
     bound: np.ndarray,
-) -> tuple[np.ndarray, list[int]]:
-    """Minimize sum w_j (U_j beta - V_j)^2 s.t. sum(beta) = 1, G beta >= b.
+) -> tuple[np.ndarray, list[list[int]], dict[int, FitError]]:
+    """Minimize sum w (U beta - V)^2 s.t. sum(beta) = 1, G beta >= b for each (U, V, w)
+    of a stack sharing G, b: the betas, sorted active sets, {index: FitError}.
 
-    Primal active-set iteration from the strictly feasible start
-    beta = (1, 0, ..., 0): solve the working-set equality problem, step
-    to it clipped at the first blocking constraint, and at a working-set
-    optimum drop the constraint with the most negative multiplier.  With
-    no inequality active this is a single equality-constrained solve.
+    Primal active-set iteration (Nocedal & Wright 2006, ch. 16) from the strictly
+    feasible start beta = (1, 0, ..., 0): solve the working-set equality problem,
+    step to it clipped at the first blocking constraint, and at a working-set
+    optimum drop the constraint with the most negative multiplier.  The problems
+    iterate in lockstep; each pass solves the KKT systems of one size as a stack.
     """
-    k = design.shape[1]
+    count, _, k = designs.shape
     wsqrt = np.sqrt(weights)
-    dw = design * wsqrt[:, None]
-    hess = 2.0 * dw.T @ dw
-    lin = 2.0 * dw.T @ (wsqrt * target)
-    a_eq = np.ones(k)
-
-    beta = np.zeros(k)
-    beta[0] = 1.0
-    slack = ineq @ beta - bound
-    if np.any(slack < -_FEAS_TOL):
-        raise FitError("reference coefficients infeasible; constraint grid is inconsistent")
-    binding = [int(i) for i in np.argsort(slack) if slack[i] <= _FEAS_TOL]
-    active: list[int] = binding[: max(k - 1, 0)]
-
-    for _ in range(50 + 10 * len(ineq)):
-        rows = [a_eq] + [ineq[i] for i in active]
-        constraints = np.vstack(rows)
-        m = constraints.shape[0]
-        kkt = np.zeros((k + m, k + m))
-        kkt[:k, :k] = hess
-        kkt[:k, k:] = constraints.T
-        kkt[k:, :k] = constraints
-        rhs = np.concatenate([lin, np.array([1.0] + [bound[i] for i in active])])
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise FitError(f"singular KKT system (active set {active})") from exc
-        candidate = sol[:k]
-        step = candidate - beta
-        if np.max(np.abs(step)) <= 1e-13:
-            # At the working-set optimum.  Stationarity reads
-            # H beta + A' nu = lin, so inequality multipliers are -nu and
-            # optimality requires nu <= 0.
-            nu = sol[k + 1 :]
-            if len(nu) == 0 or np.max(nu) <= _MULT_TOL:
-                return candidate, sorted(active)
-            active.pop(int(np.argmax(nu)))
-            continue
-        # Step toward the candidate, stopping at the first blocking
-        # constraint among those not in the working set.
-        slopes = ineq @ step
-        rooms = ineq @ beta - bound
-        alpha = 1.0
-        blocker = -1
-        for i in np.flatnonzero(slopes < -1e-14):
-            if i in active:
-                continue
-            limit = max(rooms[i], 0.0) / (-slopes[i])
-            if limit < alpha - 1e-14:
-                alpha = limit
-                blocker = int(i)
-        beta = beta + alpha * step
-        if blocker >= 0:
-            active.append(blocker)
-    raise FitError("active-set iteration did not converge")
+    dw = designs * wsqrt[:, :, None]
+    dwt = 2.0 * np.swapaxes(dw, 1, 2)
+    hess, lin = dwt @ dw, (dwt @ (wsqrt * targets)[:, :, None])[:, :, 0]
+    # Each working set's KKT matrix is a principal submatrix of the one with all of G.
+    full, head = np.zeros((k + 1 + len(ineq),) * 2), list(range(k + 1))
+    full[:k, k], full[k, :k], full[:k, k + 1:], full[k + 1:, :k] = 1.0, 1.0, ineq.T, ineq
+    full_rhs = np.concatenate([np.zeros(k), [1.0], bound])
+    betas = np.zeros((count, k))
+    betas[:, 0] = 1.0
+    slack = ineq @ betas[0] - bound
+    infeasible = FitError("reference coefficients infeasible; constraint grid is inconsistent")
+    failed = dict.fromkeys(range(count) if (slack < -_FEAS_TOL).any() else (), infeasible)
+    order = np.argsort(slack) if (slack <= _FEAS_TOL).any() else []
+    actives = [[int(i) for i in order[: k - 1] if slack[i] <= _FEAS_TOL] for _ in range(count)]
+    cap, passes, extra = 50 + 10 * len(ineq), 0, [0] * count  # iterations: passes + extra[j]
+    live = [j for j in range(count) if j not in failed]
+    while live:
+        passes += 1
+        sols = {}
+        for size in {len(actives[j]) for j in live}:
+            group = [j for j in live if len(actives[j]) == size]
+            idx = np.array([head + [k + 1 + i for i in actives[j]] for j in group])
+            kkt, rhs = full[idx[:, :, None], idx[:, None, :]], full_rhs[idx]
+            kkt[:, :k, :k], rhs[:, :k] = hess[group], lin[group]
+            try:
+                sols.update(zip(group, np.linalg.solve(kkt, rhs[:, :, None])[:, :, 0]))
+            except np.linalg.LinAlgError:  # find the singular ones: each fails alone
+                for j, matrix, vector in zip(group, kkt, rhs):
+                    try:
+                        sols[j] = np.linalg.solve(matrix, vector)
+                    except np.linalg.LinAlgError:
+                        failed[j] = FitError(f"singular KKT system (active set {actives[j]})")
+        live = [j for j in live if j not in failed]
+        if not live:
+            break
+        cand, beta = np.array([sols[j][:k] for j in live]), betas[live]
+        step = cand - beta
+        settled = np.abs(step).max(axis=1) <= 1e-13
+        # Step toward the candidate (not at all once settled), stopping at the
+        # first constraint outside the working set that blocks; a later one
+        # replaces it only by blocking 1e-14 sooner.  Room >= -slope never blocks.
+        slopes = (ineq @ step[:, :, None])[:, :, 0]
+        rooms = (ineq @ beta[:, :, None])[:, :, 0] - bound
+        alphas, blockers = np.where(settled, 0.0, 1.0), {}
+        for r, i in zip(*(a.tolist() for a in ((slopes < -1e-14) & (rooms < -slopes)).nonzero())):
+            limit = max(rooms[r, i], 0.0) / (-slopes[r, i])
+            if limit < alphas[r] - 1e-14 and i not in actives[live[r]]:
+                alphas[r], blockers[r] = limit, i
+        for r, i in blockers.items():
+            actives[live[r]].append(i)
+        betas[live] = moved = beta + alphas[:, None] * step
+        # After a full step the next iteration would solve the same system, so
+        # it settles now on this solution if it has an iteration left.
+        again = (alphas == 1.0) & (np.abs(cand - moved).max(axis=1) <= 1e-13)
+        done = set()
+        for r in (settled | again).nonzero()[0].tolist():
+            # H beta + A' nu = lin: the multipliers are -nu, optimal once nu <= 0.
+            j, nu = live[r], sols[live[r]][k + 1:]
+            if again[r] and passes + extra[j] >= cap:
+                continue  # the settling solve is past the cap
+            extra[j] += int(again[r])
+            if len(nu) == 0 or nu.max() <= _MULT_TOL:
+                betas[j] = cand[r]
+                done.add(j)
+            else:
+                actives[j].pop(int(np.argmax(nu)))
+        failed.update((j, FitError("active-set iteration did not converge"))
+                      for j in live if j not in done and passes + extra[j] >= cap)
+        live = [j for j in live if j not in done and j not in failed]
+    return betas, [sorted(active) for active in actives], failed
 
 
 def _rank_error(design: np.ndarray, quotes: list[BondQuote]) -> FitError:
@@ -285,40 +307,12 @@ def _rank_error(design: np.ndarray, quotes: list[BondQuote]) -> FitError:
     return FitError(f"design matrix rank-deficient; collinear bonds: {', '.join(names)}")
 
 
-def _equality_stack(designs: np.ndarray, targets: np.ndarray, weights: np.ndarray,
-                    ineq: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched first step of ``_solve_constrained_wls`` on a stack sharing G and b:
-    the equality-constrained candidates, and the mask of those the routine
-    returns as they are, with no inequality active."""
-    count, _, k = designs.shape
-    start = np.eye(k)[0]
-    slack = ineq @ start - bound
-    wsqrt = np.sqrt(weights)
-    dw = designs * wsqrt[:, :, None]
-    dwt = 2.0 * np.swapaxes(dw, 1, 2)
-    kkt = np.ones((count, k + 1, k + 1))
-    kkt[:, :k, :k], kkt[:, k, k] = dwt @ dw, 0.0
-    rhs = np.ones((count, k + 1, 1))
-    rhs[:, :k] = dwt @ (wsqrt * targets)[:, :, None]
-    try:
-        candidates = np.linalg.solve(kkt, rhs)[:, :k, 0]
-    except np.linalg.LinAlgError:
-        candidates = np.full((count, k), np.nan)
-    step = candidates - start
-    slopes = (ineq @ step[:, :, None])[:, :, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        blocked = np.any((slopes < -1e-14) & (np.maximum(slack, 0) / -slopes < 1 - 1e-14), axis=1)
-    # An unblocked full step that lands within 1e-13 of the candidate ends the
-    # routine at it, unless the start was binding (a singular stack is NaN).
-    settled = np.max(np.abs(candidates - (start + step)), axis=1) <= 1e-13
-    return candidates, ~blocked & settled & np.all(slack > _FEAS_TOL)
-
-
 def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> list[FitResult]:
     """Eta grid search with IRLS outlier weights, one fit per recovery rate
-    (DAS is left NaN for ``_finish``).  At each eta the problems of all rates
-    run in lockstep as one stack; a candidate's curve is built only when its
-    objective beats its rate's best so far."""
+    (DAS is left NaN for ``_finish``).  Each IRLS step at an eta makes one
+    ``_solve_constrained_wls`` call on the stack of all rates still iterating; a
+    problem that fails drops only its rate's candidate at that eta.  A
+    candidate's curve is built only when its objective beats its rate's best."""
     config, base_w, quotes = prepared.config, prepared.base_w, prepared.quotes
     rates = np.asarray(recoveries, dtype=float)
     targets = prepared.v0 - rates[:, None] * prepared.v1
@@ -333,20 +327,16 @@ def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> list[FitResult]:
         failed = {j: _rank_error(designs[j], quotes)
                   for j in np.flatnonzero(np.linalg.matrix_rank(designs) < k).tolist()}
         betas, eps, w_out = np.zeros((count, k)), np.zeros(targets.shape), np.ones(targets.shape)
-        actives, histories = [[] for _ in rates], [[] for _ in rates]
+        actives, histories = {}, [[] for _ in rates]
         live = [j for j in range(count) if j not in failed]
         for _ in range(OUTLIER_MAX_ITER):
             if not live:
                 break
             stack, target, w_live = designs[live], targets[live], w_out[live]
             weights = w_live * base_w
-            candidates, direct = _equality_stack(stack, target, weights, ineq, bound)
-            for i, j in enumerate(live):
-                try:
-                    betas[j], actives[j] = (candidates[i], []) if direct[i] else (
-                        _solve_constrained_wls(stack[i], target[i], weights[i], ineq, bound))
-                except FitError as exc:
-                    failed[j] = exc  # its row rides along to the end of this step
+            betas[live], sets, errors = _solve_constrained_wls(stack, target, weights, ineq, bound)
+            actives.update(zip(live, sets))
+            failed.update((live[i], exc) for i, exc in errors.items())  # ride along this step
             eps[live] = residuals = target - (stack @ betas[live, :, None])[:, :, 0]
             w_out[live] = w_new = _bisquare_weights(residuals, OUTLIER_TUNING)
             done = np.max(np.abs(w_new - w_live), axis=1) < OUTLIER_TOL

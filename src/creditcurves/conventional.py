@@ -107,6 +107,8 @@ def ytm(bond: BondSpec, clean_price: float, q_conv: float | None = None) -> floa
     """Yield to maturity in compounding convention q_conv (default: the
     bond's own frequency; ``math.inf`` for continuous compounding)."""
     conv = float(bond.freq) if q_conv is None else float(q_conv)
+    if not conv > 0.0:
+        raise ValueError(f"q_conv must be > 0 or math.inf, got {q_conv!r}")
     dirty = check_price(clean_price + bond.accrued_interest)
     return solve_bracketed(lambda y: _pv_at_yield(bond, y, conv) - dirty, *RATE_BRACKET)
 

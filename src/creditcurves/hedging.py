@@ -217,10 +217,10 @@ def coarse_hedge(
     if not candidate_maturities:
         raise ValueError("need at least one candidate maturity")
     candidates = sorted(set(float(m) for m in candidate_maturities))
+    if not all(0.0 < m <= T + 1e-9 for m in candidates):
+        raise ValueError(f"candidate_maturities must lie in (0, maturity], got {candidates!r}")
     if all(abs(m - T) > 1e-9 for m in candidates):
         raise ValueError("candidates must include the bond's final maturity")
-    if candidates[0] <= 0.0 or candidates[-1] > T + 1e-9:
-        raise ValueError("candidate maturities must lie in (0, maturity]")
 
     grid = grid_times(T, CDS_FREQ)
     fwd_n = {

@@ -80,6 +80,9 @@ class TriangleQuotes:
     rs_rate: float
 
     def __post_init__(self) -> None:
+        for name in ("cds_spread", "dds_spread"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("dds_recovery", "rs_rate"):
             check_recovery(getattr(self, name), name)
 
@@ -283,6 +286,8 @@ def cds_par_spread_continuous(
     """Continuous-premium par CDS spread with the finite-frequency
     discounting correction (1 - f/2q) applied to the premium annuity."""
     R = check_recovery(recovery)
+    if not freq > 0:
+        raise ValueError(f"freq must be > 0, got {freq!r}")
     i_zq, i_hzq, i_fzq = survival_discount_integrals(base, curve, 0.0, maturity)
     den = i_zq - i_fzq / (2.0 * freq)
     if den <= 0.0:

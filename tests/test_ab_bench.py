@@ -30,3 +30,47 @@ def test_a_failed_run_counts_as_one_failed_op_and_leaves_its_pair_out():
     lines = ab_bench.summarize(pairs, METRICS)
     assert lines[0] == "  op_p50_ms: 120 [120-120] -> 60  (-50.0%)  wins 1/1"
     assert lines[2] == "  failed ops: parent 0/20, change 1/10"
+
+
+BOUNDED = [{"name": "op_p50_ms", "better": "lower", "bound": 0.1},
+           {"name": "bonds_per_s", "better": "higher", "bound": 0.1}]
+
+
+def verdicts(pairs):
+    return [line.rsplit("  ", 1)[1] for line in ab_bench.summarize(pairs, BOUNDED)[:2]]
+
+
+def test_verdict_worse_beyond_bound_in_each_direction():
+    pairs = [(run(100 + i, 10), run(115 + i, 8.5)) for i in range(10)]
+    assert verdicts(pairs) == ["worse beyond bound", "worse beyond bound"]
+
+
+def test_verdict_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    pairs = [(run(80 + 5 * i, 10 + i), run(80 + 5 * i, 10 + i)) for i in range(10)]
+    assert verdicts(pairs) == ["unresolved", "unresolved"]
+
+
+def test_verdict_gain_needs_nine_wins_in_ten_and_a_move_beyond_the_iqr():
+    parent = [run(100 + 0.1 * i, 10 + 0.01 * i) for i in range(10)]
+    gain = [(p, run(95, 10.5)) for p in parent]
+    assert verdicts(gain) == ["gain", "gain"]
+    eight_wins = gain[:8] + [(p, run(200, 5)) for p in parent[8:]]
+    assert verdicts(eight_wins) == ["within bound", "within bound"]
+    # Nine wins in ten, but a median move (0.4, 0.04) inside the IQR (0.45, 0.045).
+    spread = [run(90, 11)] + [run(100 + 0.1 * i, 10 + 0.01 * i) for i in range(1, 10)]
+    inside_iqr = [(p, run(100.05, 10.095)) for p in spread]
+    assert [line.split("wins ")[1] for line in ab_bench.summarize(inside_iqr, BOUNDED)[:2]] == [
+        "9/10  within bound", "9/10  within bound"]
+
+
+def test_metric_without_a_bound_has_no_verdict():
+    line = ab_bench.summarize([(run(100, 10), run(95, 11))], METRICS)[0]
+    assert line.endswith("wins 1/1")
+
+
+def test_src_lines_counts_the_python_under_src(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "src" / "pkg" / "b.py").write_text("z = 3\n")
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("not code\n")
+    assert ab_bench.src_lines(str(tmp_path)) == 3

@@ -383,14 +383,183 @@ def fit_fields(fit):
             [float(h).hex() for h in fit.objective_history])
 
 
-def routine_only(designs, targets, weights, ineq, bound):
-    """Reference for the batched step: leave every problem to the active-set routine."""
-    return None, np.zeros(len(designs), dtype=bool)
+_FEAS_TOL, _MULT_TOL = calibration._FEAS_TOL, calibration._MULT_TOL
+
+
+def reference_solve(design, target, weights, ineq, bound):
+    """Minimize sum w_j (U_j beta - V_j)^2 s.t. sum(beta) = 1, G beta >= b.
+
+    Primal active-set iteration from the strictly feasible start
+    beta = (1, 0, ..., 0): solve the working-set equality problem, step
+    to it clipped at the first blocking constraint, and at a working-set
+    optimum drop the constraint with the most negative multiplier.  With
+    no inequality active this is a single equality-constrained solve.
+    """
+    # The one-problem routine the stacked solver replaced, kept verbatim as
+    # the reference each problem of a stack must match bit for bit.
+    k = design.shape[1]
+    wsqrt = np.sqrt(weights)
+    dw = design * wsqrt[:, None]
+    hess = 2.0 * dw.T @ dw
+    lin = 2.0 * dw.T @ (wsqrt * target)
+    a_eq = np.ones(k)
+
+    beta = np.zeros(k)
+    beta[0] = 1.0
+    slack = ineq @ beta - bound
+    if np.any(slack < -_FEAS_TOL):
+        raise FitError("reference coefficients infeasible; constraint grid is inconsistent")
+    binding = [int(i) for i in np.argsort(slack) if slack[i] <= _FEAS_TOL]
+    active: list[int] = binding[: max(k - 1, 0)]
+
+    for _ in range(50 + 10 * len(ineq)):
+        rows = [a_eq] + [ineq[i] for i in active]
+        constraints = np.vstack(rows)
+        m = constraints.shape[0]
+        kkt = np.zeros((k + m, k + m))
+        kkt[:k, :k] = hess
+        kkt[:k, k:] = constraints.T
+        kkt[k:, :k] = constraints
+        rhs = np.concatenate([lin, np.array([1.0] + [bound[i] for i in active])])
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise FitError(f"singular KKT system (active set {active})") from exc
+        candidate = sol[:k]
+        step = candidate - beta
+        if np.max(np.abs(step)) <= 1e-13:
+            # At the working-set optimum.  Stationarity reads
+            # H beta + A' nu = lin, so inequality multipliers are -nu and
+            # optimality requires nu <= 0.
+            nu = sol[k + 1 :]
+            if len(nu) == 0 or np.max(nu) <= _MULT_TOL:
+                return candidate, sorted(active)
+            active.pop(int(np.argmax(nu)))
+            continue
+        # Step toward the candidate, stopping at the first blocking
+        # constraint among those not in the working set.
+        slopes = ineq @ step
+        rooms = ineq @ beta - bound
+        alpha = 1.0
+        blocker = -1
+        for i in np.flatnonzero(slopes < -1e-14):
+            if i in active:
+                continue
+            limit = max(rooms[i], 0.0) / (-slopes[i])
+            if limit < alpha - 1e-14:
+                alpha = limit
+                blocker = int(i)
+        beta = beta + alpha * step
+        if blocker >= 0:
+            active.append(blocker)
+    raise FitError("active-set iteration did not converge")
+
+
+def reference_stack(designs, targets, weights, ineq, bound):
+    """Each problem of a stack through ``reference_solve``, in the stacked
+    solver's return shape."""
+    betas, actives, failed = np.zeros((len(designs), designs.shape[2])), [], {}
+    for i, problem in enumerate(zip(designs, targets, weights)):
+        try:
+            betas[i], active = reference_solve(*problem, ineq, bound)
+        except FitError as exc:
+            active, failed[i] = [], exc
+        actives.append(active)
+    return betas, actives, failed
+
+
+def outcomes(betas, actives, failed):
+    """Per problem: its error message, or beta as hex floats and its active set."""
+    return [str(failed[i]) if i in failed else ([float(b).hex() for b in beta], sorted(active))
+            for i, (beta, active) in enumerate(zip(betas, actives))]
+
+
+def reference_paths(designs, targets, weights, ineq, bound):
+    """The paths the reference takes on a stack: "unblocked" (a first step
+    that nothing blocks), "blocked", "multiplier drop", "singular KKT" and
+    "infeasible start", read off the sizes of the KKT systems it solves."""
+    paths = set()
+    for problem in zip(designs, targets, weights):
+        sizes = []
+
+        def spy(kkt, rhs, solve=np.linalg.solve):
+            sizes.append(len(kkt))
+            return solve(kkt, rhs)
+
+        with mock.patch.object(np.linalg, "solve", spy):
+            try:
+                reference_solve(*problem, ineq, bound)
+            except FitError as exc:
+                paths.add("singular KKT" if "singular" in str(exc) else "infeasible start")
+        if len(sizes) > 1 and sizes[1] == sizes[0]:
+            paths.add("unblocked")
+        paths.update("blocked" if b > a else "multiplier drop"
+                     for a, b in zip(sizes, sizes[1:]) if b != a)
+    return paths
 
 
 BASE = BaseCurve.from_zero_rates([(0.5, 0.02), (2.0, 0.025), (5.0, 0.03), (10.0, 0.035),
                                   (30.0, 0.04)])
 RATES = [step / 100.0 for step in range(91)]
+
+
+def stack_problem(hazard, recovery, sigma, eta, picks, scales, binding=None):
+    """A stack of the fit's problems at one eta: one per picked recovery rate,
+    weights = base weights * ``scales`` (cycled over the bonds), and row
+    ``binding`` of G made binding at the start."""
+    quotes = synthetic_quotes(BASE, hazard, recovery, sigma=sigma)
+    prepared = calibration._QuoteSet(quotes, BASE, FitConfig())
+    a_phi, b_phi, ineq, bound = prepared.for_basis(SplineBasis(eta=eta))[:4]
+    rates = np.array([RATES[i] for i in picks])
+    designs = a_phi - rates[:, None, None] * b_phi
+    targets = prepared.v0 - rates[:, None] * prepared.v1
+    weights = prepared.base_w * np.resize(np.asarray(scales, dtype=float), targets.shape)
+    if binding is not None:
+        bound = bound.copy()
+        bound[binding % len(bound)] = ineq[binding % len(bound), 0]
+    return designs, targets, weights, ineq, bound
+
+
+# (hazard, recovery, sigma, eta, rate picks, weight scales, binding row): one
+# stack per path of the active-set iteration; the row 0 made binding at the
+# start has a multiplier of the wrong sign.
+PATH_EXAMPLES = {
+    "unblocked": (0.04, 0.4, 0.0, 0.1, [40], [1.0], None),
+    "blocked": (0.04, 0.4, 1e-3, 0.02, [0, 40, 90], [1.0, 0.0, 0.3, 1.0, 1.0, 0.0, 1.0, 0.5], None),
+    "multiplier drop": (0.04, 0.4, 1e-3, 0.02, [0, 40, 90], [1.0], 0),
+    "singular KKT": (0.04, 0.4, 0.0, 0.1, [10, 40, 70], [1.0] * 8 + [0.0] * 8, None),
+    "infeasible start": (0.04, 0.4, 0.0, 2.0, [20, 40], [1.0], None),
+}
+
+
+class TestStackedSolver:
+    @settings(max_examples=40, deadline=None)
+    @given(hazard=st.floats(0.005, 0.3), recovery=st.floats(0.0, 0.6),
+           sigma=st.sampled_from([0.0, 1e-3]), eta=st.sampled_from([0.005, 0.02, 0.1, 0.5, 2.0]),
+           picks=st.lists(st.integers(0, 90), min_size=1, max_size=8, unique=True),
+           scales=st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=1, max_size=24),
+           binding=st.none() | st.integers(0, 80))
+    def test_each_problem_of_a_stack_equals_the_scalar_routine(
+            self, hazard, recovery, sigma, eta, picks, scales, binding):
+        stack = stack_problem(hazard, recovery, sigma, eta, picks, scales, binding)
+        assert (outcomes(*calibration._solve_constrained_wls(*stack))
+                == outcomes(*reference_stack(*stack)))
+
+    @pytest.mark.parametrize("path", PATH_EXAMPLES)
+    def test_each_path_occurs_and_matches_the_scalar_routine(self, path):
+        stack = stack_problem(*PATH_EXAMPLES[path])
+        assert path in reference_paths(*stack)
+        assert (outcomes(*calibration._solve_constrained_wls(*stack))
+                == outcomes(*reference_stack(*stack)))
+
+    def test_a_singular_problem_fails_alone(self):
+        stack = stack_problem(*PATH_EXAMPLES["singular KKT"])
+        together = outcomes(*calibration._solve_constrained_wls(*stack))
+        assert [type(o) for o in together] == [tuple, str, tuple]
+        assert together[1].startswith("singular KKT system")
+        for i in (0, 2):
+            alone = [a[i:i + 1] for a in stack[:3]]
+            assert outcomes(*calibration._solve_constrained_wls(*alone, *stack[3:])) == [together[i]]
 
 
 class TestBatchedFitCore:
@@ -403,7 +572,7 @@ class TestBatchedFitCore:
         prepared = calibration._QuoteSet(quotes, BASE, FitConfig(eta_grid=(0.005, 0.02, 0.1)))
         rates = [RATES[i] for i in picks]
         fits = calibration._fit_core(prepared, rates)
-        with mock.patch.object(calibration, "_equality_stack", routine_only):
+        with mock.patch.object(calibration, "_solve_constrained_wls", reference_stack):
             reference = calibration._fit_core(prepared, rates)
         assert len(fits) == len(rates)
         for rate, fit, ref in zip(rates, fits, reference):
@@ -416,9 +585,9 @@ class TestBatchedFitCore:
         solve = calibration._solve_constrained_wls
         seen = []
 
-        def spy(design, target, *args):
-            seen.append((design.copy(), target.copy()))
-            return solve(design, target, *args)
+        def spy(designs, targets, *args):
+            seen.extend(zip(designs.copy(), targets.copy()))
+            return solve(designs, targets, *args)
 
         def locate(design, target):
             for eta in prepared.config.eta_grid:
@@ -436,10 +605,12 @@ class TestBatchedFitCore:
             (design, target, eta, j) for design, target in seen
             for eta, j in [locate(design, target)] if clean[j].eta == eta)
 
-        def failing(design, target, *args):
-            if np.array_equal(design, bad_design) and np.array_equal(target, bad_target):
-                raise FitError("forced failure")
-            return solve(design, target, *args)
+        def failing(designs, targets, *args):
+            betas, actives, failed = solve(designs, targets, *args)
+            for i, (design, target) in enumerate(zip(designs, targets)):
+                if np.array_equal(design, bad_design) and np.array_equal(target, bad_target):
+                    failed[i] = FitError("forced failure")
+            return betas, actives, failed
 
         monkeypatch.setattr(calibration, "_solve_constrained_wls", failing)
         patched = calibration._fit_core(prepared, RATES)
@@ -448,6 +619,39 @@ class TestBatchedFitCore:
         for i, (before, after) in enumerate(zip(clean, patched)):
             if i != j:
                 assert fit_fields(after) == fit_fields(before)
+
+
+class TestInfeasibleEta:
+    """An eta at which the start beta = (1, 0, ..., 0) breaks the positivity
+    bound is skipped; the other etas still fit."""
+
+    base = BaseCurve.from_zero_rates([(0.5, 0.02), (2, 0.025), (5, 0.03), (10, 0.035)])
+
+    def quotes(self, maturities):
+        """The README quickstart's quotes: 5% bonds on a flat 200bp hazard."""
+        curve = PiecewiseHazardCurve.flat(0.02)
+        specs = [BondSpec(coupon=0.05, freq=2, maturity=float(t)) for t in maturities]
+        return [BondQuote(id=f"b{t}", spec=spec,
+                          clean_price=pricing.bond_pv_frp(spec, self.base, curve, 0.40))
+                for t, spec in zip(maturities, specs)]
+
+    def test_the_eta_alone_fails(self):
+        with pytest.raises(FitError, match="reference coefficients infeasible"):
+            fit_survival(self.quotes((2, 3, 5, 7, 10)), self.base, FitConfig(eta_grid=(2.0,)))
+
+    def test_fit_survival_skips_it(self):
+        quotes = self.quotes((2, 3, 5, 7, 10))
+        fit = fit_survival(quotes, self.base, FitConfig(eta_grid=(0.05, 2.0)))
+        alone = fit_survival(quotes, self.base, FitConfig(eta_grid=(0.05,)))
+        assert fit.eta == 0.05
+        assert fit_fields(fit) == fit_fields(alone)
+
+    def test_implied_recovery_skips_it(self):
+        quotes = self.quotes((1, 2, 3, 5, 7, 10))
+        rate, fit = implied_recovery(quotes, self.base, FitConfig(eta_grid=(0.05, 2.0)))
+        alone_rate, alone = implied_recovery(quotes, self.base, FitConfig(eta_grid=(0.05,)))
+        assert fit.eta == 0.05
+        assert (rate, fit_fields(fit)) == (alone_rate, fit_fields(alone))
 
 
 class TestLoaders:

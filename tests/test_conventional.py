@@ -61,6 +61,12 @@ class TestYtm:
         y = ytm(bond, math.exp(-0.05), q_conv=math.inf)
         assert y == pytest.approx(0.05, abs=1e-12)
 
+    @pytest.mark.parametrize("q_conv", [0, -1, -math.inf, math.nan])
+    def test_compounding_outside_range_names_it(self, q_conv):
+        bond = BondSpec(coupon=0.06, freq=2, maturity=7.0)
+        with pytest.raises(ValueError, match=r"q_conv must be > 0 or math\.inf, got"):
+            ytm(bond, 1.0, q_conv)
+
     def test_against_bisection_oracle(self):
         bond = BondSpec(coupon=0.08, freq=2, maturity=5.0)
         price = 0.95

@@ -304,6 +304,12 @@ class TestCoarseHedge:
         with pytest.raises(ScheduleError, match="4.9"):
             hedging.coarse_hedge(off_quarter, base, curve, 0.5, [4.9])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    def test_candidate_outside_range_names_it(self, hedge_market, hedge_bonds, bad):
+        base, curve = hedge_market
+        with pytest.raises(ValueError, match="candidate_maturities must lie in"):
+            hedging.coarse_hedge(hedge_bonds["premium"], base, curve, 0.5, [bad, 5.0])
+
 
 class TestRfcReplication:
     def test_hedged_portfolio_pv_matches_rfc_riskless_bond(self, hedge_market):

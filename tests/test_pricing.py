@@ -365,6 +365,13 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             TriangleQuotes(cds_spread=0.01, dds_spread=0.02, dds_recovery=1.0, rs_rate=0.5)
 
+    @pytest.mark.parametrize("name", ["cds_spread", "dds_spread"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_triangle_quotes_non_finite_spread_names_it(self, name, value):
+        fields = dict(cds_spread=0.01, dds_spread=0.02, dds_recovery=0.2, rs_rate=0.4)
+        with pytest.raises(ValueError, match=f"{name} must be finite, got"):
+            TriangleQuotes(**{**fields, name: value})
+
 
 class TestBondPvFrp:
     def test_riskless_limit_matches_cash_flow_pv(self, base_curve):
@@ -614,6 +621,11 @@ class TestContinuousTime:
             assert pricing.cds_par_spread_continuous(
                 5.0, freq, base, curve, R
             ) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("freq", [0, -4, math.nan])
+    def test_par_cds_continuous_bad_freq_names_it(self, freq):
+        with pytest.raises(ValueError, match="freq must be > 0, got"):
+            pricing.cds_par_spread_continuous(5.0, freq, *_FLAT, 0.4)
 
     def test_par_cds_continuous_quadrature_oracle(self, base_curve):
         curve = PiecewiseHazardCurve([(1.0, 0.01), (3.0, 0.02), (7.0, 0.035)])

@@ -10,12 +10,20 @@ runs ``python3 bench/run.py --workload W --seed S --seconds N --trace 0``
 from each tree, in P pairs whose first side alternates, so drift of the
 host's speed falls on both sides alike.  Per workload and metric it prints
 
-    parent median [q1-q3] -> change median  (change %)  wins/pairs
+    parent median [q1-q3] -> change median  (change %)  wins/pairs  verdict
 
 where a win is a pair in which the change reads better than the parent in
 the metric's ``better`` direction (ties count for neither), then the failed
 operations summed over each side's runs.  A run that exits non-zero or ends
 without its JSON line is reported and counts as one failed operation.
+
+The verdict reads the metric's relative ``bound`` in BENCHMARK.json:
+"worse beyond bound" when the change median is worse than the parent median
+by more than the bound; else "unresolved" when the parent's IQR is wider
+than the bound; else "gain" when the change wins at least 9 of 10 pairs and
+its median is better by more than the parent's IQR; else "within bound".
+A metric without a bound gets no verdict.  The first lines give the number
+of lines of Python under each tree's ``src/``.
 """
 
 from __future__ import annotations
@@ -52,6 +60,31 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def verdict(parent: list[float], change: list[float], wins: int, lower: bool,
+            bound: float) -> str:
+    """The verdict on one metric from its paired runs (see the module doc)."""
+    q1, p_med, q3 = quartiles(parent)
+    gain = (p_med - statistics.median(change)) * (1.0 if lower else -1.0)
+    if -gain > bound * abs(p_med):
+        return "worse beyond bound"
+    if q3 - q1 > bound * abs(p_med):
+        return "unresolved"
+    if wins >= 0.9 * len(change) and gain > q3 - q1:
+        return "gain"
+    return "within bound"
+
+
+def src_lines(tree: str) -> int:
+    """Lines of the Python files under ``tree``/src."""
+    total = 0
+    for folder, _, files in os.walk(os.path.join(tree, "src")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name)) as handle:
+                    total += sum(1 for _ in handle)
+    return total
+
+
 def summarize(pairs: list[tuple[dict | None, dict | None]], metrics: list[dict]) -> list[str]:
     """Report lines for one workload from its (parent, change) run results."""
     lines = []
@@ -68,8 +101,11 @@ def summarize(pairs: list[tuple[dict | None, dict | None]], metrics: list[dict])
         c_med = statistics.median(change)
         wins = sum((c < p) if lower else (c > p) for p, c in both)
         rel = (c_med - p_med) / p_med * 100.0 if p_med else float("nan")
-        lines.append(f"  {name}: {p_med:.4g} [{q1:.4g}-{q3:.4g}] -> {c_med:.4g}"
-                     f"  ({rel:+.1f}%)  wins {wins}/{len(both)}")
+        line = (f"  {name}: {p_med:.4g} [{q1:.4g}-{q3:.4g}] -> {c_med:.4g}"
+                f"  ({rel:+.1f}%)  wins {wins}/{len(both)}")
+        if "bound" in metric:
+            line += "  " + verdict(parent, change, wins, lower, metric["bound"])
+        lines.append(line)
     failed = [sum(1 if run is None else run["failed"] for run in side) for side in zip(*pairs)]
     attempted = [sum(run["attempted"] for run in side if run) for side in zip(*pairs)]
     lines.append(f"  failed ops: parent {failed[0]}/{attempted[0]}, change {failed[1]}/{attempted[1]}")
@@ -91,6 +127,7 @@ def main(argv: list[str] | None = None) -> int:
     with open(os.path.join(args.parent, "BENCHMARK.json")) as handle:
         spec = json.load(handle)
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    print(f"src lines: parent {src_lines(args.parent)}, change {src_lines(args.change)}")
     for workload in workloads:
         pairs = []
         for i in range(args.pairs):
