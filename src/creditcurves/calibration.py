@@ -12,8 +12,8 @@ a Tukey bisquare on median/MAD-standardized residuals.
 Recovery enters linearly too: the design is the FRP cash-flow map of
 ``pricing.frp_coefficients`` applied to the spline factors,
 U(eta, R) = (A - R B) Phi(eta), and the target V(R) = v0 - R v1, with A,
-B, v0, v1 free of eta and R.  Each call precomputes them once, caches
-Phi products per eta, and at each eta hands the problems of all its
+B, v0, v1 free of eta and R.  Each call precomputes them once, forms the
+Phi products once per eta, and there hands the problems of all its
 recovery rates, as one stack, to the one constrained-WLS solver, whose
 active-set iterations run in lockstep.  DAS is solved only for the fit
 returned, so ``implied_recovery``, which scans 91 rates for the lowest
@@ -132,8 +132,7 @@ class _QuoteSet:
     flows), b_i = g (z_i - z_{i+1}), z_{N+1} = 0, and v1 = g z_1, for the
     recovery load g = 1 + C/2q of ``pricing.frp_coefficients``.  So its design
     row is sum_i (a_i - R b_i) Phi(t_i) and its target v0 - R v1, v0 the dirty
-    price.  Lives for one call; per-basis results are cached on first use.
-    A fit passes its config, which adds the base weights and checks the count.
+    price.  A fit passes its config, which adds the base weights and checks the count.
     """
 
     def __init__(self, quotes: list[BondQuote], base: BaseCurve,
@@ -142,7 +141,7 @@ class _QuoteSet:
             raise InsufficientDataError(
                 f"insufficient quotes: need at least {config.factors}, got {len(quotes)}"
             )
-        self.quotes, self.base, self.config, self._by_basis = quotes, base, config, {}
+        self.quotes, self.base, self.config = quotes, base, config
         # Python floats, not numpy scalars, feed the scalar loops of the solves.
         self.times, self.cf_z, self.spans, b, v1 = [], [], [], [], []
         for q in quotes:
@@ -170,20 +169,18 @@ class _QuoteSet:
         """(A Phi, B Phi, constraint rows G, bounds b, labels) with G beta >= b
         keeping Q decreasing on the grid (rows -dPhi/dt / eta) and positive
         at its end (row Phi)."""
-        if basis not in self._by_basis:
-            phi = np.array([basis.row(t) for t in self.times])
-            starts = [lo for lo, _ in self.spans]
-            factors = range(1, basis.size + 1)
-            ineq = [[-basis.factor_slope(k, t) / basis.eta for k in factors] for t in self.grid]
-            ineq.append(basis.row(self.grid[-1]))
-            self._by_basis[basis] = (
-                np.add.reduceat(self.a[:, None] * phi, starts, axis=0),
-                np.add.reduceat(self.b[:, None] * phi, starts, axis=0),
-                np.vstack(ineq),
-                np.full(len(ineq), CONSTRAINT_SLACK),
-                [f"monotonicity@{t:g}" for t in self.grid] + [f"positivity@{self.grid[-1]:g}"],
-            )
-        return self._by_basis[basis]
+        phi = np.array([basis.row(t) for t in self.times])
+        starts = [lo for lo, _ in self.spans]
+        factors = range(1, basis.size + 1)
+        ineq = [[-basis.factor_slope(k, t) / basis.eta for k in factors] for t in self.grid]
+        ineq.append(basis.row(self.grid[-1]))
+        return (
+            np.add.reduceat(self.a[:, None] * phi, starts, axis=0),
+            np.add.reduceat(self.b[:, None] * phi, starts, axis=0),
+            np.vstack(ineq),
+            np.full(len(ineq), CONSTRAINT_SLACK),
+            [f"monotonicity@{t:g}" for t in self.grid] + [f"positivity@{self.grid[-1]:g}"],
+        )
 
 
 def _row_medians(x: np.ndarray) -> np.ndarray:
@@ -318,11 +315,14 @@ def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> list[FitResult]:
     targets = prepared.v0 - rates[:, None] * prepared.v1
     count, k = len(rates), config.factors
     best: list[FitResult | None] = [None] * count
-    failures: list[list[FitError]] = [[] for _ in rates]
+    failures: list[list[str]] = [[] for _ in rates]
     rejections: list[list[str]] = [[] for _ in rates]
     for eta in config.eta_grid:
         basis = SplineBasis(eta=eta, size=k)
         a_phi, b_phi, ineq, bound, labels = prepared.for_basis(basis)
+        slack = ineq[:, 0] - bound  # G beta - b at the solver's start beta = e1
+        low = int(np.argmin(slack))
+        note = f" (at start, {labels[low]} = {ineq[low, 0]:.3g})" if slack[low] < -_FEAS_TOL else ""
         designs = a_phi - rates[:, None, None] * b_phi
         failed = {j: _rank_error(designs[j], quotes)
                   for j in np.flatnonzero(np.linalg.matrix_rank(designs) < k).tolist()}
@@ -345,7 +345,7 @@ def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> list[FitResult]:
             live = [j for j, stop in zip(live, done) if not stop and j not in failed]
         for j in range(count):
             if j in failed:
-                failures[j].append(failed[j])
+                failures[j].append(f"eta={eta:g}{note}: {failed[j]}")
                 continue
             if best[j] is not None and not histories[j][-1] < best[j].objective_history[-1]:
                 continue
@@ -374,7 +374,7 @@ def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> list[FitResult]:
     for fit, failed_j, rejected in zip(best, failures, rejections):
         if fit is None:
             if failed_j:
-                raise failed_j[0]
+                raise FitError(failed_j[0])
             raise FitError("no eta candidate produced a valid survival curve; "
                            f"first rejection {rejected[0]}")
     return best

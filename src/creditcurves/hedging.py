@@ -6,8 +6,8 @@ profile makes the default payout replicate the bond value at every
 horizon.  The hedge grid and CDS legs pay ``pricing.CDS_FREQ`` times a
 year.  Exposure NPVs are weighted by the default-leg measure
 Z * dQ * (1 - R), since hedge errors only realize in default states.
-Grids come from ``curves.grid_times``; CDS legs and those weights come
-from the terms of ``pricing.leg_terms``.  The CDS-bond basis is
+Grids come from ``curves.grid_times``; CDS legs and those weights are
+read from one quarterly ``pricing.LegTable`` per hedge.  The CDS-bond basis is
 ``measures.das`` (one ``rootfind.solve_spread``) taken on the
 CDS-implied curve.
 """
@@ -135,14 +135,12 @@ def rfc_profile(
     )
 
 
-def _aggregate_spread(
-    legs: list[tuple[float, float, float]], base: BaseCurve, curve: SurvivalCurve
-) -> float:
+def _aggregate_spread(legs: list[tuple[float, float, float]], table: pricing.LegTable) -> float:
     """rpv01-weighted aggregate spread of (maturity, notional, spread) legs."""
     num = 0.0
     den = 0.0
     for maturity, notional, spread in legs:
-        pv01 = pricing.rpv01(maturity, CDS_FREQ, base, curve)
+        pv01 = table.rpv01(table.n(maturity))
         num += notional * spread * pv01
         den += notional * pv01
     if den == 0.0:
@@ -177,12 +175,9 @@ def spot_hedge_notionals(
         notionals[b] = (prices[a] - prices[b]) / (1.0 - R)
     terminal = (prices[pts[-1]] - R) / (1.0 - R)
     notionals[T] = notionals.get(T, 0.0) + terminal
-    legs = [
-        (m, n, pricing.cds_par_spread(m, CDS_FREQ, base, curve, R))
-        for m, n in sorted(notionals.items())
-        if m > 0.0
-    ]
-    cost = _aggregate_spread(legs, base, curve)
+    table = pricing.LegTable(grid_times(T, CDS_FREQ), CDS_FREQ, base, curve)
+    legs = [(m, n, table.par_spread(table.n(m), R)) for m, n in sorted(notionals.items()) if m > 0]
+    cost = _aggregate_spread(legs, table)
     plan_legs = tuple(HedgeLeg(m, n, s) for m, n, s in legs)
     plan = HedgePlan(legs=plan_legs, cost=cost, residual_npv=0.0)
     # Residual exposure: each bucket (t_i, t_{i+1}] is covered by the legs
@@ -226,10 +221,11 @@ def coarse_hedge(
     fwd_n = {
         t: fwd_hedge_notional(bond, base, curve_cds, recovery, t) for t in grid
     }
-    spread_T = pricing.cds_par_spread(T, CDS_FREQ, base, curve_cds, R)
+    table = pricing.LegTable(grid, CDS_FREQ, base, curve_cds)
+    spread_T = table.par_spread(len(grid), R)
 
     # Default-leg weights Z * dQ per grid bucket.
-    weights = dict(zip(grid, pricing.leg_terms(grid, base, curve_cds)[1]))
+    weights = dict(zip(grid, table.zdq))
     total_gap = sum(weights[t] * (fwd_n[t] - 1.0) for t in grid)
 
     best: HedgePlan | None = None
@@ -244,9 +240,8 @@ def coarse_hedge(
         if abs(m - T) <= 1e-9:
             legs = [(T, 1.0 + notional, spread_T)]
         else:
-            legs = [(m, notional, pricing.cds_par_spread(m, CDS_FREQ, base, curve_cds, R)),
-                    (T, 1.0, spread_T)]
-        cost = _aggregate_spread(legs, base, curve_cds)
+            legs = [(m, notional, table.par_spread(table.n(m), R)), (T, 1.0, spread_T)]
+        cost = _aggregate_spread(legs, table)
         plan = HedgePlan(
             legs=tuple(HedgeLeg(*leg) for leg in legs),
             cost=cost,
@@ -286,4 +281,5 @@ def approx_basis(
     R = check_recovery(recovery)
     s_x = measures.excess_spread(bond, market_clean_price, base, curve_bond, R)
     legs = [(leg.maturity, leg.notional, leg.spread) for leg in plan.legs]
-    return s_x - _aggregate_spread(legs, base, curve_cds)
+    table = pricing.LegTable(grid_times(legs[-1][0], CDS_FREQ), CDS_FREQ, base, curve_cds)
+    return s_x - _aggregate_spread(legs, table)

@@ -5,9 +5,9 @@ curve: par coupons and P-spreads, constant coupon price (CCP) curves,
 bond-implied CDS, forward CDS spreads, and the bond-level measures
 (fitted price, fitted par coupon, default-adjusted spread, excess
 spread).  Sign convention: DAS > 0 means the bond trades cheap to the
-fitted curve.  Par coupons take their schedule from ``curves.grid_times``
-(or the bond's own payment times) and their sums from ``pricing.leg_sums``;
-DAS is ``rootfind.solve_spread`` on ``pricing.frp_cash_flows``.
+fitted curve.  Par coupons and CDS spreads are reads of one
+``pricing.LegTable`` per schedule (``curves.grid_times`` or the bond's own
+payment times); DAS is ``rootfind.solve_spread`` on ``pricing.frp_cash_flows``.
 """
 
 from __future__ import annotations
@@ -29,12 +29,8 @@ def par_coupon(
     maturity: float, freq: int, base: BaseCurve, curve: SurvivalCurve, recovery: float
 ) -> float:
     """Coupon making a hypothetical bond price exactly at par (clean)."""
-    recovery = pricing.check_recovery(recovery)
-    annuity, protection, survived = pricing.leg_sums(grid_times(maturity, freq), base, curve)
-    den = annuity + 0.5 * recovery * protection
-    if den <= 0.0:
-        raise ValueError("non-positive par-coupon denominator")
-    return freq * (1.0 - survived - recovery * protection) / den
+    legs = pricing.LegTable(grid_times(maturity, freq), freq, base, curve)
+    return legs.par_coupon(len(legs.zq), recovery)
 
 
 def p_spread(
@@ -72,9 +68,10 @@ def fwd_cds_spread(
     """
     if not 0.0 < t1 < t2:
         raise ValueError("need 0 < t1 < t2")
-    s1 = pricing.cds_par_spread(t1, CDS_FREQ, base, curve, recovery)
-    s2 = pricing.cds_par_spread(t2, CDS_FREQ, base, curve, recovery)
-    kappa = pricing.rpv01(t1, CDS_FREQ, base, curve) / pricing.rpv01(t2, CDS_FREQ, base, curve)
+    legs = pricing.LegTable(grid_times(t2, CDS_FREQ), CDS_FREQ, base, curve)
+    n1, n2 = legs.n(t1), len(legs.zq)
+    s1, s2 = legs.par_spread(n1, recovery), legs.par_spread(n2, recovery)
+    kappa = legs.rpv01(n1) / legs.rpv01(n2)
     if not kappa < 1.0:
         raise ValueError(f"rpv01 must be increasing in maturity (ratio {kappa!r})")
     return (s2 - kappa * s1) / (1.0 - kappa)
@@ -96,12 +93,8 @@ def fitted_par_coupon(
     carries a slightly higher fitted par coupon than the generic same-
     maturity one.
     """
-    recovery = pricing.check_recovery(recovery)
-    annuity, protection, survived = pricing.leg_sums(bond.payment_times, base, curve)
-    den = annuity + 0.5 * recovery * protection - bond.accrued_time
-    if den <= 0.0:
-        raise ValueError("non-positive par-coupon denominator")
-    return bond.freq * (1.0 - survived - recovery * protection) / den
+    legs = pricing.LegTable(bond.payment_times, bond.freq, base, curve)
+    return legs.par_coupon(len(legs.zq), recovery, bond.accrued_time)
 
 
 def fitted_base_par_coupon(bond: BondSpec, base: BaseCurve) -> float:
@@ -214,9 +207,11 @@ def term_structure_report(
     tenors = tuple(grid)
     if not tenors or any(b <= a for a, b in zip(tenors, tenors[1:])) or tenors[0] <= 0.0:
         raise ValueError("report grid must be non-empty, strictly increasing and > 0")
+    legs = pricing.LegTable(grid_times(tenors[-1], freq), freq, base, curve)
+    cds_legs = pricing.LegTable(grid_times(tenors[-1], CDS_FREQ), CDS_FREQ, base, curve)
     rows = []
     for t in tenors:
-        par = par_coupon(t, freq, base, curve, recovery)
+        par = legs.par_coupon(legs.n(t), recovery)
         row = TermStructureRow(
             tenor=t,
             survival=curve.survival(t),
@@ -225,7 +220,7 @@ def term_structure_report(
             par_coupon=par,
             p_spread=par - base.par_yield(t, freq),
             ccp=tuple(ccp(t, c, freq, base, curve, recovery) for c in coupons),
-            bcds=bcds(t, base, curve, recovery),
+            bcds=cds_legs.par_spread(cds_legs.n(t), recovery),
         )
         for value in (row.survival, row.hazard, row.zz_spread, row.par_coupon,
                       row.p_spread, *row.ccp, row.bcds):

@@ -5,8 +5,8 @@ coupon of accrued interest, settled on the first coupon date after
 default.  CDS legs net accrued premium against the protection payment.
 All discrete schedules live on the instrument's own payment grid; CDS
 pay quarterly (``CDS_FREQ``, the package's one statement of that
-convention).  ``leg_terms`` is the one schedule walk (per-date Z*Q and
-Z*(Q_prev - Q)) behind every discrete leg, par coupon and hedge weight;
+convention).  ``LegTable`` is the one schedule walk behind every discrete
+leg, par coupon and hedge weight, read at any date of its schedule;
 ``frp_cash_flows`` applies the FRP coefficients (``frp_coefficients``, also
 the fit's design) to it, giving a bond's discounted expected cash flows
 w_i, priced at spread s as sum w_i * exp(-s * t_i), the form
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .conventional import BondSpec
 from .curves import BaseCurve, grid_times, sorted_unique
@@ -87,26 +88,45 @@ class TriangleQuotes:
             check_recovery(getattr(self, name), name)
 
 
-def leg_terms(
-    times: tuple[float, ...], base: BaseCurve, curve: SurvivalCurve
-) -> tuple[list[float], list[float]]:
-    """Per-time Z*Q and Z*(Q_prev - Q) over a schedule, Q_prev = 1 before
-    the first time: the survival and default terms of every discrete leg."""
-    if not times:
-        raise ValueError("empty payment schedule")
-    zs = [base.df(t) for t in times]
-    qs = [curve.survival(t) for t in times]
-    return ([z * q for z, q in zip(zs, qs)],
-            [z * (q_prev - q) for z, q_prev, q in zip(zs, [1.0] + qs, qs)])
+class LegTable:
+    """One schedule walk: per-date Z*Q and Z*(Q_prev - Q) (Q_prev = 1 before the first time)
+    and their running sums; the one par spread, rpv01 and par coupon to date n, 1..len(zq)."""
 
+    def __init__(self, times: tuple[float, ...], freq: int, base: BaseCurve,
+                 curve: SurvivalCurve) -> None:
+        if not times:
+            raise ValueError("empty payment schedule")
+        zs = [base.df(t) for t in times]
+        qs = [curve.survival(t) for t in times]
+        self.freq = freq
+        self.zq = [z * q for z, q in zip(zs, qs)]
+        self.zdq = [z * (q_prev - q) for z, q_prev, q in zip(zs, [1.0] + qs, qs)]
+        self.annuity, self.protection = list(accumulate(self.zq)), list(accumulate(self.zdq))
 
-def leg_sums(
-    times: tuple[float, ...], base: BaseCurve, curve: SurvivalCurve
-) -> tuple[float, float, float]:
-    """(sum Z*Q, sum Z*(Q_prev - Q), Z*Q at the last time): the annuity,
-    protection and survived legs of ``leg_terms``."""
-    zq, zdq = leg_terms(times, base, curve)
-    return sum(zq), sum(zdq), zq[-1]
+    def n(self, maturity: float) -> int:
+        """Dates to ``maturity`` on the ``grid_times`` grid (``ScheduleError`` off it)."""
+        return len(grid_times(maturity, self.freq))
+
+    def par_spread(self, n: int, recovery: float) -> float:
+        """Breakeven CDS premium to date n.  It is paid on each period's mean survival, so
+        its annuity is sum Z*(Q_prev + Q)/2 = annuity + protection/2."""
+        R = check_recovery(recovery)
+        den = 2.0 * self.annuity[n - 1] + self.protection[n - 1]
+        if den <= 0.0:
+            raise ValueError("degenerate premium annuity")
+        return 2.0 * self.freq * (1.0 - R) * self.protection[n - 1] / den
+
+    def rpv01(self, n: int) -> float:
+        """Risky PV01 to the n-th date: a unit running premium paid until default."""
+        return (2.0 * self.annuity[n - 1] + self.protection[n - 1]) / (2.0 * self.freq)
+
+    def par_coupon(self, n: int, recovery: float, accrued_time: float = 0.0) -> float:
+        """Coupon pricing a bond paying on dates 1..n at par (clean), seasoned by accrued_time."""
+        recovery, protection = check_recovery(recovery), self.protection[n - 1]
+        den = self.annuity[n - 1] + 0.5 * recovery * protection - accrued_time
+        if den <= 0.0:
+            raise ValueError("non-positive par-coupon denominator")
+        return self.freq * (1.0 - self.zq[n - 1] - recovery * protection) / den
 
 
 def frp_coefficients(bond: BondSpec) -> tuple[float, float]:
@@ -119,13 +139,13 @@ def frp_cash_flows(
     bond: BondSpec, base: BaseCurve, curve: SurvivalCurve, recovery: float
 ) -> list[float]:
     """Discounted expected cash flow w_i on each of the bond's payment dates:
-    ``frp_coefficients`` applied to the ``leg_terms``, plus the survived
-    principal at maturity."""
+    ``frp_coefficients`` applied to the per-date legs of a ``LegTable``, plus
+    the survived principal at maturity."""
     cpn, load = frp_coefficients(bond)
     rec_factor = check_recovery(recovery) * load
-    zq, zdq = leg_terms(bond.payment_times, base, curve)
-    flows = [cpn * a + rec_factor * p for a, p in zip(zq, zdq)]
-    flows[-1] += zq[-1]
+    legs = LegTable(bond.payment_times, bond.freq, base, curve)
+    flows = [cpn * a + rec_factor * p for a, p in zip(legs.zq, legs.zdq)]
+    flows[-1] += legs.zq[-1]
     return flows
 
 
@@ -139,41 +159,31 @@ def bond_pv_frp(
     """Dirty present value of a credit bond under fractional recovery of par:
     sum w_i * exp(-das * t_i) over ``frp_cash_flows``, so a non-zero
     ``das`` discounts all three legs by exp(-das * t)."""
+    if not math.isfinite(das):
+        raise ValueError(f"das must be finite, got {das!r}")
     flows = frp_cash_flows(bond, base, curve, recovery)
     return sum(w * math.exp(-das * t) for t, w in zip(bond.payment_times, flows))
 
 
 def cds_upfront(cds: CdsSpec, base: BaseCurve, curve: SurvivalCurve) -> float:
     """Upfront payment equating premium and protection legs."""
-    prem, prot, _ = leg_sums(grid_times(cds.maturity, cds.freq), base, curve)
-    cpn = cds.contractual_coupon
+    legs = LegTable(grid_times(cds.maturity, cds.freq), cds.freq, base, curve)
+    prem, prot, cpn = legs.annuity[-1], legs.protection[-1], cds.contractual_coupon
     return (1.0 - cds.recovery - cpn / (2.0 * cds.freq)) * prot - (cpn / cds.freq) * prem
 
 
 def cds_par_spread(
-    maturity: float,
-    freq: int,
-    base: BaseCurve,
-    curve: SurvivalCurve,
-    recovery: float,
+    maturity: float, freq: int, base: BaseCurve, curve: SurvivalCurve, recovery: float
 ) -> float:
-    """Breakeven running premium for zero upfront.
-
-    The premium leg pays on the average survival of each period, so its
-    annuity is sum Z*(Q_prev + Q)/2 = annuity + protection/2.
-    """
-    R = check_recovery(recovery)
-    annuity, protection, _ = leg_sums(grid_times(maturity, freq), base, curve)
-    den = 2.0 * annuity + protection
-    if den <= 0.0:
-        raise ValueError("degenerate premium annuity")
-    return 2.0 * freq * (1.0 - R) * protection / den
+    """Breakeven running premium for zero upfront: ``LegTable.par_spread``."""
+    legs = LegTable(grid_times(maturity, freq), freq, base, curve)
+    return legs.par_spread(len(legs.zq), recovery)
 
 
 def rpv01(maturity: float, freq: int, base: BaseCurve, curve: SurvivalCurve) -> float:
     """Risky PV01: value of a unit running premium paid until default."""
-    annuity, protection, _ = leg_sums(grid_times(maturity, freq), base, curve)
-    return (2.0 * annuity + protection) / (2.0 * freq)
+    legs = LegTable(grid_times(maturity, freq), freq, base, curve)
+    return legs.rpv01(len(legs.zq))
 
 
 def cds_mtm(cds: CdsSpec, par_spread: float, risky_pv01: float) -> float:
@@ -226,6 +236,8 @@ def survival_discount_integrals(
     Both curve families are piecewise sums of exponentials, so each
     segment between curve breakpoints integrates in closed form.
     """
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t0 and t1 must be finite, got {t0!r}, {t1!r}")
     if t1 <= t0:
         return 0.0, 0.0, 0.0
     cuts = [t0, t1]
@@ -258,6 +270,8 @@ def bond_price_continuous(
     over the period, via the -C/2q * (1 - E) term and the (1 + C/2q)
     recovery load.
     """
+    if not math.isfinite(das):
+        raise ValueError(f"das must be finite, got {das!r}")
     return _continuous_price(bond, base, curve, check_recovery(recovery), 0.0, 1.0, das)
 
 
@@ -286,6 +300,8 @@ def cds_par_spread_continuous(
     """Continuous-premium par CDS spread with the finite-frequency
     discounting correction (1 - f/2q) applied to the premium annuity."""
     R = check_recovery(recovery)
+    if not 0.0 < maturity < math.inf:
+        raise ValueError(f"maturity must be finite and > 0, got {maturity!r}")
     if not freq > 0:
         raise ValueError(f"freq must be > 0, got {freq!r}")
     i_zq, i_hzq, i_fzq = survival_discount_integrals(base, curve, 0.0, maturity)

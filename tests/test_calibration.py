@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -152,7 +153,7 @@ class TestFitSurvival:
         spec = BondSpec(coupon=0.05, freq=2, maturity=5.0)
         quotes = [BondQuote(id=f"dup{j}", spec=spec, clean_price=0.95, spread_duration=4.0)
                   for j in range(3)]
-        with pytest.raises(FitError, match="dup0"):
+        with pytest.raises(FitError, match=f"^eta={FIT_CONFIG.eta_grid[0]:g}: .*dup0"):
             fit_survival(quotes, base_curve, FIT_CONFIG)
 
     def test_matches_closed_form_gls_when_unconstrained(self, base_curve, round_trip_quotes):
@@ -532,6 +533,13 @@ PATH_EXAMPLES = {
 }
 
 
+def two_factor_stack(ineq, bound):
+    """One problem, min beta_1^2 + (beta_2 - 1)^2 s.t. beta_1 + beta_2 = 1 and
+    G beta >= b: from the start (1, 0) the iterate (1 - x, x) steps toward x = 1."""
+    return (np.eye(2)[None], np.array([[0.0, 1.0]]), np.ones((1, 2)),
+            np.array(ineq, dtype=float), np.array(bound, dtype=float))
+
+
 class TestStackedSolver:
     @settings(max_examples=40, deadline=None)
     @given(hazard=st.floats(0.005, 0.3), recovery=st.floats(0.0, 0.6),
@@ -560,6 +568,25 @@ class TestStackedSolver:
         for i in (0, 2):
             alone = [a[i:i + 1] for a in stack[:3]]
             assert outcomes(*calibration._solve_constrained_wls(*alone, *stack[3:])) == [together[i]]
+
+    @pytest.mark.parametrize("gap, blocker", [(1e-14, 0), (4e-14, 1)])
+    def test_a_later_blocker_replaces_the_first_only_by_blocking_1e14_sooner(self, gap, blocker):
+        # Rows 1 - 2x >= 0 and 1 - 2x >= gap block the first step at x = 1/2
+        # and at x = (1 - gap)/2: a fraction gap/2 of the step sooner.
+        stack = two_factor_stack([[1.0, -1.0], [1.0, -1.0]], [0.0, gap])
+        solved = outcomes(*calibration._solve_constrained_wls(*stack))
+        assert solved == outcomes(*reference_stack(*stack))
+        assert solved[0][1] == [blocker]
+
+    def test_a_settled_problem_does_not_step(self):
+        # Row 0 (slack 1e-13 at the start) starts in the working set; its
+        # optimum x = 5e-14 is within 1e-13, so the first solve settles.  Row 1
+        # (slack 5e-13, slope -1e-12 along that step) would block a step taken
+        # anyway and join the active set.
+        stack = two_factor_stack([[1.0, -1.0], [10.0, -10.0]], [1.0 - 1e-13, 10.0 - 5e-13])
+        solved = outcomes(*calibration._solve_constrained_wls(*stack))
+        assert solved == outcomes(*reference_stack(*stack))
+        assert solved[0][1] == [0]
 
 
 class TestBatchedFitCore:
@@ -638,6 +665,15 @@ class TestInfeasibleEta:
     def test_the_eta_alone_fails(self):
         with pytest.raises(FitError, match="reference coefficients infeasible"):
             fit_survival(self.quotes((2, 3, 5, 7, 10)), self.base, FitConfig(eta_grid=(2.0,)))
+
+    def test_its_error_names_the_eta_and_the_violated_row(self):
+        # At beta = e1 the rows at the grid end read exp(-2 * 15) = 9.4e-14.
+        assert math.exp(-30.0) < calibration.CONSTRAINT_SLACK
+        with pytest.raises(FitError) as raised:
+            fit_survival(self.quotes((2, 3, 5, 7, 10)), self.base, FitConfig(eta_grid=(2.0,)))
+        assert str(raised.value) == (
+            f"eta=2 (at start, monotonicity@15 = {math.exp(-30.0):.3g}): "
+            "reference coefficients infeasible; constraint grid is inconsistent")
 
     def test_fit_survival_skips_it(self):
         quotes = self.quotes((2, 3, 5, 7, 10))

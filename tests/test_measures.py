@@ -151,7 +151,7 @@ class TestForwardCdsSpread:
 
     def test_non_increasing_rpv01_raises(self, monkeypatch, base_curve, true_spline_curve):
         # The guard is a ValueError, so it also holds under python -O.
-        monkeypatch.setattr(pricing, "rpv01", lambda *args: 1.0)
+        monkeypatch.setattr(pricing.LegTable, "rpv01", lambda self, n: 1.0)
         with pytest.raises(ValueError, match="rpv01 must be increasing"):
             measures.fwd_cds_spread(2.0, 7.0, base_curve, true_spline_curve, 0.4)
 

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from creditcurves import hedging, measures, pricing
@@ -104,6 +104,85 @@ base_curves = st.one_of(
     st.floats(0.0, 0.10).map(BaseCurve.flat),
     st.lists(st.floats(0.0, 0.08), min_size=1, max_size=4).map(_safe_base),
 )
+
+
+spline_curves = st.builds(
+    lambda eta, w2, w3: SplineSurvivalCurve(SplineBasis(eta=eta), (1.0 - w2 - w3, w2, w3), 30.0),
+    st.floats(0.01, 0.1), st.floats(0.0, 0.5), st.floats(0.0, 0.5),
+)
+
+
+def aggregate_oracle(legs, base, curve):
+    """The rpv01-weighted mean spread of a plan's legs, one ``pricing.rpv01`` per leg."""
+    num = den = 0.0
+    for leg in legs:
+        pv01 = pricing.rpv01(leg.maturity, 4, base, curve)
+        num += leg.notional * leg.spread * pv01
+        den += leg.notional * pv01
+    return num / den
+
+
+class TestLegTable:
+    """Every maturity read from one table equals its own walk, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(base=base_curves, curve=st.one_of(hazard_curves, spline_curves),
+           freq=st.sampled_from([1, 2, 4]), recovery=st.floats(0.0, 0.9))
+    def test_report_rows_equal_the_per_tenor_measures(self, base, curve, freq, recovery):
+        report = measures.term_structure_report(base, curve, recovery, coupons=(0.05,), freq=freq)
+        for row in report.rows:
+            t = row.tenor
+            assert row.par_coupon == measures.par_coupon(t, freq, base, curve, recovery)
+            assert row.p_spread == measures.p_spread(t, freq, base, curve, recovery)
+            assert row.bcds == measures.bcds(t, base, curve, recovery)
+
+    @settings(max_examples=30, deadline=None)
+    @given(base=base_curves, curve=st.one_of(hazard_curves, spline_curves),
+           freq=st.sampled_from([1, 2, 4]), periods=st.integers(1, 24),
+           coupon=st.floats(0.0, 0.1), recovery=st.floats(0.0, 0.9))
+    def test_hedge_legs_and_costs_equal_their_own_walks(
+            self, base, curve, freq, periods, coupon, recovery):
+        assume(curve.survival(0.25) < 1.0)  # every hedge leg buys some protection
+        bond = BondSpec(coupon=coupon, freq=freq, maturity=periods / freq)
+        T = bond.maturity
+        candidates = sorted({m for m in (1.0, 2.0, 3.0, 5.0) if m < T} | {T})
+        coarse = hedging.coarse_hedge(bond, base, curve, recovery, candidates)
+        spot = hedging.spot_hedge_notionals(bond, base, curve, recovery,
+                                            [i / freq for i in range(periods + 1)])
+        for plan in (coarse, spot):
+            for leg in plan.legs:
+                assert leg.spread == pricing.cds_par_spread(leg.maturity, 4, base, curve, recovery)
+            assert plan.cost == aggregate_oracle(plan.legs, base, curve)
+        price = measures.fitted_price(bond, base, curve, recovery)
+        assert hedging.approx_basis(bond, price, base, curve, curve, recovery, coarse) == (
+            measures.excess_spread(bond, price, base, curve, recovery) - coarse.cost)
+
+    def test_one_table_per_schedule(self, monkeypatch, base_curve, true_spline_curve,
+                                    hedge_market, hedge_bonds):
+        walked = []
+        init = pricing.LegTable.__init__
+
+        def counting(self, times, *args):
+            walked.append(len(times))
+            init(self, times, *args)
+
+        monkeypatch.setattr(pricing.LegTable, "__init__", counting)
+        coupons = (0.05, 0.07)
+        report = measures.term_structure_report(base_curve, true_spline_curve, 0.4, coupons)
+        # One semiannual and one quarterly table to 30y, and one bond walk per CCP cell.
+        assert walked[:2] == [60, 120]
+        assert len(walked) == 2 + len(report.rows) * len(coupons)
+        base, curve = hedge_market
+        bond = hedge_bonds["premium"]
+        # Each hedge walks the 5y quarterly grid once; a 2y-7y forward spread the 7y grid.
+        for call, dates in (
+            (lambda: hedging.coarse_hedge(bond, base, curve, 0.5, [1.0, 2.0, 5.0]), 20),
+            (lambda: hedging.spot_hedge_notionals(bond, base, curve, 0.5, [0, 1, 2.5, 5]), 20),
+            (lambda: measures.fwd_cds_spread(2.0, 7.0, base, curve, 0.5), 28),
+        ):
+            walked.clear()
+            call()
+            assert walked == [dates]
 
 
 class TestScheduleKernelOracles:
@@ -334,6 +413,34 @@ def test_recovery_outside_unit_interval_raises_naming_it(field, value):
     name, call = _RECOVERY_INPUTS[field]
     with pytest.raises(ValueError, match=re.escape(f"{name} must be in [0, 1), got")):
         call(value)
+
+
+_BOND = BondSpec(0.05, 2, 5.0)
+_FINITE_ARGUMENTS = {
+    "bond_pv_frp das": ("das", lambda x: pricing.bond_pv_frp(_BOND, *_FLAT, 0.4, das=x)),
+    "bond_price_continuous das": ("das", lambda x: pricing.bond_price_continuous(
+        _BOND, *_FLAT, 0.4, das=x)),
+    "cds_par_spread_continuous maturity": ("maturity", lambda x: (
+        pricing.cds_par_spread_continuous(x, 4, *_FLAT, 0.4))),
+    "survival_discount_integrals t0": ("t0", lambda x: pricing.survival_discount_integrals(
+        *_FLAT, x, 1.0)),
+    "survival_discount_integrals t1": ("t1", lambda x: pricing.survival_discount_integrals(
+        *_FLAT, 0.0, x)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_FINITE_ARGUMENTS))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_argument_raises_naming_it(field, value):
+    name, call = _FINITE_ARGUMENTS[field]
+    with pytest.raises(ValueError, match=f"{name} .*must be finite"):
+        call(value)
+
+
+@pytest.mark.parametrize("maturity", [-1.0, 0.0])
+def test_continuous_par_spread_needs_a_positive_maturity(maturity):
+    with pytest.raises(ValueError, match="maturity must be finite and > 0, got"):
+        pricing.cds_par_spread_continuous(maturity, 4, *_FLAT, 0.4)
 
 
 class TestDomainTypes:
