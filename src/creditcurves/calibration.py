@@ -4,22 +4,22 @@
 exponential spline factors: survival probabilities enter the pricing
 equation linearly, so for a fixed decay rate eta the problem is a
 weighted least squares with one equality constraint (Q(0) = 1) and
-inequality constraints keeping Q decreasing and positive.  The decay
-rate is chosen by an outer grid search on the converged objective, and
-outliers are down-weighted by iteratively reweighted least squares with
-a Tukey bisquare on median/MAD-standardized residuals.
+linear inequalities: Q decreasing, stated exactly by the Bernstein
+coefficients of its slope polynomial, and positive at the horizon.  The
+decay rate is chosen by an outer grid search on the converged objective,
+and outliers are down-weighted by iteratively reweighted least squares
+with a Tukey bisquare on median/MAD-standardized residuals.
 
 Recovery enters linearly too: the design is the FRP cash-flow map of
 ``pricing.frp_coefficients`` applied to the spline factors,
 U(eta, R) = (A - R B) Phi(eta), and the target V(R) = v0 - R v1, with A,
 B, v0, v1 free of eta and R.  Each call precomputes them once, forms the
-Phi products once per eta, and there hands the problems of all its
-recovery rates, as one stack, to the one constrained-WLS solver, whose
-active-set iterations run in lockstep.  DAS is solved only for the fit
-returned, so ``implied_recovery``, which scans 91 rates for the lowest
-weighted fit error, is one precompute, one stack per eta and IRLS step,
-and one DAS pass.  ``calibrate_from_cds`` bootstraps a piecewise-constant
-hazard curve from par CDS quotes instead.
+Phi products once per eta, and hands the problems of all its recovery
+rates to the constrained-WLS solver as one stack.  DAS is solved only for
+the fit returned, so ``implied_recovery`` (91 rates) is one precompute,
+one stack per eta and IRLS step, and one DAS pass.
+``calibrate_from_cds`` bootstraps a piecewise-constant hazard curve from
+par CDS quotes instead.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ import numpy as np
 from . import pricing
 from .conventional import BondSpec
 from .curves import BaseCurve, grid_times
-from .errors import ArbitrageError, FitError, InsufficientDataError, ParseError, ScheduleError
+from .errors import (ArbitrageError, ConvergenceError, FitError, InsufficientDataError,
+                     ParseError, ScheduleError)
 from .rootfind import check_price, solve_bracketed, solve_spread, spread_duration
 from .splines import SplineBasis
 from .survival import PiecewiseHazardCurve, SplineSurvivalCurve
@@ -155,8 +156,7 @@ class _QuoteSet:
         self.a, self.b, self.v1 = np.array(self.cf_z), np.array(b), np.array(v1)
         self.dirty = [q.clean_price + q.spec.accrued_interest for q in quotes]
         self.v0 = np.array(self.dirty)
-        steps = int(round((max(q.spec.maturity for q in quotes) + 5.0) / 0.5))
-        self.grid = tuple(0.5 * i for i in range(1, steps + 1))
+        self.horizon = 0.5 * round((max(q.spec.maturity for q in quotes) + 5.0) / 0.5)
         if config is not None:
             sd = np.array([
                 spread_duration(self.times[lo:hi], self.cf_z[lo:hi], dirty)
@@ -167,19 +167,23 @@ class _QuoteSet:
 
     def for_basis(self, basis: SplineBasis) -> tuple:
         """(A Phi, B Phi, constraint rows G, bounds b, labels) with G beta >= b
-        keeping Q decreasing on the grid (rows -dPhi/dt / eta) and positive
-        at its end (row Phi)."""
+        keeping Q decreasing to the horizon H and positive there (row Phi(H)).
+        For factors 1..3, -Q'(t) = eta x g(x), x = exp(-eta t), g(x) = sum_k k beta_k
+        x^(k-1); row j is g's j-th Bernstein coefficient on [exp(-eta H), 1] (j = 0
+        at H), 1 at beta = e1, and rows >= 0 give g >= 0 (Farouki 2012)."""
         phi = np.array([basis.row(t) for t in self.times])
         starts = [lo for lo, _ in self.spans]
-        factors = range(1, basis.size + 1)
-        ineq = [[-basis.factor_slope(k, t) / basis.eta for k in factors] for t in self.grid]
-        ineq.append(basis.row(self.grid[-1]))
+        n, x0 = basis.size - 1, math.exp(-basis.eta * self.horizon)
+        ineq = [[k * sum(math.comb(j, i) * math.comb(n - j, k - 1 - i) * x0 ** (k - 1 - i)
+                         for i in range(min(j, k - 1) + 1)) / math.comb(n, k - 1)
+                 for k in range(1, n + 2)] for j in range(n + 1)]
+        ineq.append(basis.row(self.horizon))
         return (
             np.add.reduceat(self.a[:, None] * phi, starts, axis=0),
             np.add.reduceat(self.b[:, None] * phi, starts, axis=0),
             np.vstack(ineq),
             np.full(len(ineq), CONSTRAINT_SLACK),
-            [f"monotonicity@{t:g}" for t in self.grid] + [f"positivity@{self.grid[-1]:g}"],
+            [f"monotonicity:b{j}" for j in range(n + 1)] + [f"positivity@{self.horizon:g}"],
         )
 
 
@@ -316,7 +320,6 @@ def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> list[FitResult]:
     count, k = len(rates), config.factors
     best: list[FitResult | None] = [None] * count
     failures: list[list[str]] = [[] for _ in rates]
-    rejections: list[list[str]] = [[] for _ in rates]
     for eta in config.eta_grid:
         basis = SplineBasis(eta=eta, size=k)
         a_phi, b_phi, ineq, bound, labels = prepared.for_basis(basis)
@@ -349,19 +352,11 @@ def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> list[FitResult]:
                 continue
             if best[j] is not None and not histories[j][-1] < best[j].objective_history[-1]:
                 continue
-            # The pointwise constraint grid is coarser than the curve's own
-            # validation grid; a candidate that slips between the points is
-            # dropped from the eta search rather than failing the fit.
-            try:
-                curve = SplineSurvivalCurve(basis, tuple(betas[j]), horizon=prepared.grid[-1])
-            except ValueError as exc:
-                rejections[j].append(f"eta={eta:g}: {exc}")
-                continue
             weights = w_out[j] * base_w
             total = float(np.sum(weights))
             error = float(np.sqrt(np.sum(weights * eps[j]**2) / total)) if total > 0 else float("nan")
             best[j] = FitResult(
-                curve=curve,
+                curve=SplineSurvivalCurve(basis, tuple(betas[j]), horizon=prepared.horizon),
                 ids=tuple(q.id for q in quotes),
                 residuals=eps[j],
                 das=np.full(len(eps[j]), np.nan),
@@ -371,12 +366,9 @@ def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> list[FitResult]:
                 active_constraints=tuple(labels[i] for i in actives[j]),
                 objective_history=tuple(histories[j]),
             )
-    for fit, failed_j, rejected in zip(best, failures, rejections):
+    for fit, failed_j in zip(best, failures):
         if fit is None:
-            if failed_j:
-                raise FitError(failed_j[0])
-            raise FitError("no eta candidate produced a valid survival curve; "
-                           f"first rejection {rejected[0]}")
+            raise FitError(failed_j[0])
     return best
 
 
@@ -433,7 +425,9 @@ def calibrate_from_cds(
                 f"no non-negative hazard reproduces the {maturity}y quote"
             )
         hi = 1.0
-        while spread_gap(hi) < 0.0 and hi < 64.0:
+        while spread_gap(hi) < 0.0:
+            if hi >= 64.0:
+                raise ConvergenceError(f"no hazard up to {hi:g} reproduces the {maturity}y quote")
             hi *= 2.0
         h = solve_bracketed(spread_gap, 0.0, hi)
         segments.append((maturity, h))

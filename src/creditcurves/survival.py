@@ -7,10 +7,10 @@ Two representations are supported:
 - ``PiecewiseHazardCurve``: piecewise-constant hazard segments, the
   output of a CDS bootstrap.
 
-Invariants enforced at construction: Q(0) = 1, Q non-increasing on a
-quarterly validation grid, and Q positive at the curve horizon.  Past
-the horizon both representations extrapolate with the terminal hazard
-rate, which keeps hazards non-negative and survival positive forever.
+Invariants enforced at construction: Q(0) = 1, Q non-increasing (checked
+exactly, in closed form) and Q positive at the curve horizon.  Past the
+horizon both representations extrapolate with the terminal hazard rate,
+which keeps hazards non-negative and survival positive forever.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Sequence
 from .errors import ParseError
 from .splines import SplineBasis
 
-VALIDATION_STEP = 0.25
 DEFAULT_HORIZON = 30.0
 _Q0_TOL = 1e-12
 
@@ -92,23 +91,36 @@ class SplineSurvivalCurve(SurvivalCurve):
             raise ValueError(f"beta entries must be finite, got {beta!r}")
         if abs(sum(beta) - 1.0) > _Q0_TOL:
             raise ValueError(f"Q(0) = sum(beta) = {sum(beta)!r} must equal 1")
-        self.basis = basis
-        self.beta = beta
-        self.horizon = float(horizon)
-        self._validate_grid()
-        q_h = self._spline_q(self.horizon)
+        self.basis, self.beta, self.horizon = basis, beta, float(horizon)
+        self._validate()
+        self._q_horizon = self._spline_q(self.horizon)
         self._tail_hazard = self._spline_hazard(self.horizon)
-        self._q_horizon = q_h
 
-    def _validate_grid(self) -> None:
-        steps = int(math.ceil(self.horizon / VALIDATION_STEP))
-        grid = [min(i * VALIDATION_STEP, self.horizon) for i in range(steps + 1)]
-        prev = self._spline_q(0.0)
-        for t in grid[1:]:
-            q = self._spline_q(t)
-            if q > prev + _Q0_TOL:
-                raise ValueError(f"survival probability increases near t={t:.2f}")
-            prev = q
+    def _validate(self) -> None:
+        """Q never rises by more than ``_Q0_TOL`` and is positive at the horizon.  Between
+        knots, on [a, b], Q = sum p_m y^m in y = exp(-eta (u - a)) is monotone between
+        the roots of dQ/dy = p1 + 2 p2 y + 3 p3 y^2, so Q is compared there and at b.
+        Above its knot T, Phi_k = 1/3 - z y + (z y)^2 - (z y)^3 / 3 with z = exp(-eta (a - T))
+        <= 1, so no coefficient overflows however large eta T is."""
+        eta, a, prev = self.basis.eta, 0.0, self._spline_q(0.0)
+        for b in sorted({t for t in self._breakpoints() if t < self.horizon} | {self.horizon}):
+            p = [0.0] * 4
+            for k, beta in enumerate(self.beta, start=1):
+                if k <= 3:
+                    p[k] += beta * math.exp(-k * eta * a)
+                elif a >= self.basis.knot_tenor(k):
+                    z = math.exp(-eta * (a - self.basis.knot_tenor(k)))
+                    p[1:] = p[1] - beta * z, p[2] + beta * z * z, p[3] - beta * z ** 3 / 3.0
+            disc = 4.0 * p[2] * p[2] - 12.0 * p[3] * p[1]
+            w = -p[2] - 0.5 * math.copysign(math.sqrt(max(disc, 0.0)), p[2])  # no cancellation
+            roots = [p[1] / w] + ([w / (3.0 * p[3])] if p[3] else []) if disc > 0.0 else []
+            y_b = math.exp(-eta * (b - a))
+            for u in sorted(a - math.log(y) / eta for y in roots if y_b < y < 1.0) + [b]:
+                q = self._spline_q(u)
+                if q > prev + _Q0_TOL:
+                    raise ValueError(f"survival probability increases near t={u:.2f}")
+                prev = q
+            a = b
         if prev <= 0.0:
             raise ValueError("survival probability non-positive at the horizon")
 
@@ -168,22 +180,15 @@ class PiecewiseHazardCurve(SurvivalCurve):
         segs = tuple((float(t), float(h)) for t, h in segments)
         if not segs:
             raise ValueError("need at least one hazard segment")
-        prev = 0.0
+        cum, prev = [0.0], 0.0  # cumulative hazard at the segment ends
         for t, h in segs:
             if not prev < t < math.inf:
                 raise ValueError("segment tenors must be finite, strictly increasing and > 0")
             if not 0.0 <= h < math.inf:
                 raise ValueError(f"hazard rate at tenor {t} must be finite and >= 0, got {h!r}")
-            prev = t
-        self.segments = segs
-        self.horizon = segs[-1][0]
-        # Cumulative hazard at the segment ends.
-        cum = [0.0]
-        prev = 0.0
-        for t, h in segs:
             cum.append(cum[-1] + h * (t - prev))
             prev = t
-        self._cum = tuple(cum)
+        self.segments, self.horizon, self._cum = segs, segs[-1][0], tuple(cum)
 
     @classmethod
     def flat(cls, hazard: float, tenor: float = 1.0) -> "PiecewiseHazardCurve":

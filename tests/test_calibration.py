@@ -22,7 +22,8 @@ from creditcurves.calibration import (
 )
 from creditcurves.conventional import BondSpec, z_spread_duration
 from creditcurves.curves import BaseCurve
-from creditcurves.errors import ArbitrageError, FitError, InsufficientDataError, ParseError
+from creditcurves.errors import (ArbitrageError, ConvergenceError, FitError,
+                                InsufficientDataError, ParseError)
 from creditcurves.splines import SplineBasis
 from creditcurves.survival import PiecewiseHazardCurve, SplineSurvivalCurve
 
@@ -182,7 +183,12 @@ class TestFitSurvival:
         fit = fit_survival(round_trip_quotes, base_curve, config)
         assert fit.weighted_error < 1e-9
 
-    def test_pathological_prices_raise_fit_error(self, base_curve):
+    def test_prices_rich_to_every_decreasing_curve_meet_the_monotonicity_bound(
+        self, base_curve
+    ):
+        # Zero-coupon prices that imply negative hazards: the constrained optimum
+        # is a near-flat curve on the slope bound at the t = 0 end, and the
+        # market is rich to it at every maturity.
         quotes = [
             BondQuote(id=f"W{j}", spec=BondSpec(coupon=0.0, freq=2, maturity=float(T)),
                       clean_price=p, spread_duration=float(T))
@@ -190,10 +196,13 @@ class TestFitSurvival:
                 [(1, 0.999), (2, 0.998), (3, 0.997), (5, 0.996), (8, 0.995), (10, 0.994)]
             )
         ]
-        with pytest.raises(FitError):
-            fit_survival(quotes, base_curve, FitConfig(eta_grid=(0.005, 0.02), recovery=0.0))
+        fit = fit_survival(quotes, base_curve, FitConfig(eta_grid=(0.005, 0.02), recovery=0.0))
+        assert fit.eta == 0.005
+        assert fit.active_constraints == ("monotonicity:b1", "monotonicity:b2")
+        assert fit.curve.survival(10.0) == pytest.approx(0.99988, abs=1e-5)
+        assert (fit.residuals > 0.0).all()
 
-    def test_every_candidate_rejected_names_first_rejection(
+    def test_a_curve_error_propagates_from_the_eta_search(
         self, monkeypatch, base_curve, round_trip_quotes
     ):
         class Rejecting(SplineSurvivalCurve):
@@ -201,8 +210,7 @@ class TestFitSurvival:
                 raise ValueError(f"curve rejected at eta {basis.eta:g}")
 
         monkeypatch.setattr(calibration, "SplineSurvivalCurve", Rejecting)
-        with pytest.raises(FitError, match="no eta candidate produced a valid survival curve"
-                           r".*eta=0.01: curve rejected at eta 0.01$"):
+        with pytest.raises(ValueError, match="^curve rejected at eta 0.01$"):
             fit_survival(round_trip_quotes, base_curve, FIT_CONFIG)
 
     def test_value_error_outside_curve_validation_propagates(
@@ -245,6 +253,11 @@ class TestCdsBootstrap:
     def test_arbitrage_error_names_maturity(self, base_curve):
         with pytest.raises(ArbitrageError, match="3.0"):
             calibrate_from_cds([(1.0, 0.0200), (3.0, 0.0001)], base_curve, 0.40)
+
+    def test_exhausted_hazard_bracket_names_the_quote(self, base_curve):
+        with pytest.raises(ConvergenceError,
+                           match=r"^no hazard up to 64 reproduces the 1.0y quote$"):
+            calibrate_from_cds([(1.0, 50.0)], base_curve, 0.40)
 
     def test_input_validation(self, base_curve):
         with pytest.raises(InsufficientDataError):
@@ -667,12 +680,13 @@ class TestInfeasibleEta:
             fit_survival(self.quotes((2, 3, 5, 7, 10)), self.base, FitConfig(eta_grid=(2.0,)))
 
     def test_its_error_names_the_eta_and_the_violated_row(self):
-        # At beta = e1 the rows at the grid end read exp(-2 * 15) = 9.4e-14.
+        # At beta = e1 the positivity row at the horizon reads exp(-2 * 15) = 9.4e-14,
+        # and every monotonicity row reads 1.
         assert math.exp(-30.0) < calibration.CONSTRAINT_SLACK
         with pytest.raises(FitError) as raised:
             fit_survival(self.quotes((2, 3, 5, 7, 10)), self.base, FitConfig(eta_grid=(2.0,)))
         assert str(raised.value) == (
-            f"eta=2 (at start, monotonicity@15 = {math.exp(-30.0):.3g}): "
+            f"eta=2 (at start, positivity@15 = {math.exp(-30.0):.3g}): "
             "reference coefficients infeasible; constraint grid is inconsistent")
 
     def test_fit_survival_skips_it(self):
@@ -688,6 +702,35 @@ class TestInfeasibleEta:
         alone_rate, alone = implied_recovery(quotes, self.base, FitConfig(eta_grid=(0.05,)))
         assert fit.eta == 0.05
         assert (rate, fit_fields(fit)) == (alone_rate, fit_fields(alone))
+
+
+class TestMonotonicityRows:
+    """The fit's monotonicity rows are the Bernstein coefficients of the slope
+    polynomial g(x) = sum_k k beta_k x^(k-1) on [exp(-eta H), 1]."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(eta=st.floats(0.001, 3.0), maturity=st.integers(1, 30), size=st.integers(1, 3),
+           coefficients=st.lists(st.floats(0.0, 10.0), min_size=3, max_size=3))
+    def test_non_negative_rows_bound_the_slope_polynomial(self, eta, maturity, size,
+                                                           coefficients):
+        spec = BondSpec(coupon=0.05, freq=2, maturity=float(maturity))
+        prepared = calibration._QuoteSet([BondQuote(id="b", spec=spec, clean_price=1.0)], BASE)
+        _, _, ineq, bound, labels = prepared.for_basis(SplineBasis(eta=eta, size=size))
+        assert labels == [f"monotonicity:b{j}" for j in range(size)] + [
+            f"positivity@{maturity + 5}"]
+        assert (bound == calibration.CONSTRAINT_SLACK).all()
+        rows, wanted = ineq[:size], np.array(coefficients[:size])
+        assert (rows[:, 0] == 1.0).all()  # beta = e1 has g = 1
+        beta = np.linalg.solve(rows, wanted)
+        x0 = math.exp(-eta * prepared.horizon)
+        x = np.linspace(x0, 1.0, 2001)
+        s, n = (x - x0) / (1.0 - x0), size - 1
+        g = sum(k * b * x ** (k - 1) for k, b in enumerate(beta, start=1))
+        bernstein = sum(c * math.comb(n, j) * s**j * (1.0 - s) ** (n - j)
+                        for j, c in enumerate(wanted))
+        scale = 1.0 + size * np.abs(beta).sum() + wanted.sum()
+        assert np.abs(g - bernstein).max() <= 1e-12 * scale
+        assert g.min() >= -1e-12 * scale
 
 
 class TestLoaders:

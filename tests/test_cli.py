@@ -366,6 +366,12 @@ class TestBadInputRows:
         assert f"{cds}: row 3: " in capsys.readouterr().err
         assert not (pipeline_dir / "out").exists()
 
+    def test_cds_quote_beyond_the_hazard_bracket_exits_5_naming_it(self, pipeline_dir, capsys):
+        (pipeline_dir / "cds.csv").write_text("maturity_years,par_spread_bp\n1,500000\n")
+        assert run(full_argv(pipeline_dir, "hedge")) == 5
+        assert "reproduces the 1.0y quote" in capsys.readouterr().err
+        assert not (pipeline_dir / "out").exists()
+
     @pytest.mark.parametrize("text", [
         '{"type": "spline", "beta": [1.0]}',
         '{"type": "spline", "eta": 0.05,',

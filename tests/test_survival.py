@@ -1,12 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from creditcurves.errors import ParseError
 from creditcurves.splines import SplineBasis
 from creditcurves.survival import (
+    _Q0_TOL,
     PiecewiseHazardCurve,
     SplineSurvivalCurve,
     load_survival_curve,
@@ -106,6 +108,74 @@ def test_spline_constructor_enforces_invariants():
         SplineSurvivalCurve(basis, (3.0, -2.0, 0.0))       # Q increasing at 0
     with pytest.raises(ValueError):
         SplineSurvivalCurve(basis, (-1.0, 0.0, 2.0), horizon=30.0)  # goes negative
+
+
+BULGE = {"type": "spline", "eta": 3.0, "horizon": 30.0,
+         "beta": [1.8888371986009336, -0.1665285385433002, -0.7223086600576334]}
+
+
+def test_a_rise_between_quarter_points_is_rejected(tmp_path):
+    # Q(0) = 1, hazard(0) = -1.83 and Q peaks at 1.042 near t = 0.05, yet Q
+    # falls from each quarter-year point to the next.
+    basis, beta = SplineBasis(eta=BULGE["eta"]), BULGE["beta"]
+    quarters = [sum(b * basis.factor(k, 0.25 * i) for k, b in enumerate(beta, 1))
+                for i in range(121)]
+    assert all(b < a for a, b in zip(quarters, quarters[1:]))
+    assert sampled_rise(basis, beta, 0.25) > 0.04
+    with pytest.raises(ValueError, match="survival probability increases near t=0.05"):
+        SplineSurvivalCurve(basis, beta, horizon=BULGE["horizon"])
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(BULGE))
+    with pytest.raises(ParseError, match="increases"):
+        load_survival_curve(str(path))
+
+
+def test_a_steep_knotted_record_is_a_parse_error(tmp_path):
+    # 3 eta T = 750 at the knot: exp(3 eta T) overflows a float, so the check
+    # must not form it; Q rises from ~0 to ~1/30 above the knot.
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"type": "spline", "eta": 10.0, "beta": [0.5, 0.2, 0.2, 0.1],
+                                "knots": [[4, 25.0]], "horizon": 30.0}))
+    with pytest.raises(ParseError, match="survival probability increases near t=30.00"):
+        load_survival_curve(str(path))
+
+
+def sampled_rise(basis, beta, horizon, points=4001):
+    """Largest Q(t_j) - Q(t_i), t_i < t_j, over a dense grid of [0, horizon],
+    with Q summed from the factor formulas."""
+    t = np.linspace(0.0, horizon, points)
+    x = np.exp(-basis.eta * t)
+    q = beta[0] * x + beta[1] * x**2 + beta[2] * x**3
+    for (_, tenor), b in zip(basis.knots, beta[3:]):
+        e = np.exp(-basis.eta * np.maximum(t - tenor, 0.0))
+        q = q + b * np.where(t > tenor, 1.0 / 3.0 - e + e * e - e**3 / 3.0, 0.0)
+    return float(np.max(q - np.minimum.accumulate(q)))
+
+
+@st.composite
+def spline_curves(draw):
+    """(basis, beta, horizon) with sum(beta) = 1: knot-free or with 1-2 knots; eta up
+    to 20 puts 3 eta T far past the float range of exp."""
+    knots = sorted(draw(st.lists(st.floats(0.1, 45.0), max_size=2, unique=True)))
+    basis = SplineBasis(eta=draw(st.floats(0.01, 20.0)), size=3 + len(knots),
+                        knots=tuple((4 + i, t) for i, t in enumerate(knots)))
+    rest = draw(st.lists(st.floats(-2.0, 2.0), min_size=basis.size - 1,
+                         max_size=basis.size - 1))
+    return basis, (1.0 - math.fsum(rest), *rest), draw(st.floats(1.0, 40.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spline_curves())
+def test_constructor_rejects_every_sampled_rise(case):
+    basis, beta, horizon = case
+    rise = sampled_rise(basis, beta, horizon)
+    try:
+        SplineSurvivalCurve(basis, beta, horizon=horizon)
+    except ValueError as exc:
+        if rise > 1e-9:
+            assert "survival probability increases" in str(exc)
+    else:
+        assert rise <= _Q0_TOL
 
 
 def test_piecewise_constructor_enforces_invariants():
