@@ -171,7 +171,7 @@ class _QuoteSet:
         For factors 1..3, -Q'(t) = eta x g(x), x = exp(-eta t), g(x) = sum_k k beta_k
         x^(k-1); row j is g's j-th Bernstein coefficient on [exp(-eta H), 1] (j = 0
         at H), 1 at beta = e1, and rows >= 0 give g >= 0 (Farouki 2012)."""
-        phi = np.array([basis.row(t) for t in self.times])
+        phi = basis.row(self.times)
         starts = [lo for lo, _ in self.spans]
         n, x0 = basis.size - 1, math.exp(-basis.eta * self.horizon)
         ineq = [[k * sum(math.comb(j, i) * math.comb(n - j, k - 1 - i) * x0 ** (k - 1 - i)
@@ -230,7 +230,8 @@ def _solve_constrained_wls(
     betas = np.zeros((count, k))
     betas[:, 0] = 1.0
     slack = ineq @ betas[0] - bound
-    infeasible = FitError("reference coefficients infeasible; constraint grid is inconsistent")
+    # The fit's monotonicity rows read 1 at e1, so only its positivity row can fail here.
+    infeasible = FitError("infeasible start: Q(H) = exp(-eta H) is below the slack")
     failed = dict.fromkeys(range(count) if (slack < -_FEAS_TOL).any() else (), infeasible)
     order = np.argsort(slack) if (slack <= _FEAS_TOL).any() else []
     actives = [[int(i) for i in order[: k - 1] if slack[i] <= _FEAS_TOL] for _ in range(count)]
@@ -325,7 +326,8 @@ def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> list[FitResult]:
         a_phi, b_phi, ineq, bound, labels = prepared.for_basis(basis)
         slack = ineq[:, 0] - bound  # G beta - b at the solver's start beta = e1
         low = int(np.argmin(slack))
-        note = f" (at start, {labels[low]} = {ineq[low, 0]:.3g})" if slack[low] < -_FEAS_TOL else ""
+        note = (f" ({labels[low]} = {ineq[low, 0]:.3g} at beta = e1, CONSTRAINT_SLACK = "
+                f"{CONSTRAINT_SLACK:g})" if slack[low] < -_FEAS_TOL else "")
         designs = a_phi - rates[:, None, None] * b_phi
         failed = {j: _rank_error(designs[j], quotes)
                   for j in np.flatnonzero(np.linalg.matrix_rank(designs) < k).tolist()}

@@ -16,7 +16,8 @@ payment-grid rules.
 
 The continuous-time forms evaluate the survival-weighted discount
 integrals in closed form: both curve families reduce, segment by
-segment, to sums of exponentials, so no numerical quadrature is needed.
+segment, to sums of exponentials relative to the segment start, so no
+numerical quadrature is needed and no term overflows.
 """
 
 from __future__ import annotations
@@ -217,11 +218,11 @@ def credit_triangle_hazard(cds_spread: float, rs_rate: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _int_exp(decay: float, a: float, b: float) -> float:
-    """Integral of exp(-decay * u) over [a, b]."""
+def _int_exp(decay: float, span: float) -> float:
+    """Integral of exp(-decay * s) over [0, span]."""
     if abs(decay) < 1e-14:
-        return b - a
-    return -math.exp(-decay * a) * math.expm1(-decay * (b - a)) / decay
+        return span
+    return -math.expm1(-decay * span) / decay
 
 
 def survival_discount_integrals(
@@ -233,8 +234,8 @@ def survival_discount_integrals(
 ) -> tuple[float, float, float]:
     """Exact integrals of Z*Q, h*Z*Q and f*Z*Q times exp(-extra_decay*u).
 
-    Both curve families are piecewise sums of exponentials, so each
-    segment between curve breakpoints integrates in closed form.
+    On each cut [a, b] between base nodes and curve breakpoints, Z(u) =
+    Z(a) exp(-f (u - a)) and Q is ``curve._exp_terms``, both relative to a.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"t0 and t1 must be finite, got {t0!r}, {t1!r}")
@@ -247,9 +248,9 @@ def survival_discount_integrals(
     i_zq = i_hzq = i_fzq = 0.0
     for a, b in zip(grid, grid[1:]):
         f = base.fwd_rate(a)
-        scale = base.df(a) * math.exp(f * a)
+        scale = base.df(a) * math.exp(-extra_decay * a)
         for coef, decay in curve._exp_terms(a, b):
-            piece = scale * coef * _int_exp(f + decay + extra_decay, a, b)
+            piece = scale * coef * _int_exp(f + decay + extra_decay, b - a)
             i_zq += piece
             i_hzq += decay * piece
             i_fzq += f * piece

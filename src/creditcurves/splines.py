@@ -4,7 +4,9 @@ The basis consists of decaying exponentials sharing one long-term decay
 rate eta.  Factors 1..3 are knot-free, exp(-k*eta*t).  Factors 4 and up
 switch on above a knot tenor T and are built so that both the value and
 the first derivative vanish at the knot (C1 continuity), levelling off
-at 1/3 far above it.
+at 1/3 far above it.  On a knot segment that starts at a, every factor is
+a cubic in y = exp(-eta (u - a)); ``SplineBasis.coefficients`` is the one
+statement of those cubics, and ``row`` and the survival curve read them.
 """
 
 from __future__ import annotations
@@ -46,51 +48,30 @@ class SplineBasis:
     def knot_tenors(self) -> tuple[float, ...]:
         return tuple(t for _, t in self.knots)
 
-    def factor(self, k: int, t: float) -> float:
-        """Value of Phi_k at tenor t >= 0."""
-        if not 1 <= k <= self.size:
-            raise ValueError(f"factor index {k} out of range 1..{self.size}")
-        if not t >= 0.0:
+    def coefficients(self, a: float) -> np.ndarray:
+        """The one statement of the factors: C (size x 4) with Phi_k(u) = sum_m C[k-1, m] y^m,
+        y = exp(-eta (u - a)), on a knot segment that starts at a.  Factor k <= 3 has
+        exp(-k eta a) at m = k; a knotted factor at or above its knot T has
+        (1/3, -z, z^2, -z^3/3) with z = exp(-eta (a - T)) <= 1, so no entry overflows
+        however large eta T is, and zeros below it."""
+        c = np.zeros((self.size, 4))
+        for k in range(1, min(self.size, 3) + 1):
+            c[k - 1, k] = math.exp(-k * self.eta * a)
+        for k, tenor in self.knots:
+            if a >= tenor:
+                z = math.exp(-self.eta * (a - tenor))
+                c[k - 1] = 1.0 / 3.0, -z, z * z, -z * z * z / 3.0
+        return c
+
+    def row(self, t) -> np.ndarray:
+        """Phi(t) through ``coefficients``: the factor vector at a scalar t >= 0, or one row
+        per entry of a 1-D array.  t in (T_j, T_j+1] reads the segment that starts at
+        knot T_j, so a knotted factor is exactly 0 at and below its knot."""
+        t = np.asarray(t, dtype=float)
+        if not np.all(t >= 0.0):
             raise ValueError("t must be >= 0")
-        if k <= 3:
-            return math.exp(-k * self.eta * t)
-        x = t - self.knot_tenor(k)
-        if x <= 0.0:
-            return 0.0
-        e = math.exp(-self.eta * x)
-        return 1.0 / 3.0 - e + e * e - e * e * e / 3.0
-
-    def factor_slope(self, k: int, t: float) -> float:
-        """d Phi_k / dt; knotted factors are C1, zero at and below the knot."""
-        if not 1 <= k <= self.size:
-            raise ValueError(f"factor index {k} out of range 1..{self.size}")
-        if k <= 3:
-            return -k * self.eta * math.exp(-k * self.eta * t)
-        x = t - self.knot_tenor(k)
-        if x <= 0.0:
-            return 0.0
-        e = math.exp(-self.eta * x)
-        return self.eta * (e - 2.0 * e * e + e * e * e)
-
-    def row(self, t: float) -> np.ndarray:
-        """All factor values at t as a vector (regression design row)."""
-        return np.array([self.factor(k, t) for k in range(1, self.size + 1)])
-
-    def exp_terms(self, k: int, above_knot: bool) -> list[tuple[float, float]]:
-        """Phi_k as a sum of c * exp(-d * t) terms in absolute time.
-
-        For knotted factors the expansion is only valid above the knot;
-        callers split integration segments at knot tenors first.
-        """
-        if k <= 3:
-            return [(1.0, k * self.eta)]
-        if not above_knot:
-            return []
-        T = self.knot_tenor(k)
-        eta = self.eta
-        return [
-            (1.0 / 3.0, 0.0),
-            (-math.exp(eta * T), eta),
-            (math.exp(2.0 * eta * T), 2.0 * eta),
-            (-math.exp(3.0 * eta * T) / 3.0, 3.0 * eta),
-        ]
+        starts = np.array((0.0,) + self.knot_tenors)
+        seg = np.maximum(np.searchsorted(starts, t) - 1, 0)
+        c = np.stack([self.coefficients(a) for a in starts])[seg]
+        y = np.exp(-self.eta * (t - starts[seg]))[..., None]
+        return ((c[..., 3] * y + c[..., 2]) * y + c[..., 1]) * y + c[..., 0]

@@ -7,6 +7,10 @@ Two representations are supported:
 - ``PiecewiseHazardCurve``: piecewise-constant hazard segments, the
   output of a CDS bootstrap.
 
+A spline curve stores, once, Q on each knot segment [a, b] as a cubic in
+y = exp(-eta (u - a)): beta times ``SplineBasis.coefficients(a)``.  Its
+survival, hazard, monotonicity check and ``_exp_terms`` read those cubics.
+
 Invariants enforced at construction: Q(0) = 1, Q non-increasing (checked
 exactly, in closed form) and Q positive at the curve horizon.  Past the
 horizon both representations extrapolate with the terminal hazard rate,
@@ -17,7 +21,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from typing import Sequence
+
+import numpy as np
 
 from .errors import ParseError
 from .splines import SplineBasis
@@ -64,7 +71,8 @@ class SurvivalCurve:
         raise NotImplementedError
 
     def _exp_terms(self, a: float, b: float) -> list[tuple[float, float]]:
-        """Q(u) = sum c * exp(-d * u) on [a, b] (no breakpoints inside)."""
+        """Q(u) = sum c * exp(-d * (u - a)) on [a, b] (no breakpoints inside), relative to
+        the cut start a, so no term grows with a."""
         raise NotImplementedError
 
     # -- serialization ------------------------------------------------------
@@ -92,78 +100,67 @@ class SplineSurvivalCurve(SurvivalCurve):
         if abs(sum(beta) - 1.0) > _Q0_TOL:
             raise ValueError(f"Q(0) = sum(beta) = {sum(beta)!r} must equal 1")
         self.basis, self.beta, self.horizon = basis, beta, float(horizon)
+        self._starts = [0.0] + [t for t in basis.knot_tenors if t < self.horizon]
+        self._cubics = [tuple((np.array(beta) @ basis.coefficients(a)).tolist())
+                        for a in self._starts]
         self._validate()
-        self._q_horizon = self._spline_q(self.horizon)
-        self._tail_hazard = self._spline_hazard(self.horizon)
+        self._q_horizon, self._tail_hazard = self.survival(self.horizon), self.hazard(self.horizon)
 
     def _validate(self) -> None:
-        """Q never rises by more than ``_Q0_TOL`` and is positive at the horizon.  Between
-        knots, on [a, b], Q = sum p_m y^m in y = exp(-eta (u - a)) is monotone between
-        the roots of dQ/dy = p1 + 2 p2 y + 3 p3 y^2, so Q is compared there and at b.
-        Above its knot T, Phi_k = 1/3 - z y + (z y)^2 - (z y)^3 / 3 with z = exp(-eta (a - T))
-        <= 1, so no coefficient overflows however large eta T is."""
-        eta, a, prev = self.basis.eta, 0.0, self._spline_q(0.0)
-        for b in sorted({t for t in self._breakpoints() if t < self.horizon} | {self.horizon}):
-            p = [0.0] * 4
-            for k, beta in enumerate(self.beta, start=1):
-                if k <= 3:
-                    p[k] += beta * math.exp(-k * eta * a)
-                elif a >= self.basis.knot_tenor(k):
-                    z = math.exp(-eta * (a - self.basis.knot_tenor(k)))
-                    p[1:] = p[1] - beta * z, p[2] + beta * z * z, p[3] - beta * z ** 3 / 3.0
-            disc = 4.0 * p[2] * p[2] - 12.0 * p[3] * p[1]
-            w = -p[2] - 0.5 * math.copysign(math.sqrt(max(disc, 0.0)), p[2])  # no cancellation
-            roots = [p[1] / w] + ([w / (3.0 * p[3])] if p[3] else []) if disc > 0.0 else []
+        """Q never rises by more than ``_Q0_TOL`` and is positive at the horizon: on each
+        knot segment Q = sum p_m y^m is monotone between the roots of dQ/dy, so Q is
+        compared there and at the segment end."""
+        eta, prev = self.basis.eta, sum(self._cubics[0])
+        for a, b, (p0, p1, p2, p3) in zip(self._starts, self._starts[1:] + [self.horizon],
+                                          self._cubics):
+            disc = 4.0 * p2 * p2 - 12.0 * p3 * p1
+            w = -p2 - 0.5 * math.copysign(math.sqrt(max(disc, 0.0)), p2)  # no cancellation
+            roots = [p1 / w] + ([w / (3.0 * p3)] if p3 else []) if disc > 0.0 else []
             y_b = math.exp(-eta * (b - a))
-            for u in sorted(a - math.log(y) / eta for y in roots if y_b < y < 1.0) + [b]:
-                q = self._spline_q(u)
+            for y in sorted((y for y in roots if y_b < y < 1.0), reverse=True) + [y_b]:
+                q = ((p3 * y + p2) * y + p1) * y + p0
                 if q > prev + _Q0_TOL:
-                    raise ValueError(f"survival probability increases near t={u:.2f}")
+                    raise ValueError(
+                        f"survival probability increases near t={a - math.log(y) / eta:.2f}")
                 prev = q
-            a = b
         if prev <= 0.0:
             raise ValueError("survival probability non-positive at the horizon")
 
-    def _spline_q(self, t: float) -> float:
-        return sum(b * self.basis.factor(k + 1, t) for k, b in enumerate(self.beta))
-
-    def _spline_hazard(self, t: float) -> float:
-        q = self._spline_q(t)
-        if q <= 0.0:
-            raise ValueError(f"survival vanishes at t={t}; hazard undefined")
-        dq = sum(b * self.basis.factor_slope(k + 1, t) for k, b in enumerate(self.beta))
-        return -dq / q
+    def _cubic(self, t: float) -> tuple[tuple[float, ...], float]:
+        """The cubic of the knot segment (a, next start] holding t, and y at t."""
+        i = bisect_left(self._starts, t, 1) - 1
+        return self._cubics[i], math.exp(-self.basis.eta * (t - self._starts[i]))
 
     def survival(self, t: float) -> float:
         if not 0.0 <= t < math.inf:
             raise ValueError(f"t must be finite and >= 0, got {t!r}")
-        if t <= self.horizon:
-            return self._spline_q(t)
-        return self._q_horizon * math.exp(-self._tail_hazard * (t - self.horizon))
+        if t > self.horizon:
+            return self._q_horizon * math.exp(-self._tail_hazard * (t - self.horizon))
+        (p0, p1, p2, p3), y = self._cubic(t)
+        return ((p3 * y + p2) * y + p1) * y + p0
 
     def hazard(self, t: float) -> float:
         if not 0.0 <= t < math.inf:
             raise ValueError(f"t must be finite and >= 0, got {t!r}")
-        if t <= self.horizon:
-            return self._spline_hazard(t)
-        return self._tail_hazard
+        if t > self.horizon:
+            return self._tail_hazard
+        (p0, p1, p2, p3), y = self._cubic(t)
+        q = ((p3 * y + p2) * y + p1) * y + p0
+        if q <= 0.0:
+            raise ValueError(f"survival vanishes at t={t}; hazard undefined")
+        return self.basis.eta * (((3.0 * p3 * y + 2.0 * p2) * y + p1) * y / q)
 
     def _breakpoints(self) -> tuple[float, ...]:
         return self.basis.knot_tenors + (self.horizon,)
 
     def _exp_terms(self, a: float, b: float) -> list[tuple[float, float]]:
         if a >= self.horizon:
-            coef = self._q_horizon * math.exp(self._tail_hazard * self.horizon)
-            return [(coef, self._tail_hazard)]
-        terms: list[tuple[float, float]] = []
-        mid = 0.5 * (a + b)
-        for k, beta in enumerate(self.beta, start=1):
-            if beta == 0.0:
-                continue
-            above = k > 3 and mid > self.basis.knot_tenor(k)
-            for coef, decay in self.basis.exp_terms(k, above):
-                terms.append((beta * coef, decay))
-        return terms
+            return [(self._q_horizon * math.exp(-self._tail_hazard * (a - self.horizon)),
+                     self._tail_hazard)]
+        i = bisect_left(self._starts, 0.5 * (a + b), 1) - 1  # the segment holding the cut
+        w = math.exp(-self.basis.eta * (a - self._starts[i]))  # y at a
+        return [(p * w ** m, m * self.basis.eta)
+                for m, p in enumerate(self._cubics[i]) if p != 0.0]
 
     def to_dict(self) -> dict:
         record = {"type": "spline", "eta": self.basis.eta, "beta": list(self.beta),
@@ -224,9 +221,7 @@ class PiecewiseHazardCurve(SurvivalCurve):
         return tuple(t for t, _ in self.segments)
 
     def _exp_terms(self, a: float, b: float) -> list[tuple[float, float]]:
-        h = self.hazard(a)
-        coef = self.survival(a) * math.exp(h * a)
-        return [(coef, h)]
+        return [(self.survival(a), self.hazard(a))]
 
     def to_dict(self) -> dict:
         return {"type": "piecewise_hazard",

@@ -422,7 +422,7 @@ def reference_solve(design, target, weights, ineq, bound):
     beta[0] = 1.0
     slack = ineq @ beta - bound
     if np.any(slack < -_FEAS_TOL):
-        raise FitError("reference coefficients infeasible; constraint grid is inconsistent")
+        raise FitError("infeasible start: Q(H) = exp(-eta H) is below the slack")
     binding = [int(i) for i in np.argsort(slack) if slack[i] <= _FEAS_TOL]
     active: list[int] = binding[: max(k - 1, 0)]
 
@@ -676,7 +676,7 @@ class TestInfeasibleEta:
                 for t, spec in zip(maturities, specs)]
 
     def test_the_eta_alone_fails(self):
-        with pytest.raises(FitError, match="reference coefficients infeasible"):
+        with pytest.raises(FitError, match="infeasible start"):
             fit_survival(self.quotes((2, 3, 5, 7, 10)), self.base, FitConfig(eta_grid=(2.0,)))
 
     def test_its_error_names_the_eta_and_the_violated_row(self):
@@ -686,8 +686,8 @@ class TestInfeasibleEta:
         with pytest.raises(FitError) as raised:
             fit_survival(self.quotes((2, 3, 5, 7, 10)), self.base, FitConfig(eta_grid=(2.0,)))
         assert str(raised.value) == (
-            f"eta=2 (at start, positivity@15 = {math.exp(-30.0):.3g}): "
-            "reference coefficients infeasible; constraint grid is inconsistent")
+            f"eta=2 (positivity@15 = {math.exp(-30.0):.3g} at beta = e1, CONSTRAINT_SLACK = "
+            "1e-08): infeasible start: Q(H) = exp(-eta H) is below the slack")
 
     def test_fit_survival_skips_it(self):
         quotes = self.quotes((2, 3, 5, 7, 10))

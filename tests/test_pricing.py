@@ -662,6 +662,13 @@ class TestRecoveryContracts:
         assert spread == pytest.approx(0.6 * 0.02, abs=1e-6)
 
 
+# Valid: Q rises above the knot by less than 1e-13 / 3, within the curve's tolerance.
+STEEP_KNOTTED = SplineSurvivalCurve(SplineBasis(eta=10.0, size=4, knots=((4, 24.0),)),
+                                    (1.0 - 1e-13, 0.0, 0.0, 1e-13), horizon=30.0)
+KNOTTED_CURVE = SplineSurvivalCurve(SplineBasis(eta=0.12, size=5, knots=((4, 3.0), (5, 8.0))),
+                                    (0.55, 0.30, 0.15, 0.05, -0.05), horizon=20.0)
+
+
 class TestContinuousTime:
     def test_zero_coupon_zero_recovery_closed_form(self):
         base, curve = BaseCurve.flat(0.05), PiecewiseHazardCurve.flat(0.03)
@@ -703,22 +710,34 @@ class TestContinuousTime:
             assert gap < 1e-3
 
     def test_quadrature_oracle_sloped_curves(self, base_curve, true_spline_curve):
-        bond = BondSpec(coupon=0.06, freq=2, maturity=8.0)
         R, das = 0.4, 0.005
-        T = bond.maturity
+        # (curve, maturity): the knotted bonds cross every knot, the steep one the horizon too.
+        for curve, T in ((true_spline_curve, 8.0), (KNOTTED_CURVE, 12.0), (STEEP_KNOTTED, 35.0)):
+            bond = BondSpec(coupon=0.06, freq=2, maturity=T)
 
-        def zq(u):
-            return (base_curve.df(u) * true_spline_curve.survival(u)
-                    * math.exp(-das * u))
+            def zq(u, curve=curve):
+                return base_curve.df(u) * curve.survival(u) * math.exp(-das * u)
 
-        i_zq, _ = quad(zq, 0.0, T, limit=400)
-        i_hzq, _ = quad(lambda u: true_spline_curve.hazard(u) * zq(u), 0.0, T, limit=400)
-        survived = zq(T)
-        expected = (0.06 * i_zq + survived - 0.06 / 4 * (1 - survived)
-                    + R * (1 + 0.06 / 4) * i_hzq)
-        assert pricing.bond_price_continuous(
-            bond, base_curve, true_spline_curve, R, das=das
-        ) == pytest.approx(expected, abs=1e-9)
+            # Tight quadrature, split at the kinks: the steep curve's integrand is
+            # exp(-10 u) near 0, which the default tolerances leave 4e-9 off.
+            opts = dict(limit=400, epsabs=1e-14, epsrel=1e-13, points=[
+                x for x in base_curve.node_tenors + curve._breakpoints() if x < T])
+            i_zq, _ = quad(zq, 0.0, T, **opts)
+            i_hzq, _ = quad(lambda u: curve.hazard(u) * zq(u), 0.0, T, **opts)
+            survived = zq(T)
+            expected = (0.06 * i_zq + survived - 0.06 / 4 * (1 - survived)
+                        + R * (1 + 0.06 / 4) * i_hzq)
+            assert pricing.bond_price_continuous(
+                bond, base_curve, curve, R, das=das
+            ) == pytest.approx(expected, abs=1e-9)
+
+    def test_a_steep_knotted_curve_prices_without_overflow(self, base_curve):
+        # 3 eta T = 720 at the knot: terms in absolute time would need exp(720).
+        bond = BondSpec(coupon=0.06, freq=2, maturity=35.0)
+        assert math.isfinite(pricing.cds_par_spread_continuous(
+            35.0, 4, base_curve, STEEP_KNOTTED, 0.4))
+        for t in (1.0, 24.5, 34.0):
+            assert math.isfinite(hedging.fwd_bond_price(bond, base_curve, STEEP_KNOTTED, 0.4, t))
 
     def test_par_cds_continuous_flat_identity(self):
         for f, h, R, freq in [(0.04, 0.02, 0.4, 4), (0.0, 0.015, 0.4, 4),

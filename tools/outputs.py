@@ -8,7 +8,13 @@ For each tree it starts one subprocess with that tree's ``src`` and
 ``bench`` on the path.  The subprocess runs every operation of the
 issuer_eod, recovery_scan and cds_hedge workloads for seeds 11 and 12
 over cycles 0-1, with the workload's own checks.  It flattens each
-output into records keyed ``workload/seed/issuer/field...``.  Records are either floats or
+output into records keyed ``workload/seed/issuer/field...``.  It also records, under
+``library``, the library's measures on every curve an operation returns (the
+fitted spline curves and the bootstrapped CDS curves): CDS par spreads, rpv01,
+upfronts, par coupons and forward CDS spreads at ``TENORS``, and per bond the
+fitted P-spread, excess spread, continuous-time price and forward prices at a
+quarter, half and three quarters of its life.  A call that raises records
+its error.  Records are either floats or
 discrete values: labels, warnings, check problems, and the floats named in
 ``DISCRETE`` (eta picks, implied rates, hedge-leg maturities, tenors).
 
@@ -40,6 +46,7 @@ OUTPUT_NAMES = {
     "cds_hedge": ("curve", "report", "bonds"),
 }
 BOND_NAMES = ("coarse_hedge", "spot_hedge", "basis_spread", "approx_basis")
+TENORS = (1.0, 3.0, 5.0, 10.0)  # maturities of the per-curve library calls
 # Float fields whose values are choices, not measurements: any change is listed.
 DISCRETE = {"eta", "rate", "maturity", "tenor", "horizon", "recovery", "ccp_coupons"}
 
@@ -74,9 +81,48 @@ def flatten(tree, prefix: str, out: dict) -> dict:
     return out
 
 
+def attempt(fn, *args):
+    """``fn(*args)``, or the error it raises as text."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # recorded, so that a change in what raises is listed
+        return f"{type(exc).__name__}: {exc}"
+
+
+def library_calls(curve, base, recovery: float, bonds: list) -> dict:
+    """The library's measures on ``curve``, per tenor of ``TENORS`` and per bond
+    (spec, clean price), each by ``attempt``."""
+    from creditcurves import hedging, measures, pricing
+
+    freq = pricing.CDS_FREQ
+    return {
+        "cds_par_spread": [attempt(pricing.cds_par_spread, m, freq, base, curve, recovery)
+                           for m in TENORS],
+        "cds_par_spread_continuous": [
+            attempt(pricing.cds_par_spread_continuous, m, freq, base, curve, recovery)
+            for m in TENORS],
+        "rpv01": [attempt(pricing.rpv01, m, freq, base, curve) for m in TENORS],
+        "cds_upfront": [attempt(pricing.cds_upfront, pricing.CdsSpec(0.01, m, recovery=recovery),
+                                base, curve) for m in TENORS],
+        "par_coupon": [attempt(measures.par_coupon, m, 2, base, curve, recovery)
+                       for m in TENORS],
+        "fwd_cds_spread": [attempt(measures.fwd_cds_spread, t1, t2, base, curve, recovery)
+                           for t1, t2 in zip(TENORS, TENORS[1:])],
+        "bonds": [{
+            "fitted_p_spread": attempt(measures.fitted_p_spread, spec, base, curve, recovery),
+            "excess_spread": attempt(measures.excess_spread, spec, price, base, curve, recovery),
+            "bond_price_continuous": attempt(pricing.bond_price_continuous, spec, base, curve,
+                                             recovery),
+            "fwd_bond_price": [attempt(hedging.fwd_bond_price, spec, base, curve, recovery,
+                                       f * spec.maturity) for f in (0.25, 0.5, 0.75)],
+        } for spec, price in bonds],
+    }
+
+
 def collect() -> dict:
     """Every output of the workloads in this interpreter's tree, as flat records."""
-    from workloads import WORKLOAD_CLASSES  # the bench/ of the tree under test
+    from creditcurves.calibration import FitConfig
+    from workloads import WORKLOAD_CLASSES, _spec  # the bench/ of the tree under test
 
     records: dict = {}
     for name in WORKLOADS:
@@ -85,13 +131,22 @@ def collect() -> dict:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 workload.prepare(CYCLES)
+                issuers = {i.id: i for cycle in workload.universe.cycles.values() for i in cycle}
                 for block in workload.prepared:
                     for op in block.ops:
                         out = op.run()
                         named = dict(zip(OUTPUT_NAMES[name], out))
+                        issuer = issuers[op.issuer]
                         if name == "cds_hedge":
                             named["bonds"] = [dict(zip(BOND_NAMES, b)) for b in named["bonds"]]
+                            curve, recovery = named["curve"], issuer.recovery
+                        else:
+                            curve = named["fit"].curve
+                            recovery = named.get("rate", FitConfig().recovery)
                         named["problems"] = op.check(out)
+                        named["library"] = library_calls(
+                            curve, workload.base, recovery,
+                            [(_spec(b), b.price) for b in issuer.bonds])
                         flatten(to_tree(named), f"{name}/{seed}/{op.issuer}", records)
             workload.close()
     return records
