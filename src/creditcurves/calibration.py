@@ -36,13 +36,13 @@ from .conventional import BondSpec
 from .curves import BaseCurve, grid_times
 from .errors import (ArbitrageError, ConvergenceError, FitError, InsufficientDataError,
                      ParseError, ScheduleError)
-from .rootfind import check_price, solve_bracketed, solve_spread, spread_duration
+from .rootfind import PRICE_TOL, check_price, solve_bracketed, solve_spread, spread_duration
 from .splines import SplineBasis
 from .survival import PiecewiseHazardCurve, SplineSurvivalCurve
 
 CONSTRAINT_SLACK = 1e-8  # strict inequalities relaxed to >= this margin
 OUTLIER_TUNING = 4.685   # Tukey bisquare constant, in robust standard deviations
-OUTLIER_TOL = 1e-8       # IRLS stops when no outlier weight moves by this much
+OUTLIER_TOL = 1e-8       # IRLS stops once no weight moves this much or no residual > PRICE_TOL
 OUTLIER_MAX_ITER = 10    # IRLS cap: weighted solves per eta candidate
 FLAT_ERROR_TOL = 1e-6    # recovery not identified: fit error spread across the scan below this
 _FEAS_TOL = 1e-10
@@ -344,7 +344,8 @@ def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> list[FitResult]:
             failed.update((live[i], exc) for i, exc in errors.items())  # ride along this step
             eps[live] = residuals = target - (stack @ betas[live, :, None])[:, :, 0]
             w_out[live] = w_new = _bisquare_weights(residuals, OUTLIER_TUNING)
-            done = np.max(np.abs(w_new - w_live), axis=1) < OUTLIER_TOL
+            done = ((np.max(np.abs(w_new - w_live), axis=1) < OUTLIER_TOL)
+                    | (np.max(np.abs(residuals), axis=1) <= PRICE_TOL))
             for j, objective in zip(live, np.sum(weights * residuals**2, axis=1)):
                 histories[j].append(float(objective))
             live = [j for j, stop in zip(live, done) if not stop and j not in failed]

@@ -1,14 +1,13 @@
-"""Bracketed scalar root finding.
+"""Scalar root finding on the fixed rate bracket ``RATE_BRACKET``.
 
-All spread/yield solvers in this package reduce to finding the root of a
-monotone pricing residual on the fixed rate bracket ``RATE_BRACKET``.
-The solver below is a bisection loop refined by secant steps: secant gives
-fast local convergence, bisection guarantees progress for the distressed
-price configurations where Newton-style iterations diverge.
-``solve_spread`` is the one constant-spread solve (DAS, basis, Z-spread)
-on per-date discounted cash flows, ``spread_duration`` its duration.  Every
-solve accepts a residual of at most ``PRICE_TOL``; the tolerances are fixed
-here, not passed by callers.
+``solve_spread`` (DAS, basis, Z-spread) and ``spread_duration`` solve
+PV(s) = sum w_i exp(-s t_i) = dirty.  For flows w_i >= 0 at times t_i > 0 PV
+is convex and decreasing, so Newton's method from s = 0 lands left of the root
+after one step and then climbs to it monotonically.  A step out of the bracket,
+a slope not > 0 (flows pushed negative at float noise) or a spent budget falls
+back to ``solve_bracketed``, bisection refined by secant steps, which also
+serves the yield and CDS bootstrap solves.  Every solve accepts a residual of
+at most ``PRICE_TOL``; the tolerances are fixed here, not passed by callers.
 """
 
 from __future__ import annotations
@@ -77,18 +76,31 @@ def check_price(price: float, name: str = "dirty price") -> float:
     return price
 
 
+def _spread_root(times: Sequence[float], flows: Sequence[float],
+                 dirty: float) -> tuple[float, float]:
+    """(s, sum t w exp(-s t)) at the root of sum w exp(-s t) = dirty: Newton from s = 0,
+    else ``solve_bracketed`` on a step out of RATE_BRACKET, a slope <= 0 or a spent budget."""
+    s, (lo, hi) = 0.0, RATE_BRACKET
+    for _ in range(_MAX_ITER):
+        pv = slope = 0.0
+        for t, w in zip(times, flows):
+            x = w * math.exp(-s * t)
+            pv += x
+            slope += t * x
+        if abs(pv - dirty) <= PRICE_TOL:
+            return s, slope
+        if not (slope > 0.0 and lo <= (s := s + (pv - dirty) / slope) <= hi):
+            break
+    s = solve_bracketed(lambda x: sum(w * math.exp(-x * t) for t, w in zip(times, flows)) - dirty,
+                        lo, hi)
+    return s, sum(t * w * math.exp(-s * t) for t, w in zip(times, flows))
+
+
 def solve_spread(times: Sequence[float], flows: Sequence[float], dirty: float) -> float:
-    """Constant spread s with sum w_i * exp(-s * t_i) = dirty, on
-    RATE_BRACKET: each root evaluation only re-discounts the flows w_i."""
-    check_price(dirty)
-
-    def residual(s: float) -> float:
-        return sum(w * math.exp(-s * t) for t, w in zip(times, flows)) - dirty
-
-    return solve_bracketed(residual, *RATE_BRACKET)
+    """Constant spread s with sum w_i * exp(-s * t_i) = dirty, on RATE_BRACKET."""
+    return _spread_root(times, flows, check_price(dirty))[0]
 
 
 def spread_duration(times: Sequence[float], flows: Sequence[float], dirty: float) -> float:
     """Sensitivity -d ln PV / d s at the ``solve_spread`` root, in years."""
-    s = solve_spread(times, flows, dirty)
-    return sum(t * w * math.exp(-s * t) for t, w in zip(times, flows)) / dirty
+    return _spread_root(times, flows, check_price(dirty))[1] / dirty

@@ -13,8 +13,8 @@ survival, hazard, monotonicity check and ``_exp_terms`` read those cubics.
 
 Invariants enforced at construction: Q(0) = 1, Q non-increasing (checked
 exactly, in closed form) and Q positive at the curve horizon.  Past the
-horizon both representations extrapolate with the terminal hazard rate,
-which keeps hazards non-negative and survival positive forever.
+horizon both representations extrapolate with the terminal hazard rate floored
+at 0 (Q may rise by ``_Q0_TOL``), so hazards stay >= 0 and survival positive forever.
 """
 
 from __future__ import annotations
@@ -97,14 +97,15 @@ class SplineSurvivalCurve(SurvivalCurve):
             raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
         if not all(math.isfinite(b) for b in beta):
             raise ValueError(f"beta entries must be finite, got {beta!r}")
-        if abs(sum(beta) - 1.0) > _Q0_TOL:
-            raise ValueError(f"Q(0) = sum(beta) = {sum(beta)!r} must equal 1")
         self.basis, self.beta, self.horizon = basis, beta, float(horizon)
         self._starts = [0.0] + [t for t in basis.knot_tenors if t < self.horizon]
         self._cubics = [tuple((np.array(beta) @ basis.coefficients(a)).tolist())
                         for a in self._starts]
+        if abs(sum(self._cubics[0]) - 1.0) > _Q0_TOL:  # knotted factors are 0 at t = 0
+            raise ValueError(f"Q(0) = knot-free sum(beta) = {sum(self._cubics[0])!r} must equal 1")
         self._validate()
-        self._q_horizon, self._tail_hazard = self.survival(self.horizon), self.hazard(self.horizon)
+        self._q_horizon = self.survival(self.horizon)
+        self._tail_hazard = max(self.hazard(self.horizon), 0.0)
 
     def _validate(self) -> None:
         """Q never rises by more than ``_Q0_TOL`` and is positive at the horizon: on each

@@ -26,7 +26,7 @@ def test_knotted_factor_is_c1_at_the_knot():
     slope = (basis.row(7.0 + h)[3] - basis.row(7.0 - h)[3]) / (2 * h)
     assert abs(slope) < 1e-6
     # Factor 4 adds no slope at its knot: the curve's hazard there is factor 1's, eta.
-    curve = SplineSurvivalCurve(basis, (0.99, 0.0, 0.0, 0.01), horizon=10.0)
+    curve = SplineSurvivalCurve(basis, (1.0, 0.0, 0.0, 0.01), horizon=10.0)  # Q(0) = 1
     assert curve.hazard(7.0) == basis.eta
 
 
@@ -71,7 +71,7 @@ def test_no_knot_factors_bounded_and_decreasing(eta, t, dt, k):
 
 # Curves that isolate factors 1..3, and one that adds factor 4 to factor 1.
 FACTOR_BETAS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0),
-                (0.8, 0.0, 0.0, 0.2))
+                (1.0, 0.0, 0.0, 0.2))  # factor 4 is 0 at t = 0, so Q(0) = 1
 
 
 def test_factor_slope_matches_central_difference():
@@ -93,7 +93,7 @@ def test_exp_terms_reconstruct_factors():
         value = sum(c * math.exp(-d * (t - 3.0)) for c, d in curve._exp_terms(3.0, 10.0))
         assert value == pytest.approx(curve.survival(t), rel=1e-12)
     # Below its knot factor 4 has no terms.
-    assert curve._exp_terms(0.0, 3.0) == [(0.8, 0.08)]
+    assert curve._exp_terms(0.0, 3.0) == [(1.0, 0.08)]
 
 
 @st.composite
@@ -111,7 +111,7 @@ def bases_and_curves(draw):
     horizon = min(draw(st.floats(0.5, 40.0)), 200.0 / eta)  # exp(-3 eta H) > 0
     m = math.fsum(wk * math.exp(-k * eta * horizon) for k, wk in enumerate(w, 1))
     knotted = [-3.0 * m * draw(st.floats(0.0, 0.9)) / len(knots) for _ in knots]
-    beta = [wk * (1.0 - math.fsum(knotted)) for wk in w] + knotted
+    beta = w + knotted  # knotted factors are 0 at t = 0, so Q(0) = sum(w) = 1
     return basis, SplineSurvivalCurve(basis, beta, horizon=horizon)
 
 

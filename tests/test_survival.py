@@ -110,6 +110,25 @@ def test_spline_constructor_enforces_invariants():
         SplineSurvivalCurve(basis, (-1.0, 0.0, 2.0), horizon=30.0)  # goes negative
 
 
+def test_knotted_factors_do_not_count_towards_q0():
+    # Factor 4 is 0 at t = 0, so Q(0) = 1.5 although beta sums to 1.
+    basis = SplineBasis(eta=0.05, size=4, knots=((4, 5.0),))
+    with pytest.raises(ValueError, match=r"Q\(0\) = knot-free sum\(beta\) = 1.5 must equal 1"):
+        SplineSurvivalCurve(basis, (1.5, 0.0, 0.0, -0.5))
+
+
+def test_tail_past_the_horizon_never_rises():
+    # Q rises by ~1e-13 (within the Q(0) tolerance) just before the horizon, so the
+    # hazard there is about -285; the tail must not extrapolate that rise.
+    basis = SplineBasis(eta=10.0, size=4, knots=((4, 29.99),))
+    curve = SplineSurvivalCurve(basis, (1.0 - 1e-12, 0.0, 0.0, 1e-12), horizon=30.0)
+    assert curve.hazard(30.0) < -100.0
+    q_h = curve.survival(30.0)
+    for t in (30.2, 33.0, 100.0, 1e6):
+        assert math.isfinite(curve.survival(t)) and curve.survival(t) <= q_h
+        assert curve.hazard(t) == 0.0
+
+
 BULGE = {"type": "spline", "eta": 3.0, "horizon": 30.0,
          "beta": [1.8888371986009336, -0.1665285385433002, -0.7223086600576334]}
 
@@ -133,7 +152,7 @@ def test_a_steep_knotted_record_is_a_parse_error(tmp_path):
     # 3 eta T = 750 at the knot: exp(3 eta T) overflows a float, so the check
     # must not form it; Q rises from ~0 to ~1/30 above the knot.
     path = tmp_path / "curve.json"
-    path.write_text(json.dumps({"type": "spline", "eta": 10.0, "beta": [0.5, 0.2, 0.2, 0.1],
+    path.write_text(json.dumps({"type": "spline", "eta": 10.0, "beta": [0.6, 0.2, 0.2, 0.1],
                                 "knots": [[4, 25.0]], "horizon": 30.0}))
     with pytest.raises(ParseError, match="survival probability increases near t=30.00"):
         load_survival_curve(str(path))
@@ -153,14 +172,15 @@ def sampled_rise(basis, beta, horizon, points=4001):
 
 @st.composite
 def spline_curves(draw):
-    """(basis, beta, horizon) with sum(beta) = 1: knot-free or with 1-2 knots; eta up
-    to 20 puts 3 eta T far past the float range of exp."""
+    """(basis, beta, horizon) with Q(0) = beta_1 + beta_2 + beta_3 = 1 (knotted factors
+    are 0 at t = 0): knot-free or with 1-2 knots; eta up to 20 puts 3 eta T far past
+    the float range of exp."""
     knots = sorted(draw(st.lists(st.floats(0.1, 45.0), max_size=2, unique=True)))
     basis = SplineBasis(eta=draw(st.floats(0.01, 20.0)), size=3 + len(knots),
                         knots=tuple((4 + i, t) for i, t in enumerate(knots)))
     rest = draw(st.lists(st.floats(-2.0, 2.0), min_size=basis.size - 1,
                          max_size=basis.size - 1))
-    return basis, (1.0 - math.fsum(rest), *rest), draw(st.floats(1.0, 40.0))
+    return basis, (1.0 - math.fsum(rest[:2]), *rest), draw(st.floats(1.0, 40.0))
 
 
 @settings(max_examples=200, deadline=None)
