@@ -33,7 +33,7 @@ import numpy as np
 
 from . import pricing
 from .conventional import BondSpec
-from .curves import BaseCurve, grid_times
+from .curves import BaseCurve, grid_periods
 from .errors import (ArbitrageError, ConvergenceError, FitError, InsufficientDataError,
                      ParseError, ScheduleError)
 from .rootfind import PRICE_TOL, check_price, solve_bracketed, solve_spread, spread_duration
@@ -147,7 +147,7 @@ class _QuoteSet:
         self.times, self.cf_z, self.spans, b, v1 = [], [], [], [], []
         for q in quotes:
             z = [base.df(t) for t in q.spec.payment_times]
-            g = pricing.frp_coefficients(q.spec)[1]
+            g = pricing.frp_coefficients(q.spec.coupon, q.spec.freq)[1]
             self.spans.append((len(self.times), len(self.times) + len(z)))
             self.times += q.spec.payment_times
             self.cf_z += [cf * zi for (_, cf), zi in zip(q.spec.cash_flows(), z)]
@@ -544,7 +544,7 @@ def load_cds_quotes(path: str) -> list[tuple[float, float]]:
                     raise ValueError(f"par_spread_bp must be finite, got {spread_bp!r}")
                 if not spread_bp > 0.0:
                     raise ValueError(f"par_spread_bp must be > 0, got {spread_bp!r}")
-                grid_times(maturity, pricing.CDS_FREQ)
+                grid_periods(maturity, pricing.CDS_FREQ)
                 if out and not maturity > out[-1][0]:
                     raise ValueError(f"maturity_years {maturity!r} is not above the "
                                      f"previous row's {out[-1][0]!r}")

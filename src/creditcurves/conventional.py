@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .curves import BaseCurve, grid_times
+from .curves import BaseCurve, grid_periods
 from .rootfind import RATE_BRACKET, check_price, solve_bracketed, solve_spread, spread_duration
 
 
@@ -42,11 +42,11 @@ class BondSpec:
             raise ValueError(f"maturity must be > 0, got {self.maturity!r}")
         if not 0.0 <= self.accrued_time < 1.0 / self.freq:
             raise ValueError("accrued_time must lie in [0, 1/freq)")
-        grid_times(self.maturity + self.accrued_time, self.freq)
+        grid_periods(self.maturity + self.accrued_time, self.freq)
 
     @property
     def n_payments(self) -> int:
-        return round((self.maturity + self.accrued_time) * self.freq)
+        return grid_periods(self.maturity + self.accrued_time, self.freq)
 
     @property
     def payment_times(self) -> tuple[float, ...]:
@@ -85,7 +85,7 @@ class FrnSpec:
             raise ValueError("freq must be >= 1")
         if not math.isfinite(self.quoted_margin):
             raise ValueError(f"quoted_margin must be finite, got {self.quoted_margin!r}")
-        n = len(grid_times(self.maturity, self.freq))
+        n = grid_periods(self.maturity, self.freq)
         if self.fixings is not None:
             fixings = tuple(float(x) for x in self.fixings)
             if len(fixings) != n or not all(math.isfinite(x) for x in fixings):
@@ -94,7 +94,7 @@ class FrnSpec:
 
     @property
     def n_payments(self) -> int:
-        return round(self.maturity * self.freq)
+        return grid_periods(self.maturity, self.freq)
 
 
 def _pv_at_yield(bond: BondSpec, y: float, q_conv: float) -> float:

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .errors import ParseError, ScheduleError
 
-MAX_PERIODS = 1200  # longest schedule grid_times builds: 100 years of monthly periods
+MAX_PERIODS = 1200  # longest schedule grid_periods allows: 100 years of monthly periods
 
 
 class BaseCurve:
@@ -139,19 +139,24 @@ def load_base_curve(path: str) -> BaseCurve:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def grid_times(span: float, freq: int) -> tuple[float, ...]:
-    """Payment times (1/freq, 2/freq, ..., n/freq) of a schedule of n periods.
+def grid_periods(span: float, freq: int) -> int:
+    """Number n of 1/freq periods in ``span``: the single home of the payment-grid rule.
 
-    The single home of the payment-grid rule: ``span`` must be finite and
-    lie within 1e-8 of a whole number n >= 1 of 1/freq periods, with n at
-    most ``MAX_PERIODS``, otherwise ``ScheduleError`` names the offending value.
+    ``span`` must be finite and lie within 1e-8 of a whole number n >= 1 of
+    1/freq periods, with n at most ``MAX_PERIODS``, otherwise ``ScheduleError``
+    names the offending value.
     """
     n = span * freq
     if not math.isfinite(n) or abs(n - round(n)) > 1e-8 or round(n) < 1:
         raise ScheduleError(f"span {span!r} is not a whole number >= 1 of 1/{freq} periods")
     if round(n) > MAX_PERIODS:
         raise ScheduleError(f"span {span!r} has more than {MAX_PERIODS} periods of 1/{freq}")
-    return tuple(i / freq for i in range(1, round(n) + 1))
+    return round(n)
+
+
+def grid_times(span: float, freq: int) -> tuple[float, ...]:
+    """Payment times (1/freq, 2/freq, ..., n/freq), n = ``grid_periods(span, freq)``."""
+    return tuple(i / freq for i in range(1, grid_periods(span, freq) + 1))
 
 
 def sorted_unique(values: Sequence[float], tol: float = 1e-12) -> list[float]:

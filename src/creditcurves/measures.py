@@ -5,9 +5,13 @@ curve: par coupons and P-spreads, constant coupon price (CCP) curves,
 bond-implied CDS, forward CDS spreads, and the bond-level measures
 (fitted price, fitted par coupon, default-adjusted spread, excess
 spread).  Sign convention: DAS > 0 means the bond trades cheap to the
-fitted curve.  Par coupons and CDS spreads are reads of one
+fitted curve.  Par coupons, CCPs and CDS spreads are reads of one
 ``pricing.LegTable`` per schedule (``curves.grid_times`` or the bond's own
 payment times); DAS is ``rootfind.solve_spread`` on ``pricing.frp_cash_flows``.
+``term_structure_report`` walks three tables once and reads every row from
+them; ``par_coupon``, ``p_spread`` (against ``BaseCurve.par_yield``), ``ccp``
+(a fresh bond through ``pricing.bond_pv_frp``) and ``bcds`` price one tenor
+each, on their own walks.
 """
 
 from __future__ import annotations
@@ -89,8 +93,9 @@ def fitted_par_coupon(
 ) -> float:
     """Par coupon on the bond's own (possibly seasoned) schedule.
 
-    The accrued time enters the annuity denominator, so a seasoned bond
-    carries a slightly higher fitted par coupon than the generic same-
+    The coupon accrued since the last date, C * accrued_time, is taken off
+    the dirty price, so a seasoned bond at this coupon prices to par clean
+    and carries a slightly higher fitted par coupon than the generic same-
     maturity one.
     """
     legs = pricing.LegTable(bond.payment_times, bond.freq, base, curve)
@@ -200,26 +205,36 @@ def term_structure_report(
     freq: int = 2,
 ) -> TermStructureReport:
     """Measures per tenor with par coupons paid ``freq`` times a year; the
-    default grid is ``report_grid`` on whole 1/freq periods (freq 1: 1y-30y)."""
+    default grid is ``report_grid`` on whole 1/freq periods (freq 1: 1y-30y).
+
+    Every column past the curve's own Q, hazard and zz-spread reads one of three
+    tables walked once to the last tenor: the ``freq`` table (par coupon, CCP),
+    its riskless twin on the same times (zero hazard, R = 0; the P-spread's
+    benchmark) and the quarterly CDS table (BCDS)."""
     if grid is None:
         on_grid = set(grid_times(report_grid()[-1], freq))
         grid = [t for t in report_grid() if t in on_grid]
     tenors = tuple(grid)
     if not tenors or any(b <= a for a, b in zip(tenors, tenors[1:])) or tenors[0] <= 0.0:
         raise ValueError("report grid must be non-empty, strictly increasing and > 0")
-    legs = pricing.LegTable(grid_times(tenors[-1], freq), freq, base, curve)
+    for c in coupons:  # a CCP column is a coupon-c bond: reject the terms BondSpec rejects
+        BondSpec(coupon=c, freq=freq, maturity=tenors[-1])
+    times = grid_times(tenors[-1], freq)
+    legs = pricing.LegTable(times, freq, base, curve)
+    riskless = pricing.LegTable(times, freq, base, PiecewiseHazardCurve.flat(0.0))
     cds_legs = pricing.LegTable(grid_times(tenors[-1], CDS_FREQ), CDS_FREQ, base, curve)
     rows = []
     for t in tenors:
-        par = legs.par_coupon(legs.n(t), recovery)
+        n = legs.n(t)
+        par = legs.par_coupon(n, recovery)
         row = TermStructureRow(
             tenor=t,
             survival=curve.survival(t),
             hazard=curve.hazard(t),
             zz_spread=curve.zz_spread(t),
             par_coupon=par,
-            p_spread=par - base.par_yield(t, freq),
-            ccp=tuple(ccp(t, c, freq, base, curve, recovery) for c in coupons),
+            p_spread=par - riskless.par_coupon(n, 0.0),
+            ccp=tuple(legs.price(n, c, recovery) for c in coupons),
             bcds=cds_legs.par_spread(cds_legs.n(t), recovery),
         )
         for value in (row.survival, row.hazard, row.zz_spread, row.par_coupon,

@@ -6,13 +6,15 @@ default.  CDS legs net accrued premium against the protection payment.
 All discrete schedules live on the instrument's own payment grid; CDS
 pay quarterly (``CDS_FREQ``, the package's one statement of that
 convention).  ``LegTable`` is the one schedule walk behind every discrete
-leg, par coupon and hedge weight, read at any date of its schedule;
-``frp_cash_flows`` applies the FRP coefficients (``frp_coefficients``, also
-the fit's design) to it, giving a bond's discounted expected cash flows
-w_i, priced at spread s as sum w_i * exp(-s * t_i), the form
-``rootfind.solve_spread`` solves.  ``check_recovery`` and
-``curves.grid_times`` are the single homes of the recovery-range and
-payment-grid rules.
+leg, par coupon and hedge weight, read at any date of its schedule.  The
+FRP coefficients (``frp_coefficients``, also the fit's design) apply to it
+twice: ``LegTable.price`` applies them to the running sums, the dirty price
+of a bond paying on the first n dates, and ``LegTable.par_coupon`` is that
+formula solved for the coupon; ``frp_cash_flows`` applies them to the
+per-date legs, giving a bond's discounted expected cash flows w_i, priced at
+spread s as sum w_i * exp(-s * t_i), the form ``rootfind.solve_spread``
+solves.  ``check_recovery`` and ``curves.grid_periods`` are the single
+homes of the recovery-range and payment-grid rules.
 
 The continuous-time forms evaluate the survival-weighted discount
 integrals in closed form: both curve families reduce, segment by
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .conventional import BondSpec
-from .curves import BaseCurve, grid_times, sorted_unique
+from .curves import BaseCurve, grid_periods, grid_times, sorted_unique
 from .survival import SurvivalCurve
 
 CDS_FREQ = 4  # CDS premium payments per year: contracts, bootstrap, BCDS and hedges
@@ -69,7 +71,7 @@ class CdsSpec:
         if not self.maturity > 0.0:
             raise ValueError(f"maturity must be > 0, got {self.maturity!r}")
         check_recovery(self.recovery)
-        grid_times(self.maturity, self.freq)
+        grid_periods(self.maturity, self.freq)
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,8 @@ class TriangleQuotes:
 
 class LegTable:
     """One schedule walk: per-date Z*Q and Z*(Q_prev - Q) (Q_prev = 1 before the first time)
-    and their running sums; the one par spread, rpv01 and par coupon to date n, 1..len(zq)."""
+    and their running sums; the one par spread, rpv01, bond price and par coupon to date n,
+    1..len(zq)."""
 
     def __init__(self, times: tuple[float, ...], freq: int, base: BaseCurve,
                  curve: SurvivalCurve) -> None:
@@ -106,7 +109,7 @@ class LegTable:
 
     def n(self, maturity: float) -> int:
         """Dates to ``maturity`` on the ``grid_times`` grid (``ScheduleError`` off it)."""
-        return len(grid_times(maturity, self.freq))
+        return grid_periods(maturity, self.freq)
 
     def par_spread(self, n: int, recovery: float) -> float:
         """Breakeven CDS premium to date n.  It is paid on each period's mean survival, so
@@ -121,19 +124,29 @@ class LegTable:
         """Risky PV01 to the n-th date: a unit running premium paid until default."""
         return (2.0 * self.annuity[n - 1] + self.protection[n - 1]) / (2.0 * self.freq)
 
+    def price(self, n: int, coupon: float, recovery: float) -> float:
+        """Dirty FRP price of a bond paying ``coupon`` on dates 1..n:
+        C/q * annuity + R (1 + C/2q) * protection + survived principal, the
+        ``frp_coefficients`` applied to the running sums as ``frp_cash_flows``
+        applies them to the per-date legs."""
+        cpn, load = frp_coefficients(coupon, self.freq)
+        rec_factor = check_recovery(recovery) * load
+        return cpn * self.annuity[n - 1] + rec_factor * self.protection[n - 1] + self.zq[n - 1]
+
     def par_coupon(self, n: int, recovery: float, accrued_time: float = 0.0) -> float:
-        """Coupon pricing a bond paying on dates 1..n at par (clean), seasoned by accrued_time."""
+        """Coupon pricing a bond paying on dates 1..n at par (clean), seasoned by accrued_time:
+        the inverse of ``price``, solving price(n, C, R) - C * accrued_time = 1 for C."""
         recovery, protection = check_recovery(recovery), self.protection[n - 1]
-        den = self.annuity[n - 1] + 0.5 * recovery * protection - accrued_time
+        den = self.annuity[n - 1] + 0.5 * recovery * protection - self.freq * accrued_time
         if den <= 0.0:
             raise ValueError("non-positive par-coupon denominator")
         return self.freq * (1.0 - self.zq[n - 1] - recovery * protection) / den
 
 
-def frp_coefficients(bond: BondSpec) -> tuple[float, float]:
+def frp_coefficients(coupon: float, freq: int) -> tuple[float, float]:
     """(C/q, 1 + C/2q): coupon paid on survival to each payment date, and face plus
     half coupon, of which R is paid on default in the period ending there."""
-    return bond.coupon / bond.freq, 1.0 + bond.coupon / (2.0 * bond.freq)
+    return coupon / freq, 1.0 + coupon / (2.0 * freq)
 
 
 def frp_cash_flows(
@@ -142,7 +155,7 @@ def frp_cash_flows(
     """Discounted expected cash flow w_i on each of the bond's payment dates:
     ``frp_coefficients`` applied to the per-date legs of a ``LegTable``, plus
     the survived principal at maturity."""
-    cpn, load = frp_coefficients(bond)
+    cpn, load = frp_coefficients(bond.coupon, bond.freq)
     rec_factor = check_recovery(recovery) * load
     legs = LegTable(bond.payment_times, bond.freq, base, curve)
     flows = [cpn * a + rec_factor * p for a, p in zip(legs.zq, legs.zdq)]

@@ -235,11 +235,24 @@ class TestBondSpecificMeasures:
             q_prev = q
         survived = base.df(4.25) * curve.survival(4.25)
         expected = 2 * (1 - survived - 0.4 * protection) / (
-            annuity + 0.2 * protection - 0.25
+            annuity + 0.2 * protection - 2 * 0.25
         )
         assert measures.fitted_par_coupon(bond, base, curve, 0.4) == pytest.approx(
             expected, abs=1e-15
         )
+
+    @pytest.mark.parametrize("freq, maturity, accrued_time", [
+        (1, 4.5, 0.5), (2, 4.8, 0.2), (4, 4.9, 0.1),
+    ])
+    def test_seasoned_bond_at_fitted_par_coupon_prices_to_clean_par(
+        self, flat_market, freq, maturity, accrued_time
+    ):
+        base, curve = flat_market
+        spec = BondSpec(coupon=0.05, freq=freq, maturity=maturity, accrued_time=accrued_time)
+        coupon = measures.fitted_par_coupon(spec, base, curve, 0.4)
+        at_par = BondSpec(coupon=coupon, freq=freq, maturity=maturity, accrued_time=accrued_time)
+        clean = pricing.bond_pv_frp(at_par, base, curve, 0.4) - at_par.accrued_interest
+        assert clean == pytest.approx(1.0, rel=0, abs=1e-12)
 
     def test_das_zero_at_fitted_price(self, base_curve, true_spline_curve):
         bond = BondSpec(coupon=0.07, freq=2, maturity=6.0)

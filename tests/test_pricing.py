@@ -17,7 +17,7 @@ from creditcurves.conventional import (
     z_spread,
     z_spread_duration,
 )
-from creditcurves.curves import MAX_PERIODS, BaseCurve, grid_times
+from creditcurves.curves import MAX_PERIODS, BaseCurve, grid_periods, grid_times
 from creditcurves.errors import ParseError, ScheduleError
 from creditcurves.pricing import CdsSpec, RecoveryAssumption, TriangleQuotes
 from creditcurves.splines import SplineBasis
@@ -167,11 +167,9 @@ class TestLegTable:
             init(self, times, *args)
 
         monkeypatch.setattr(pricing.LegTable, "__init__", counting)
-        coupons = (0.05, 0.07)
-        report = measures.term_structure_report(base_curve, true_spline_curve, 0.4, coupons)
-        # One semiannual and one quarterly table to 30y, and one bond walk per CCP cell.
-        assert walked[:2] == [60, 120]
-        assert len(walked) == 2 + len(report.rows) * len(coupons)
+        measures.term_structure_report(base_curve, true_spline_curve, 0.4, (0.05, 0.07))
+        # The semiannual table, its riskless twin and the quarterly table, each to 30y.
+        assert walked == [60, 60, 120]
         base, curve = hedge_market
         bond = hedge_bonds["premium"]
         # Each hedge walks the 5y quarterly grid once; a 2y-7y forward spread the 7y grid.
@@ -183,6 +181,49 @@ class TestLegTable:
             walked.clear()
             call()
             assert walked == [dates]
+
+
+    def test_report_discounts_each_table_date_once(self, base_curve, true_spline_curve):
+        class CountingBase(BaseCurve):
+            calls = 0
+
+            def df(self, t):
+                self.calls += 1
+                return super().df(t)
+
+        base = CountingBase((t, base_curve.df(t)) for t in base_curve.node_tenors)
+        measures.term_structure_report(base, true_spline_curve, 0.4)
+        assert base.calls <= 60 + 60 + 120
+
+    @pytest.mark.parametrize("freq", [1, 2, 4])
+    @pytest.mark.parametrize("kind", ["spline", "piecewise"])
+    def test_report_columns_match_the_standalone_measures(
+            self, base_curve, true_spline_curve, kind, freq):
+        curve = true_spline_curve if kind == "spline" else PiecewiseHazardCurve(
+            [(2.0, 0.01), (7.0, 0.025), (15.0, 0.04)])
+        report = measures.term_structure_report(base_curve, curve, 0.4, freq=freq)
+        for row in report.rows:
+            t = row.tenor
+            assert row.par_coupon == measures.par_coupon(t, freq, base_curve, curve, 0.4)
+            assert row.bcds == measures.bcds(t, base_curve, curve, 0.4)
+            assert row.p_spread == pytest.approx(
+                measures.p_spread(t, freq, base_curve, curve, 0.4), rel=0, abs=1e-14)
+            for coupon, price in zip(report.ccp_coupons, row.ccp):
+                assert price == pytest.approx(
+                    measures.ccp(t, coupon, freq, base_curve, curve, 0.4), rel=0, abs=1e-14)
+
+    @settings(max_examples=50, deadline=None)
+    @given(base=base_curves, curve=st.one_of(hazard_curves, spline_curves),
+           freq=st.sampled_from([1, 2, 4]), periods=st.integers(1, 40),
+           coupon=st.floats(0.0, 0.2), recovery=st.floats(0.0, 0.9))
+    def test_price_is_the_unseasoned_bond_pv_and_par_coupon_its_inverse(
+            self, base, curve, freq, periods, coupon, recovery):
+        legs = pricing.LegTable(grid_times(40 / freq, freq), freq, base, curve)
+        bond = BondSpec(coupon=coupon, freq=freq, maturity=periods / freq)
+        assert legs.price(periods, coupon, recovery) == pytest.approx(
+            pricing.bond_pv_frp(bond, base, curve, recovery), rel=1e-14, abs=0)
+        par = legs.par_coupon(periods, recovery)
+        assert legs.price(periods, par, recovery) == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
 class TestScheduleKernelOracles:
@@ -303,6 +344,8 @@ def test_price_not_finite_and_positive_raises_value_error(name, price):
 
 class TestGridTimes:
     def test_whole_periods(self):
+        assert grid_periods(1.0, 4) == 4 and type(grid_periods(1.0, 4)) is int
+        assert grid_periods(3.0 + 5e-9 / 2, 2) == 6
         assert grid_times(1.0, 4) == (0.25, 0.5, 0.75, 1.0)
         assert grid_times(0.5, 2) == (0.5,)
         assert grid_times(3.0 + 5e-9 / 2, 2) == tuple(i / 2 for i in range(1, 7))
