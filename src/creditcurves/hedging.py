@@ -7,9 +7,10 @@ horizon.  The hedge grid and CDS legs pay ``pricing.CDS_FREQ`` times a
 year.  Exposure NPVs are weighted by the default-leg measure
 Z * dQ * (1 - R), since hedge errors only realize in default states.
 Grids come from ``curves.grid_times``; CDS legs and those weights are
-read from one quarterly ``pricing.LegTable`` per hedge.  The CDS-bond basis is
-``measures.das`` (one ``rootfind.solve_spread``) taken on the
-CDS-implied curve.
+read from one quarterly ``pricing.LegTable`` per hedge, and the forward
+prices on a hedge grid from one ``pricing.continuous_prices`` walk.  The
+CDS-bond basis is ``measures.das`` (one ``rootfind.solve_spread``) taken
+on the CDS-implied curve.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from . import measures, pricing
 from .conventional import BondSpec
 from .curves import BaseCurve, grid_times
-from .pricing import CDS_FREQ, check_recovery
+from .pricing import CDS_FREQ, check_dates, check_recovery
 from .survival import SurvivalCurve
 
 
@@ -79,18 +80,11 @@ def fwd_bond_price(
     recovery: float,
     t: float,
 ) -> float:
-    """Projected forward price P(t, T) in the continuous approximation.
-
-    The spot integrals are re-expressed with forward discount and
-    forward survival (both ratios to time t); P(T, T) = 1.
-    """
-    T = bond.maturity
-    if not 0.0 <= t <= T:
+    """Projected forward price P(t, T) in the continuous approximation:
+    ``pricing.continuous_prices`` at t alone; P(T, T) = 1."""
+    if not 0.0 <= t <= bond.maturity:
         raise ValueError("need 0 <= t <= maturity")
-    if t == T:
-        return 1.0
-    scale = base.df(t) * curve.survival(t)
-    return pricing._continuous_price(bond, base, curve, check_recovery(recovery), t, scale)
+    return pricing.continuous_prices(bond, base, curve, recovery, [t])[0]
 
 
 def fwd_hedge_notional(
@@ -164,16 +158,10 @@ def spot_hedge_notionals(
     """
     R = check_recovery(recovery)
     T = bond.maturity
-    pts = list(grid)
-    if not pts or any(b <= a for a, b in zip(pts, pts[1:])):
-        raise ValueError("hedge grid must be non-empty and strictly increasing")
-    if pts[0] < 0.0 or pts[-1] > T + 1e-12:
-        raise ValueError("hedge grid must lie inside [0, maturity]")
-    prices = {t: fwd_bond_price(bond, base, curve, recovery, t) for t in pts}
-    notionals: dict[float, float] = {}
-    for a, b in zip(pts, pts[1:]):
-        notionals[b] = (prices[a] - prices[b]) / (1.0 - R)
-    terminal = (prices[pts[-1]] - R) / (1.0 - R)
+    pts = check_dates(grid, T, "grid")
+    prices = pricing.continuous_prices(bond, base, curve, R, pts)
+    notionals = {b: (pa - pb) / (1.0 - R) for b, pa, pb in zip(pts[1:], prices, prices[1:])}
+    terminal = (prices[-1] - R) / (1.0 - R)
     notionals[T] = notionals.get(T, 0.0) + terminal
     table = pricing.LegTable(grid_times(T, CDS_FREQ), CDS_FREQ, base, curve)
     legs = [(m, n, table.par_spread(table.n(m), R)) for m, n in sorted(notionals.items()) if m > 0]
@@ -184,10 +172,10 @@ def spot_hedge_notionals(
     # maturing after its start, which telescope to the forward notional at
     # the bucket start, so the replication error vanishes on the plan grid.
     residual = 0.0
-    for a, b in zip(pts, pts[1:] + [T]):
+    for a, b, price in zip(pts, pts[1:] + [T], prices):
         if b <= a:
             continue
-        target = (prices[a] - R) / (1.0 - R)
+        target = (price - R) / (1.0 - R)
         weight = base.df(b) * (curve.survival(a) - curve.survival(b)) * (1.0 - R)
         residual += weight * (target - plan.protection_notional(a))
     return HedgePlan(legs=plan_legs, cost=cost, residual_npv=residual)
@@ -218,35 +206,29 @@ def coarse_hedge(
         raise ValueError("candidates must include the bond's final maturity")
 
     grid = grid_times(T, CDS_FREQ)
-    fwd_n = {
-        t: fwd_hedge_notional(bond, base, curve_cds, recovery, t) for t in grid
-    }
     table = pricing.LegTable(grid, CDS_FREQ, base, curve_cds)
     spread_T = table.par_spread(len(grid), R)
-
-    # Default-leg weights Z * dQ per grid bucket.
-    weights = dict(zip(grid, table.zdq))
-    total_gap = sum(weights[t] * (fwd_n[t] - 1.0) for t in grid)
+    # Forward notionals, and default-leg weights Z * dQ per grid bucket.
+    prices = pricing.continuous_prices(bond, base, curve_cds, R, grid)
+    fwd_n = [(p - R) / (1.0 - R) for p in prices]
+    weights = table.zdq
+    total_gap = sum(w * (n - 1.0) for w, n in zip(weights, fwd_n))
 
     best: HedgePlan | None = None
     for m in candidates:
-        covered = sum(weights[t] for t in grid if t <= m + 1e-12)
+        covered = sum(w for t, w in zip(grid, weights) if t <= m + 1e-12)
         if covered <= 0.0:
             continue
         notional = total_gap / covered
         # NPV of residual default exposures Z * dQ * (1-R) * (target - hedged).
-        coverage = {t: 1.0 + (notional if t <= m + 1e-12 else 0.0) for t in grid}
-        residual = sum(weights[t] * (1.0 - R) * (fwd_n[t] - coverage[t]) for t in grid)
+        residual = sum(w * (1.0 - R) * (n - (1.0 + (notional if t <= m + 1e-12 else 0.0)))
+                       for t, w, n in zip(grid, weights, fwd_n))
         if abs(m - T) <= 1e-9:
             legs = [(T, 1.0 + notional, spread_T)]
         else:
             legs = [(m, notional, table.par_spread(table.n(m), R)), (T, 1.0, spread_T)]
-        cost = _aggregate_spread(legs, table)
-        plan = HedgePlan(
-            legs=tuple(HedgeLeg(*leg) for leg in legs),
-            cost=cost,
-            residual_npv=residual,
-        )
+        plan = HedgePlan(legs=tuple(HedgeLeg(*leg) for leg in legs),
+                         cost=_aggregate_spread(legs, table), residual_npv=residual)
         if best is None or plan.cost < best.cost:
             best = plan
     if best is None:

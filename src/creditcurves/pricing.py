@@ -13,13 +13,16 @@ of a bond paying on the first n dates, and ``LegTable.par_coupon`` is that
 formula solved for the coupon; ``frp_cash_flows`` applies them to the
 per-date legs, giving a bond's discounted expected cash flows w_i, priced at
 spread s as sum w_i * exp(-s * t_i), the form ``rootfind.solve_spread``
-solves.  ``check_recovery`` and ``curves.grid_periods`` are the single
-homes of the recovery-range and payment-grid rules.
+solves.  ``check_recovery``, ``check_dates`` and ``curves.grid_periods`` are
+the single homes of the recovery-range, date-list and payment-grid rules.
 
 The continuous-time forms evaluate the survival-weighted discount
-integrals in closed form: both curve families reduce, segment by
-segment, to sums of exponentials relative to the segment start, so no
-numerical quadrature is needed and no term overflows.
+integrals in closed form (``survival_discount_integrals``): both curve
+families reduce, segment by segment, to sums of exponentials relative to
+the segment start, so no numerical quadrature is needed and no term
+overflows.  ``continuous_prices`` is the one continuous-coupon bond price:
+a backward walk from maturity giving P(t, T) at a list of dates, each
+interval integrated once; the spot price is its value at t = 0.
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import Sequence
 
 from .conventional import BondSpec
-from .curves import BaseCurve, grid_periods, grid_times, sorted_unique
+from .curves import BaseCurve, grid_periods, grid_times
 from .survival import SurvivalCurve
 
 CDS_FREQ = 4  # CDS premium payments per year: contracts, bootstrap, BCDS and hedges
@@ -42,6 +46,17 @@ def check_recovery(value: float, name: str = "recovery") -> float:
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"{name} must be in [0, 1), got {value!r}")
     return rate
+
+
+def check_dates(dates: Sequence[float], maturity: float, name: str = "dates") -> list[float]:
+    """``dates`` as a list of floats if non-empty, finite, strictly increasing and
+    within [0, maturity]; else a ``ValueError`` naming the argument."""
+    times = [float(t) for t in dates]
+    if not (times and 0.0 <= times[0] and times[-1] <= maturity
+            and all(a < b for a, b in zip(times, times[1:]))):
+        raise ValueError(f"{name} must be non-empty, finite, strictly increasing and "
+                         f"within [0, {maturity!r}], got {times!r}")
+    return times
 
 
 class RecoveryAssumption(float):
@@ -245,19 +260,20 @@ def survival_discount_integrals(
     t1: float,
     extra_decay: float = 0.0,
 ) -> tuple[float, float, float]:
-    """Exact integrals of Z*Q, h*Z*Q and f*Z*Q times exp(-extra_decay*u).
+    """Exact integrals of Z*Q, h*Z*Q and f*Z*Q times exp(-extra_decay*u) over [t0, t1].
 
     On each cut [a, b] between base nodes and curve breakpoints, Z(u) =
     Z(a) exp(-f (u - a)) and Q is ``curve._exp_terms``, both relative to a.
+    Every node strictly inside (t0, t1) is a cut, however close to an end.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"t0 and t1 must be finite, got {t0!r}, {t1!r}")
+    if not math.isfinite(extra_decay):
+        raise ValueError(f"extra_decay must be finite, got {extra_decay!r}")
     if t1 <= t0:
         return 0.0, 0.0, 0.0
-    cuts = [t0, t1]
-    cuts += [x for x in base.node_tenors if t0 < x < t1]
-    cuts += [x for x in curve._breakpoints() if t0 < x < t1]
-    grid = sorted_unique(cuts)
+    inner = {x for x in base.node_tenors + curve._breakpoints() if t0 < x < t1}
+    grid = [t0, *sorted(inner), t1]
     i_zq = i_hzq = i_fzq = 0.0
     for a, b in zip(grid, grid[1:]):
         f = base.fwd_rate(a)
@@ -270,38 +286,38 @@ def survival_discount_integrals(
     return i_zq, i_hzq, i_fzq
 
 
-def bond_price_continuous(
-    bond: BondSpec,
-    base: BaseCurve,
-    curve: SurvivalCurve,
-    recovery: float,
-    das: float = 0.0,
-) -> float:
-    """Clean price in the continuous-coupon approximation.
+def bond_price_continuous(bond: BondSpec, base: BaseCurve, curve: SurvivalCurve,
+                          recovery: float, das: float = 0.0) -> float:
+    """Clean price in the continuous-coupon approximation: ``continuous_prices`` at t = 0."""
+    return continuous_prices(bond, base, curve, recovery, [0.0], das)[0]
 
-    Corrects the naive integral formula for the expected accrued coupon
-    lost at default and for the early-discount bias of spreading coupons
-    over the period, via the -C/2q * (1 - E) term and the (1 + C/2q)
-    recovery load.
+
+def continuous_prices(bond: BondSpec, base: BaseCurve, curve: SurvivalCurve, recovery: float,
+                      dates: Sequence[float], das: float = 0.0) -> list[float]:
+    """Clean continuous-coupon price P(t, T) given survival to t, at each of ``dates``
+    (``check_dates``), every leg divided by Z(t) Q(t) exp(-das t); P(T, T) = 1.
+
+    One backward walk from T: the integrals from t_i to T are the piece over
+    [t_i, t_{i+1}] plus the sums already held for t_{i+1}.  The -C/2q * (1 - E)
+    term and the (1 + C/2q) recovery load correct the naive integral formula for
+    the expected accrued coupon lost at default and for the early-discount bias of
+    spreading coupons over the period.
     """
+    R = check_recovery(recovery)
     if not math.isfinite(das):
         raise ValueError(f"das must be finite, got {das!r}")
-    return _continuous_price(bond, base, curve, check_recovery(recovery), 0.0, 1.0, das)
-
-
-def _continuous_price(bond: BondSpec, base: BaseCurve, curve: SurvivalCurve, R: float,
-                      t: float, scale: float, das: float = 0.0) -> float:
-    """``bond_price_continuous`` from time t, every leg divided by ``scale``:
-    1 for the spot price, Z(t) Q(t) for the forward price given survival."""
     C, q, T = bond.coupon, bond.freq, bond.maturity
-    i_zq, i_hzq, _ = survival_discount_integrals(base, curve, t, T, extra_decay=das)
-    survived = base.df(T) * curve.survival(T) * math.exp(-das * T) / scale
-    return (
-        C * i_zq / scale
-        + survived
-        - C / (2.0 * q) * (1.0 - survived)
-        + R * (1.0 + C / (2.0 * q)) * i_hzq / scale
-    )
+    end_zq = base.df(T) * curve.survival(T) * math.exp(-das * T)
+    i_zq = i_hzq = 0.0
+    end, prices = T, []
+    for t in reversed(check_dates(dates, T)):
+        p_zq, p_hzq, _ = survival_discount_integrals(base, curve, t, end, extra_decay=das)
+        i_zq, i_hzq, end = i_zq + p_zq, i_hzq + p_hzq, t
+        scale = base.df(t) * curve.survival(t) * math.exp(-das * t)
+        survived = end_zq / scale
+        prices.append(C * i_zq / scale + survived - C / (2.0 * q) * (1.0 - survived)
+                      + R * (1.0 + C / (2.0 * q)) * i_hzq / scale)
+    return prices[::-1]
 
 
 def cds_par_spread_continuous(

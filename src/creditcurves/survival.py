@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 import numpy as np
@@ -187,6 +187,7 @@ class PiecewiseHazardCurve(SurvivalCurve):
             cum.append(cum[-1] + h * (t - prev))
             prev = t
         self.segments, self.horizon, self._cum = segs, segs[-1][0], tuple(cum)
+        self._tenors = tuple(t for t, _ in segs)
 
     @classmethod
     def flat(cls, hazard: float, tenor: float = 1.0) -> "PiecewiseHazardCurve":
@@ -197,12 +198,11 @@ class PiecewiseHazardCurve(SurvivalCurve):
         return tuple(h for _, h in self.segments)
 
     def _cumulative(self, t: float) -> float:
-        prev = 0.0
-        for i, (tenor, h) in enumerate(self.segments):
-            if t <= tenor:
-                return self._cum[i] + h * (t - prev)
-            prev = tenor
-        return self._cum[-1] + self.segments[-1][1] * (t - self.horizon)
+        i = bisect_left(self._tenors, t)  # the segment (tenor_{i-1}, tenor_i] holding t
+        if i == len(self._tenors):
+            return self._cum[-1] + self.segments[-1][1] * (t - self.horizon)
+        prev = self._tenors[i - 1] if i else 0.0
+        return self._cum[i] + self.segments[i][1] * (t - prev)
 
     def survival(self, t: float) -> float:
         if not 0.0 <= t < math.inf:
@@ -213,13 +213,10 @@ class PiecewiseHazardCurve(SurvivalCurve):
         """Right-continuous hazard rate; terminal rate past the last tenor."""
         if not 0.0 <= t < math.inf:
             raise ValueError(f"t must be finite and >= 0, got {t!r}")
-        for tenor, h in self.segments:
-            if t < tenor:
-                return h
-        return self.segments[-1][1]
+        return self.segments[min(bisect_right(self._tenors, t), len(self._tenors) - 1)][1]
 
     def _breakpoints(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.segments)
+        return self._tenors
 
     def _exp_terms(self, a: float, b: float) -> list[tuple[float, float]]:
         return [(self.survival(a), self.hazard(a))]

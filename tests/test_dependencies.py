@@ -74,3 +74,39 @@ def test_imports_only_lower_layers(module):
     upward = [(line, name) for line, name in _package_imports(tree)
               if LAYERS[name] >= LAYERS[module]]
     assert upward == [], f"{module} (layer {LAYERS[module]}) imports its layer or above: {upward}"
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_references(tree):
+    """(line, "module._name") of each reference to a package module's private name:
+    ``module._name`` on a module bound by ``from . import module``, or
+    ``from .module import _name``.  Methods on objects (``curve._exp_terms``) are not
+    module references."""
+    modules = {}  # local name -> package module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            modules.update((alias.asname or alias.name, alias.name) for alias in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _is_private(node.attr)):
+            yield node.lineno, f"{modules[node.value.id]}.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            yield from ((node.lineno, f"{node.module}.{alias.name}") for alias in node.names
+                        if _is_private(alias.name))
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_no_module_uses_another_modules_private_names(module):
+    path = PACKAGE_DIR / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = list(_private_references(tree))
+    assert found == [], f"{module} reaches into private names of other modules: {found}"
+
+
+def test_private_reference_scan_finds_both_forms():
+    tree = ast.parse("from . import pricing as p\nfrom .curves import _x\np._walk(1)\n"
+                     "curve._exp_terms(0, 1)\n")
+    assert sorted(_private_references(tree)) == [(2, "curves._x"), (3, "pricing._walk")]

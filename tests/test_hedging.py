@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from creditcurves import hedging, measures, pricing
 from creditcurves.calibration import calibrate_from_cds
 from creditcurves.conventional import BondSpec
-from creditcurves.curves import BaseCurve
+from creditcurves.curves import BaseCurve, grid_times
 from creditcurves.errors import ScheduleError
 from creditcurves.hedging import HedgeLeg, HedgePlan
 from creditcurves.survival import PiecewiseHazardCurve
@@ -20,10 +20,7 @@ class TestForwardBondPrice:
         base, curve = hedge_market
         for bond in hedge_bonds.values():
             assert hedging.fwd_bond_price(bond, base, curve, HEDGE_RECOVERY, 0.0) == (
-                pytest.approx(
-                    pricing.bond_price_continuous(bond, base, curve, HEDGE_RECOVERY),
-                    abs=1e-13,
-                )
+                pricing.bond_price_continuous(bond, base, curve, HEDGE_RECOVERY)
             )
 
     def test_pulls_to_one_at_maturity(self, hedge_market, hedge_bonds):
@@ -236,6 +233,31 @@ class TestSpotHedge:
             hedging.spot_hedge_notionals(bond, base, curve, 0.5, [0.5, 0.5])
         with pytest.raises(ValueError):
             hedging.spot_hedge_notionals(bond, base, curve, 0.5, [0.5, 6.0])
+        # NaN defeats order comparisons; a date just past maturity is still outside it.
+        T = bond.maturity
+        for grid in ([0.0, math.nan, 5.0], [math.nan], [0.0, T + 1e-13], [0.0, 2.5, math.inf]):
+            with pytest.raises(ValueError, match="grid"):
+                hedging.spot_hedge_notionals(bond, base, curve, 0.5, grid)
+
+
+class TestOneWalkPerHedge:
+    """Each hedge integrates every closed-form cut of its grid once, through one
+    ``pricing.continuous_prices`` walk, not once per date from that date to maturity."""
+
+    @pytest.mark.parametrize("hedge", ["spot", "coarse"])
+    def test_cut_evaluations_are_linear_in_the_grid(self, base_curve, monkeypatch, hedge):
+        curve = PiecewiseHazardCurve([(t, 0.01 + 0.001 * t) for t in (1, 2, 3, 5, 7, 10, 15, 20)])
+        bond = BondSpec(coupon=0.07, freq=2, maturity=20.0)
+        calls = []
+        exp_terms = curve._exp_terms
+        monkeypatch.setattr(curve, "_exp_terms", lambda a, b: calls.append(a) or exp_terms(a, b))
+        if hedge == "spot":
+            grid = quarterly_grid(20.0)
+            hedging.spot_hedge_notionals(bond, base_curve, curve, 0.4, grid)
+        else:
+            grid = grid_times(20.0, pricing.CDS_FREQ)
+            hedging.coarse_hedge(bond, base_curve, curve, 0.4, [5.0, 10.0, 20.0])
+        assert len(calls) <= len(grid) + len(base_curve.node_tenors) + len(curve._breakpoints())
 
 
 class TestCoarseHedge:

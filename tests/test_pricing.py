@@ -469,6 +469,8 @@ _FINITE_ARGUMENTS = {
         *_FLAT, x, 1.0)),
     "survival_discount_integrals t1": ("t1", lambda x: pricing.survival_discount_integrals(
         *_FLAT, 0.0, x)),
+    "survival_discount_integrals extra_decay": ("extra_decay", lambda x: (
+        pricing.survival_discount_integrals(*_FLAT, 0.0, 1.0, extra_decay=x))),
 }
 
 
@@ -809,6 +811,55 @@ class TestContinuousTime:
         assert pricing.cds_par_spread_continuous(
             T, freq, base_curve, curve, R
         ) == pytest.approx((1 - R) * num / den, abs=1e-9)
+
+
+def direct_price_oracle(bond, base, curve, recovery, t, das):
+    """P(t, T) as one interval from t to T: one ``survival_discount_integrals`` call,
+    every leg divided by Z(t) Q(t) exp(-das t)."""
+    C, q, T = bond.coupon, bond.freq, bond.maturity
+    i_zq, i_hzq, _ = pricing.survival_discount_integrals(base, curve, t, T, extra_decay=das)
+    scale = base.df(t) * curve.survival(t) * math.exp(-das * t)
+    survived = base.df(T) * curve.survival(T) * math.exp(-das * T) / scale
+    return (C * i_zq / scale + survived - C / (2.0 * q) * (1.0 - survived)
+            + recovery * (1.0 + C / (2.0 * q)) * i_hzq / scale)
+
+
+class TestContinuousPrices:
+    """The backward walk prices every date as its own interval to maturity would."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(base=base_curves,
+           curve=st.one_of(hazard_curves, spline_curves,
+                           st.sampled_from([KNOTTED_CURVE, STEEP_KNOTTED])),
+           periods=st.integers(1, 70), coupon=st.floats(0.0, 0.12),
+           recovery=st.floats(0.0, 0.9),
+           das=st.one_of(st.just(0.0), st.floats(-0.02, 0.05)),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    def test_walk_matches_one_interval_per_date(self, base, curve, periods, coupon, recovery,
+                                                das, fractions):
+        bond = BondSpec(coupon=coupon, freq=2, maturity=periods / 2)
+        dates = sorted({u * bond.maturity for u in fractions})
+        prices = pricing.continuous_prices(bond, base, curve, recovery, dates, das)
+        assert len(prices) == len(dates)
+        for t, price in zip(dates, prices):
+            expected = direct_price_oracle(bond, base, curve, recovery, t, das)
+            # 1e-13 on prices of order 1; on STEEP_KNOTTED, Q(t) ~ 1e-71 before its knot and
+            # ~ 1e-14 after it, so a price given survival to t can reach 1e56.
+            assert price == pytest.approx(expected, rel=0, abs=1e-13 * max(1.0, abs(expected)))
+
+    def test_a_date_just_below_a_node_integrates_the_next_segment_at_its_rates(self):
+        # The hazard jumps 0.01 -> 0.10 at 5: a start 5e-13 below it must not carry 0.01 on.
+        base, curve = BaseCurve.flat(0.03), PiecewiseHazardCurve([(5.0, 0.01), (10.0, 0.10)])
+        near = pricing.survival_discount_integrals(base, curve, 5.0 - 5e-13, 10.0)
+        at = pricing.survival_discount_integrals(base, curve, 5.0, 10.0)
+        assert near == pytest.approx(at, rel=0, abs=1e-11)
+
+    @pytest.mark.parametrize("dates", [[], [1.0, 1.0], [2.0, 1.0], [-0.5], [0.0, 12.5],
+                                       [0.0, math.nan, 5.0], [math.inf]])
+    def test_dates_outside_the_rule_raise_naming_them(self, dates):
+        bond = BondSpec(coupon=0.06, freq=2, maturity=12.0)
+        with pytest.raises(ValueError, match="dates must be non-empty, finite, strictly"):
+            pricing.continuous_prices(bond, *_FLAT, 0.4, dates)
 
 
 def test_zero_recovery_zero_coupon_zspread_equals_zz(base_curve):
