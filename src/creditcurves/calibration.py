@@ -14,10 +14,21 @@ Recovery enters linearly too: the design is the FRP cash-flow map of
 ``pricing.frp_coefficients`` applied to the spline factors,
 U(eta, R) = (A - R B) Phi(eta), and the target V(R) = v0 - R v1, with A,
 B, v0, v1 free of eta and R.  Each call precomputes them once, forms the
-Phi products once per eta, and hands the problems of all its recovery
-rates to the constrained-WLS solver as one stack.  DAS is solved only for
-the fit returned, so ``implied_recovery`` (91 rates) is one precompute,
-one stack per eta and IRLS step, and one DAS pass.
+Phi products once per eta, and hands every (eta, R) problem to the
+constrained-WLS solver as one stack per IRLS step.  DAS is solved only for
+the fit returned, so ``implied_recovery`` (91 rates) is one precompute, one
+stack per IRLS step, one curve per rate and one DAS pass.
+
+The solver enumerates KKT systems.  Once the weighted design pins beta on
+sum(beta) = 1 the QP is strictly convex, so its optimum is unique, and with
+K factors it needs at most K - 1 of the m = K + 1 inequality rows besides
+Q(0) = 1: the working sets of at most K - 1 rows, 1 + 4 + 6 for K = 3, are
+tried by size and then row index, and the first whose KKT point is feasible
+with multipliers of the right sign is the optimum (Nocedal & Wright 2006,
+ch. 16).  Knots (factors above 3) would raise both m and K, and the set
+count with them (sum of C(m, s) for s < K), so they need a cap on the set
+count or an iterative active-set solve.
+
 ``calibrate_from_cds`` bootstraps a piecewise-constant hazard curve from
 par CDS quotes instead.
 """
@@ -25,6 +36,7 @@ par CDS quotes instead.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -54,7 +66,7 @@ def default_eta_grid() -> tuple[float, ...]:
     return tuple(0.0025 * 100.0 ** (i / 12.0) for i in range(13))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BondQuote:
     """One bond observation for the cross-sectional fit."""
 
@@ -209,88 +221,77 @@ def _solve_constrained_wls(
     ineq: np.ndarray,
     bound: np.ndarray,
 ) -> tuple[np.ndarray, list[list[int]], dict[int, FitError]]:
-    """Minimize sum w (U beta - V)^2 s.t. sum(beta) = 1, G beta >= b for each (U, V, w)
-    of a stack sharing G, b: the betas, sorted active sets, {index: FitError}.
+    """Minimize sum w (U beta - V)^2 s.t. sum(beta) = 1, G beta >= b for each problem
+    (U, V, w, G, b) of a stack, G and b of shapes (count, m, k) and (count, m): the
+    betas, sorted active sets, {index: FitError}.
 
-    Primal active-set iteration (Nocedal & Wright 2006, ch. 16) from the strictly
-    feasible start beta = (1, 0, ..., 0): solve the working-set equality problem,
-    step to it clipped at the first blocking constraint, and at a working-set
-    optimum drop the constraint with the most negative multiplier.  The problems
-    iterate in lockstep; each pass solves the KKT systems of one size as a stack.
+    KKT enumeration by level (Nocedal & Wright 2006, ch. 16).  Once the weighted
+    design pins beta on sum(beta) = 1 the QP is strictly convex, so the first working
+    set whose KKT point is feasible (G beta >= b - ``_FEAS_TOL`` times each row's
+    largest entry) with multipliers of the right sign (-nu >= -``_MULT_TOL``) gives
+    the unique optimum, which needs at most k - 1 rows of G.  Sets are tried by size
+    and then row index, one stacked solve per size over the problems still open: the
+    empty set, the m one-row sets, the C(m, 2) two-row sets (1 + 4 + 6 for the fit's
+    k = 3).  Where two sets give one beta (a degenerate optimum) the smaller set, then
+    the lower index, wins.  A problem whose start beta = e1 breaks a row fails before
+    any solve; one whose equality-only KKT matrix is singular (its weighted design
+    leaves beta free on sum(beta) = 1, e.g. too many zero weights) fails as well,
+    and any other singular set drops only itself.
     """
     count, _, k = designs.shape
+    m = ineq.shape[1]
     wsqrt = np.sqrt(weights)
     dw = designs * wsqrt[:, :, None]
-    dwt = 2.0 * np.swapaxes(dw, 1, 2)
-    hess, lin = dwt @ dw, (dwt @ (wsqrt * targets)[:, :, None])[:, :, 0]
-    # Each working set's KKT matrix is a principal submatrix of the one with all of G.
-    full, head = np.zeros((k + 1 + len(ineq),) * 2), list(range(k + 1))
-    full[:k, k], full[k, :k], full[:k, k + 1:], full[k + 1:, :k] = 1.0, 1.0, ineq.T, ineq
-    full_rhs = np.concatenate([np.zeros(k), [1.0], bound])
-    betas = np.zeros((count, k))
-    betas[:, 0] = 1.0
-    slack = ineq @ betas[0] - bound
+    dwt = np.swapaxes(dw, 1, 2)  # a view: doubling after the products is exact
+    hess, lin = 2.0 * (dwt @ dw), 2.0 * (dwt @ (wsqrt * targets)[:, :, None])[:, :, 0]
+    del dw, dwt  # the largest array here: free it before the level solves
+    betas, actives = np.zeros((count, k)), [[] for _ in range(count)]
     # The fit's monotonicity rows read 1 at e1, so only its positivity row can fail here.
     infeasible = FitError("infeasible start: Q(H) = exp(-eta H) is below the slack")
-    failed = dict.fromkeys(range(count) if (slack < -_FEAS_TOL).any() else (), infeasible)
-    order = np.argsort(slack) if (slack <= _FEAS_TOL).any() else []
-    actives = [[int(i) for i in order[: k - 1] if slack[i] <= _FEAS_TOL] for _ in range(count)]
-    cap, passes, extra = 50 + 10 * len(ineq), 0, [0] * count  # iterations: passes + extra[j]
-    live = [j for j in range(count) if j not in failed]
-    while live:
-        passes += 1
-        sols = {}
-        for size in {len(actives[j]) for j in live}:
-            group = [j for j in live if len(actives[j]) == size]
-            idx = np.array([head + [k + 1 + i for i in actives[j]] for j in group])
-            kkt, rhs = full[idx[:, :, None], idx[:, None, :]], full_rhs[idx]
-            kkt[:, :k, :k], rhs[:, :k] = hess[group], lin[group]
-            try:
-                sols.update(zip(group, np.linalg.solve(kkt, rhs[:, :, None])[:, :, 0]))
-            except np.linalg.LinAlgError:  # find the singular ones: each fails alone
-                for j, matrix, vector in zip(group, kkt, rhs):
-                    try:
-                        sols[j] = np.linalg.solve(matrix, vector)
-                    except np.linalg.LinAlgError:
-                        failed[j] = FitError(f"singular KKT system (active set {actives[j]})")
-        live = [j for j in live if j not in failed]
-        if not live:
+    start = (ineq[:, :, 0] - bound < -_FEAS_TOL).any(axis=1)
+    failed = dict.fromkeys(np.flatnonzero(start).tolist(), infeasible)
+    open_ = [j for j in range(count) if j not in failed]
+    scale = np.abs(ineq).max(axis=2)  # a row's tolerance scales with the row
+    for size in range(min(k - 1, m) + 1):
+        if not open_:
             break
-        cand, beta = np.array([sols[j][:k] for j in live]), betas[live]
-        step = cand - beta
-        settled = np.abs(step).max(axis=1) <= 1e-13
-        # Step toward the candidate (not at all once settled), stopping at the
-        # first constraint outside the working set that blocks; a later one
-        # replaces it only by blocking 1e-14 sooner.  Room >= -slope never blocks.
-        slopes = (ineq @ step[:, :, None])[:, :, 0]
-        rooms = (ineq @ beta[:, :, None])[:, :, 0] - bound
-        alphas, blockers = np.where(settled, 0.0, 1.0), {}
-        for r, i in zip(*(a.tolist() for a in ((slopes < -1e-14) & (rooms < -slopes)).nonzero())):
-            limit = max(rooms[r, i], 0.0) / (-slopes[r, i])
-            if limit < alphas[r] - 1e-14 and i not in actives[live[r]]:
-                alphas[r], blockers[r] = limit, i
-        for r, i in blockers.items():
-            actives[live[r]].append(i)
-        betas[live] = moved = beta + alphas[:, None] * step
-        # After a full step the next iteration would solve the same system, so
-        # it settles now on this solution if it has an iteration left.
-        again = (alphas == 1.0) & (np.abs(cand - moved).max(axis=1) <= 1e-13)
-        done = set()
-        for r in (settled | again).nonzero()[0].tolist():
-            # H beta + A' nu = lin: the multipliers are -nu, optimal once nu <= 0.
-            j, nu = live[r], sols[live[r]][k + 1:]
-            if again[r] and passes + extra[j] >= cap:
-                continue  # the settling solve is past the cap
-            extra[j] += int(again[r])
-            if len(nu) == 0 or nu.max() <= _MULT_TOL:
-                betas[j] = cand[r]
-                done.add(j)
-            else:
-                actives[j].pop(int(np.argmax(nu)))
-        failed.update((j, FitError("active-set iteration did not converge"))
-                      for j in live if j not in done and passes + extra[j] >= cap)
-        live = [j for j in live if j not in done and j not in failed]
-    return betas, [sorted(active) for active in actives], failed
+        # Each set's KKT matrix is the principal submatrix of [H 1 G'; 1' 0 0; G 0 0]
+        # with its rows in sorted order, stacked problem by problem, set by set.
+        sets = list(itertools.combinations(range(m), size))
+        rows, n = np.array(sets, dtype=int).reshape(len(sets), size), k + 1 + size
+        kkt, rhs = np.zeros((len(open_), len(sets), n, n)), np.zeros((len(open_), len(sets), n))
+        kkt[:, :, :k, :k], rhs[:, :, :k] = hess[open_, None], lin[open_, None]
+        kkt[:, :, :k, k] = kkt[:, :, k, :k] = rhs[:, :, k] = 1.0
+        g = ineq[open_][:, rows]
+        kkt[:, :, k + 1:, :k], kkt[:, :, :k, k + 1:] = g, np.swapaxes(g, 2, 3)
+        rhs[:, :, k + 1:] = bound[open_][:, rows]
+        kkt, rhs = kkt.reshape(-1, n, n), rhs.reshape(-1, n, 1)
+        try:
+            sols = np.linalg.solve(kkt, rhs)[:, :, 0]
+        except np.linalg.LinAlgError:  # find the singular ones: each drops alone
+            sols = np.full(rhs.shape[:2], np.nan)
+            for i, (matrix, vector) in enumerate(zip(kkt, rhs)):
+                try:
+                    sols[i] = np.linalg.solve(matrix, vector)[:, 0]
+                except np.linalg.LinAlgError:
+                    pass
+        sols = sols.reshape(len(open_), len(sets), n)
+        if size == 0:
+            singular = np.isnan(sols[:, 0, 0])
+            failed.update((open_[i], FitError("singular KKT system (active set [])"))
+                          for i in np.flatnonzero(singular).tolist())
+        # H beta + A' nu = lin: the multipliers are -nu, of the right sign once nu <= 0.
+        cand = sols[:, :, :k]
+        slack = (ineq[open_, None] @ cand[:, :, :, None])[:, :, :, 0] - bound[open_, None]
+        ok = ((slack >= -_FEAS_TOL * scale[open_, None]).all(axis=2)
+              & (sols[:, :, k + 1:] <= _MULT_TOL).all(axis=2))
+        hits, firsts = ok.any(axis=1), ok.argmax(axis=1)
+        for i in np.flatnonzero(hits).tolist():
+            betas[open_[i]], actives[open_[i]] = cand[i, firsts[i]], list(sets[firsts[i]])
+        open_ = [j for j, hit in zip(open_, hits.tolist()) if not hit and j not in failed]
+    failed.update((j, FitError(f"no working set of at most {k - 1} rows is optimal"))
+                  for j in open_)
+    return betas, actives, failed
 
 
 def _rank_error(design: np.ndarray, quotes: list[BondQuote]) -> FitError:
@@ -311,67 +312,69 @@ def _rank_error(design: np.ndarray, quotes: list[BondQuote]) -> FitError:
 
 def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> list[FitResult]:
     """Eta grid search with IRLS outlier weights, one fit per recovery rate
-    (DAS is left NaN for ``_finish``).  Each IRLS step at an eta makes one
-    ``_solve_constrained_wls`` call on the stack of all rates still iterating; a
-    problem that fails drops only its rate's candidate at that eta.  A
-    candidate's curve is built only when its objective beats its rate's best."""
+    (DAS is left NaN for ``_finish``).  Every (eta, rate) problem of the fit is one
+    IRLS problem, eta the outer axis of the stack, and each IRLS step makes one
+    ``_solve_constrained_wls`` call on all problems still iterating; a problem that
+    fails drops only its rate's candidate at that eta.  Each rate keeps the eta of
+    the lowest final objective (an earlier eta wins ties), whose curve alone is built."""
     config, base_w, quotes = prepared.config, prepared.base_w, prepared.quotes
     rates = np.asarray(recoveries, dtype=float)
-    targets = prepared.v0 - rates[:, None] * prepared.v1
     count, k = len(rates), config.factors
-    best: list[FitResult | None] = [None] * count
-    failures: list[list[str]] = [[] for _ in rates]
-    for eta in config.eta_grid:
-        basis = SplineBasis(eta=eta, size=k)
-        a_phi, b_phi, ineq, bound, labels = prepared.for_basis(basis)
-        slack = ineq[:, 0] - bound  # G beta - b at the solver's start beta = e1
-        low = int(np.argmin(slack))
-        note = (f" ({labels[low]} = {ineq[low, 0]:.3g} at beta = e1, CONSTRAINT_SLACK = "
-                f"{CONSTRAINT_SLACK:g})" if slack[low] < -_FEAS_TOL else "")
-        designs = a_phi - rates[:, None, None] * b_phi
-        failed = {j: _rank_error(designs[j], quotes)
-                  for j in np.flatnonzero(np.linalg.matrix_rank(designs) < k).tolist()}
-        betas, eps, w_out = np.zeros((count, k)), np.zeros(targets.shape), np.ones(targets.shape)
-        actives, histories = {}, [[] for _ in rates]
-        live = [j for j in range(count) if j not in failed]
-        for _ in range(OUTLIER_MAX_ITER):
-            if not live:
-                break
-            stack, target, w_live = designs[live], targets[live], w_out[live]
-            weights = w_live * base_w
-            betas[live], sets, errors = _solve_constrained_wls(stack, target, weights, ineq, bound)
-            actives.update(zip(live, sets))
-            failed.update((live[i], exc) for i, exc in errors.items())  # ride along this step
-            eps[live] = residuals = target - (stack @ betas[live, :, None])[:, :, 0]
-            w_out[live] = w_new = _bisquare_weights(residuals, OUTLIER_TUNING)
-            done = ((np.max(np.abs(w_new - w_live), axis=1) < OUTLIER_TOL)
-                    | (np.max(np.abs(residuals), axis=1) <= PRICE_TOL))
-            for j, objective in zip(live, np.sum(weights * residuals**2, axis=1)):
-                histories[j].append(float(objective))
-            live = [j for j, stop in zip(live, done) if not stop and j not in failed]
-        for j in range(count):
-            if j in failed:
-                failures[j].append(f"eta={eta:g}{note}: {failed[j]}")
-                continue
-            if best[j] is not None and not histories[j][-1] < best[j].objective_history[-1]:
-                continue
-            weights = w_out[j] * base_w
-            total = float(np.sum(weights))
-            error = float(np.sqrt(np.sum(weights * eps[j]**2) / total)) if total > 0 else float("nan")
-            best[j] = FitResult(
-                curve=SplineSurvivalCurve(basis, tuple(betas[j]), horizon=prepared.horizon),
-                ids=tuple(q.id for q in quotes),
-                residuals=eps[j],
-                das=np.full(len(eps[j]), np.nan),
-                outlier_weights=w_out[j],
-                weighted_error=error,
-                eta=eta,
-                active_constraints=tuple(labels[i] for i in actives[j]),
-                objective_history=tuple(histories[j]),
-            )
-    for fit, failed_j in zip(best, failures):
-        if fit is None:
-            raise FitError(failed_j[0])
+    bases = [SplineBasis(eta=eta, size=k) for eta in config.eta_grid]
+    parts = [prepared.for_basis(basis) for basis in bases]
+    # Problem e * count + j is rate j at eta e.
+    designs = np.concatenate([a_phi - rates[:, None, None] * b_phi for a_phi, b_phi, *_ in parts])
+    targets = np.tile(prepared.v0 - rates[:, None] * prepared.v1, (len(parts), 1))
+    ineq = np.repeat(np.array([part[2] for part in parts]), count, axis=0)
+    bound = np.repeat(np.array([part[3] for part in parts]), count, axis=0)
+    failed = {j: _rank_error(designs[j], quotes)
+              for j in np.flatnonzero(np.linalg.matrix_rank(designs) < k).tolist()}
+    betas, eps, w_out = np.zeros((len(designs), k)), np.zeros(targets.shape), np.ones(targets.shape)
+    actives, histories = {}, [[] for _ in designs]
+    # The working stack keeps only the problems still iterating: live[i] is row i's problem.
+    live = np.array([j for j in range(len(designs)) if j not in failed], dtype=int)
+    designs, targets, ineq, bound = designs[live], targets[live], ineq[live], bound[live]
+    for _ in range(OUTLIER_MAX_ITER):
+        if not len(live):
+            break
+        w_live = w_out[live]
+        weights = w_live * base_w
+        betas[live], sets, errors = _solve_constrained_wls(designs, targets, weights, ineq, bound)
+        actives.update(zip(live.tolist(), sets))
+        failed.update((int(live[i]), exc) for i, exc in errors.items())  # ride along this step
+        eps[live] = residuals = targets - (designs @ betas[live, :, None])[:, :, 0]
+        w_out[live] = w_new = _bisquare_weights(residuals, OUTLIER_TUNING)
+        keep = ~((np.max(np.abs(w_new - w_live), axis=1) < OUTLIER_TOL)
+                 | (np.max(np.abs(residuals), axis=1) <= PRICE_TOL))
+        keep[list(errors)] = False
+        for j, objective in zip(live.tolist(), np.sum(weights * residuals**2, axis=1)):
+            histories[j].append(float(objective))
+        del w_live, weights, residuals, w_new  # free the step's arrays before compacting
+        live, designs, targets, ineq, bound = (a[keep] for a in (live, designs, targets, ineq, bound))
+    best = []
+    for j in range(count):
+        fitted = [p for p in range(j, len(betas), count) if p not in failed]  # by eta
+        if not fitted:  # report the first eta's failure
+            _, _, g, b, labels = parts[0]
+            low = int(np.argmin(g[:, 0] - b))  # G beta - b at the solver's start beta = e1
+            note = (f" ({labels[low]} = {g[low, 0]:.3g} at beta = e1, CONSTRAINT_SLACK = "
+                    f"{CONSTRAINT_SLACK:g})" if g[low, 0] - b[low] < -_FEAS_TOL else "")
+            raise FitError(f"eta={config.eta_grid[0]:g}{note}: {failed[j]}")
+        win = min(fitted, key=lambda p: histories[p][-1])  # an earlier eta wins ties
+        e, weights = win // count, w_out[win] * base_w
+        total = float(np.sum(weights))
+        error = float(np.sqrt(np.sum(weights * eps[win]**2) / total)) if total > 0 else float("nan")
+        best.append(FitResult(
+            curve=SplineSurvivalCurve(bases[e], tuple(betas[win]), horizon=prepared.horizon),
+            ids=tuple(q.id for q in quotes),
+            residuals=eps[win].copy(),
+            das=np.full(eps.shape[1], np.nan),
+            outlier_weights=w_out[win].copy(),
+            weighted_error=error,
+            eta=config.eta_grid[e],
+            active_constraints=tuple(parts[e][4][i] for i in actives[win]),
+            objective_history=tuple(histories[win]),
+        ))
     return best
 
 

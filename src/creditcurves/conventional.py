@@ -19,7 +19,7 @@ from .curves import BaseCurve, grid_periods
 from .rootfind import RATE_BRACKET, check_price, solve_bracketed, solve_spread, spread_duration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BondSpec:
     """Bullet bond: annual coupon rate, payment frequency, maturity in years.
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ParseError, ScheduleError
 
@@ -157,12 +157,3 @@ def grid_periods(span: float, freq: int) -> int:
 def grid_times(span: float, freq: int) -> tuple[float, ...]:
     """Payment times (1/freq, 2/freq, ..., n/freq), n = ``grid_periods(span, freq)``."""
     return tuple(i / freq for i in range(1, grid_periods(span, freq) + 1))
-
-
-def sorted_unique(values: Sequence[float], tol: float = 1e-12) -> list[float]:
-    """Sort and deduplicate breakpoints (helper for segment integration)."""
-    out: list[float] = []
-    for v in sorted(values):
-        if not out or v - out[-1] > tol:
-            out.append(v)
-    return out

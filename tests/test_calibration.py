@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -209,8 +210,11 @@ class TestFitSurvival:
             def __init__(self, basis, beta, horizon):
                 raise ValueError(f"curve rejected at eta {basis.eta:g}")
 
+        # Only the winning eta's curve is built, so its error is the one raised.
+        winner = fit_survival(round_trip_quotes, base_curve, FIT_CONFIG).eta
+        assert winner != FIT_CONFIG.eta_grid[0]
         monkeypatch.setattr(calibration, "SplineSurvivalCurve", Rejecting)
-        with pytest.raises(ValueError, match="^curve rejected at eta 0.01$"):
+        with pytest.raises(ValueError, match=f"^curve rejected at eta {winner:g}$"):
             fit_survival(round_trip_quotes, base_curve, FIT_CONFIG)
 
     def test_value_error_outside_curve_validation_propagates(
@@ -409,8 +413,8 @@ def reference_solve(design, target, weights, ineq, bound):
     optimum drop the constraint with the most negative multiplier.  With
     no inequality active this is a single equality-constrained solve.
     """
-    # The one-problem routine the stacked solver replaced, kept verbatim as
-    # the reference each problem of a stack must match bit for bit.
+    # The one-problem active-set routine the stacked solvers replaced, kept
+    # verbatim as the oracle whose sorted active set each problem must end on.
     k = design.shape[1]
     wsqrt = np.sqrt(weights)
     dw = design * wsqrt[:, None]
@@ -473,9 +477,9 @@ def reference_stack(designs, targets, weights, ineq, bound):
     """Each problem of a stack through ``reference_solve``, in the stacked
     solver's return shape."""
     betas, actives, failed = np.zeros((len(designs), designs.shape[2])), [], {}
-    for i, problem in enumerate(zip(designs, targets, weights)):
+    for i, problem in enumerate(zip(designs, targets, weights, ineq, bound)):
         try:
-            betas[i], active = reference_solve(*problem, ineq, bound)
+            betas[i], active = reference_solve(*problem)
         except FitError as exc:
             active, failed[i] = [], exc
         actives.append(active)
@@ -493,7 +497,7 @@ def reference_paths(designs, targets, weights, ineq, bound):
     that nothing blocks), "blocked", "multiplier drop", "singular KKT" and
     "infeasible start", read off the sizes of the KKT systems it solves."""
     paths = set()
-    for problem in zip(designs, targets, weights):
+    for problem in zip(designs, targets, weights, ineq, bound):
         sizes = []
 
         def spy(kkt, rhs, solve=np.linalg.solve):
@@ -502,7 +506,7 @@ def reference_paths(designs, targets, weights, ineq, bound):
 
         with mock.patch.object(np.linalg, "solve", spy):
             try:
-                reference_solve(*problem, ineq, bound)
+                reference_solve(*problem)
             except FitError as exc:
                 paths.add("singular KKT" if "singular" in str(exc) else "infeasible start")
         if len(sizes) > 1 and sizes[1] == sizes[0]:
@@ -510,6 +514,87 @@ def reference_paths(designs, targets, weights, ineq, bound):
         paths.update("blocked" if b > a else "multiplier drop"
                      for a, b in zip(sizes, sizes[1:]) if b != a)
     return paths
+
+
+def kkt_solve(design, target, weights, ineq, bound, active):
+    """(beta, nu) from one ``np.linalg.solve`` of the KKT system of one problem with
+    the rows ``active`` of G (sorted) as equalities, or None where it is singular."""
+    k = design.shape[1]
+    wsqrt = np.sqrt(weights)[None]
+    dw = design[None] * wsqrt[:, :, None]
+    dwt = 2.0 * np.swapaxes(dw, 1, 2)
+    hess, lin = (dwt @ dw)[0], (dwt @ (wsqrt * target)[:, :, None])[0, :, 0]
+    rows = np.vstack([np.ones(k)] + [ineq[i] for i in active])
+    kkt = np.zeros((k + len(rows),) * 2)
+    kkt[:k, :k], kkt[:k, k:], kkt[k:, :k] = hess, rows.T, rows
+    rhs = np.concatenate([lin, [1.0], bound[active]])
+    try:
+        sol = np.linalg.solve(kkt[None], rhs[None, :, None])[0, :, 0]
+    except np.linalg.LinAlgError:
+        return None
+    return sol[:k], sol[k + 1:]
+
+
+def optimal_set(problem, active):
+    """Whether ``active`` passes the solver's test: its KKT point is feasible
+    (within ``_FEAS_TOL`` times each row's largest entry) and its multipliers
+    -nu >= -``_MULT_TOL``."""
+    _, _, _, ineq, bound = problem
+    solved = kkt_solve(*problem, active)
+    if solved is None:
+        return False
+    beta, nu = solved
+    return bool((ineq @ beta - bound >= -_FEAS_TOL * np.abs(ineq).max(axis=1)).all()
+                and (nu <= _MULT_TOL).all())
+
+
+def working_sets(m, k):
+    """Every working set of at most k - 1 of m rows, by size and then row index."""
+    return [list(s) for size in range(min(k - 1, m) + 1)
+            for s in itertools.combinations(range(m), size)]
+
+
+def objective(design, target, weights, beta):
+    """The WLS objective sum w (U beta - V)^2 and its gradient."""
+    r = design @ beta - target
+    return float(np.sum(weights * r * r)), 2.0 * design.T @ (weights * r)
+
+
+def noise_floor(target, weights):
+    """Objective float noise where prices fit exactly: residuals of 1e-10 of the prices."""
+    return 1e-20 * float(np.sum(weights * target**2))
+
+
+def assert_matches_reference(stack):
+    """Each problem of ``stack`` ends on the first working set, by size and then
+    row index, that passes ``optimal_set``, with the beta of one solve of that
+    set's KKT system.  That set is the reference's sorted active set, or precedes
+    it where the reference's set passes too (one optimum with two working sets,
+    or a weighted design that leaves beta free on sum(beta) = 1), and then its
+    objective is no worse.  A problem whose start is infeasible fails with the
+    reference's message, and one whose equality-only KKT system is singular
+    fails as the reference's first solve does from the empty set."""
+    betas, actives, failed = calibration._solve_constrained_wls(*stack)
+    ref_betas, ref_actives, ref_failed = reference_stack(*stack)
+    sets = working_sets(*stack[3].shape[1:])
+    for i, problem in enumerate(zip(*stack)):
+        if str(ref_failed.get(i, "")).startswith("infeasible start"):
+            assert str(failed[i]) == str(ref_failed[i])
+            continue
+        if kkt_solve(*problem, []) is None:
+            assert str(failed[i]) == "singular KKT system (active set [])"
+            continue
+        assert i not in failed
+        assert betas[i].tobytes() == kkt_solve(*problem, actives[i])[0].tobytes()
+        first = sets.index(actives[i])
+        assert optimal_set(problem, actives[i])
+        assert not any(optimal_set(problem, s) for s in sets[:first])
+        if i not in ref_failed and actives[i] != ref_actives[i]:
+            assert sets.index(ref_actives[i]) > first and optimal_set(problem, ref_actives[i])
+            design, target, weights = problem[:3]
+            assert (objective(design, target, weights, betas[i])[0]
+                    <= objective(design, target, weights, ref_betas[i])[0] * (1.0 + 1e-9)
+                    + noise_floor(target, weights))
 
 
 BASE = BaseCurve.from_zero_rates([(0.5, 0.02), (2.0, 0.025), (5.0, 0.03), (10.0, 0.035),
@@ -520,7 +605,7 @@ RATES = [step / 100.0 for step in range(91)]
 def stack_problem(hazard, recovery, sigma, eta, picks, scales, binding=None):
     """A stack of the fit's problems at one eta: one per picked recovery rate,
     weights = base weights * ``scales`` (cycled over the bonds), and row
-    ``binding`` of G made binding at the start."""
+    ``binding`` of G made binding at the start; G and b repeat per problem."""
     quotes = synthetic_quotes(BASE, hazard, recovery, sigma=sigma)
     prepared = calibration._QuoteSet(quotes, BASE, FitConfig())
     a_phi, b_phi, ineq, bound = prepared.for_basis(SplineBasis(eta=eta))[:4]
@@ -531,12 +616,13 @@ def stack_problem(hazard, recovery, sigma, eta, picks, scales, binding=None):
     if binding is not None:
         bound = bound.copy()
         bound[binding % len(bound)] = ineq[binding % len(bound), 0]
-    return designs, targets, weights, ineq, bound
+    return (designs, targets, weights, np.repeat(ineq[None], len(rates), axis=0),
+            np.repeat(bound[None], len(rates), axis=0))
 
 
 # (hazard, recovery, sigma, eta, rate picks, weight scales, binding row): one
-# stack per path of the active-set iteration; the row 0 made binding at the
-# start has a multiplier of the wrong sign.
+# stack per path of the reference's active-set iteration; the row 0 made
+# binding at the start has a multiplier of the wrong sign.
 PATH_EXAMPLES = {
     "unblocked": (0.04, 0.4, 0.0, 0.1, [40], [1.0], None),
     "blocked": (0.04, 0.4, 1e-3, 0.02, [0, 40, 90], [1.0, 0.0, 0.3, 1.0, 1.0, 0.0, 1.0, 0.5], None),
@@ -546,11 +632,17 @@ PATH_EXAMPLES = {
 }
 
 
-def two_factor_stack(ineq, bound):
-    """One problem, min beta_1^2 + (beta_2 - 1)^2 s.t. beta_1 + beta_2 = 1 and
-    G beta >= b: from the start (1, 0) the iterate (1 - x, x) steps toward x = 1."""
-    return (np.eye(2)[None], np.array([[0.0, 1.0]]), np.ones((1, 2)),
-            np.array(ineq, dtype=float), np.array(bound, dtype=float))
+def three_factor_stack(targets, ineq, bound):
+    """Problems min |beta - c|^2 s.t. sum(beta) = 1, G beta >= b, one per target c."""
+    count = len(targets)
+    return (np.repeat(np.eye(3)[None], count, axis=0), np.array(targets, dtype=float),
+            np.ones((count, 3)), np.repeat(np.array(ineq, dtype=float)[None], count, axis=0),
+            np.repeat(np.array(bound, dtype=float)[None], count, axis=0))
+
+
+# Rows 0 and 1 are both beta_1 <= 0, row 2 is beta_2 <= 0.  For c = (1, 1, 0)
+# the optimum (1, 0, 0) is the KKT point of {0}, {1}, {0, 2} and {1, 2}.
+DEGENERATE = ([[0.0, -1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]], [0.0, 0.0, 0.0])
 
 
 class TestStackedSolver:
@@ -562,44 +654,75 @@ class TestStackedSolver:
            binding=st.none() | st.integers(0, 80))
     def test_each_problem_of_a_stack_equals_the_scalar_routine(
             self, hazard, recovery, sigma, eta, picks, scales, binding):
-        stack = stack_problem(hazard, recovery, sigma, eta, picks, scales, binding)
-        assert (outcomes(*calibration._solve_constrained_wls(*stack))
-                == outcomes(*reference_stack(*stack)))
+        assert_matches_reference(stack_problem(hazard, recovery, sigma, eta, picks, scales,
+                                               binding))
 
     @pytest.mark.parametrize("path", PATH_EXAMPLES)
     def test_each_path_occurs_and_matches_the_scalar_routine(self, path):
         stack = stack_problem(*PATH_EXAMPLES[path])
         assert path in reference_paths(*stack)
-        assert (outcomes(*calibration._solve_constrained_wls(*stack))
-                == outcomes(*reference_stack(*stack)))
+        assert_matches_reference(stack)
 
     def test_a_singular_problem_fails_alone(self):
         stack = stack_problem(*PATH_EXAMPLES["singular KKT"])
         together = outcomes(*calibration._solve_constrained_wls(*stack))
         assert [type(o) for o in together] == [tuple, str, tuple]
-        assert together[1].startswith("singular KKT system")
+        assert together[1] == "singular KKT system (active set [])"
         for i in (0, 2):
-            alone = [a[i:i + 1] for a in stack[:3]]
-            assert outcomes(*calibration._solve_constrained_wls(*alone, *stack[3:])) == [together[i]]
+            alone = [a[i:i + 1] for a in stack]
+            assert outcomes(*calibration._solve_constrained_wls(*alone)) == [together[i]]
 
-    @pytest.mark.parametrize("gap, blocker", [(1e-14, 0), (4e-14, 1)])
-    def test_a_later_blocker_replaces_the_first_only_by_blocking_1e14_sooner(self, gap, blocker):
-        # Rows 1 - 2x >= 0 and 1 - 2x >= gap block the first step at x = 1/2
-        # and at x = (1 - gap)/2: a fraction gap/2 of the step sooner.
-        stack = two_factor_stack([[1.0, -1.0], [1.0, -1.0]], [0.0, gap])
-        solved = outcomes(*calibration._solve_constrained_wls(*stack))
-        assert solved == outcomes(*reference_stack(*stack))
-        assert solved[0][1] == [blocker]
+    def test_a_degenerate_optimum_keeps_the_smallest_set_then_the_lowest_index(self):
+        stack = three_factor_stack([[1.0, 1.0, 0.0]], *DEGENERATE)
+        problem = [a[0] for a in stack]
+        beta = kkt_solve(*problem, [0])[0]
+        for tied in ([1], [0, 2], [1, 2]):
+            assert np.abs(kkt_solve(*problem, tied)[0] - beta).max() <= 1e-15
+            assert optimal_set(problem, tied)
+        assert kkt_solve(*problem, [0, 1]) is None  # a singular set drops alone
+        assert outcomes(*calibration._solve_constrained_wls(*stack)) == [
+            ([float(b).hex() for b in beta], [0])]
 
-    def test_a_settled_problem_does_not_step(self):
-        # Row 0 (slack 1e-13 at the start) starts in the working set; its
-        # optimum x = 5e-14 is within 1e-13, so the first solve settles.  Row 1
-        # (slack 5e-13, slope -1e-12 along that step) would block a step taken
-        # anyway and join the active set.
-        stack = two_factor_stack([[1.0, -1.0], [10.0, -10.0]], [1.0 - 1e-13, 10.0 - 5e-13])
-        solved = outcomes(*calibration._solve_constrained_wls(*stack))
-        assert solved == outcomes(*reference_stack(*stack))
-        assert solved[0][1] == [0]
+    def test_a_problem_no_set_satisfies_fails_alone(self, monkeypatch):
+        # c = (1, 0, 0) is feasible and needs no row; c = (1, 1, 0) needs row 0,
+        # whose multiplier no longer passes once the tolerance is below it.
+        stack = three_factor_stack([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], *DEGENERATE)
+        monkeypatch.setattr(calibration, "_MULT_TOL", -10.0)
+        betas, actives, failed = calibration._solve_constrained_wls(*stack)
+        assert (betas[0].tolist(), actives[0]) == ([1.0, 0.0, 0.0], [])
+        assert list(failed) == [1]
+        assert str(failed[1]) == "no working set of at most 2 rows is optimal"
+
+    @settings(max_examples=30, deadline=None)
+    @given(hazard=st.floats(0.005, 0.3), recovery=st.floats(0.0, 0.6),
+           sigma=st.sampled_from([0.0, 1e-3]), eta=st.sampled_from([0.005, 0.02, 0.1, 0.5]),
+           picks=st.lists(st.integers(0, 90), min_size=1, max_size=4, unique=True),
+           scales=st.lists(st.sampled_from([0.3, 1.0]), min_size=1, max_size=8),
+           binding=st.none() | st.integers(0, 80))
+    def test_no_feasible_point_found_by_slsqp_does_better(
+            self, hazard, recovery, sigma, eta, picks, scales, binding):
+        # An oracle independent of the reference: scipy's SLSQP from the same start.
+        optimize = pytest.importorskip("scipy.optimize")
+        stack = stack_problem(hazard, recovery, sigma, eta, picks, scales, binding)
+        betas, _, failed = calibration._solve_constrained_wls(*stack)
+        for i, (design, target, weights, ineq, bound) in enumerate(zip(*stack)):
+            if i in failed:
+                continue
+            beta = betas[i]
+            assert abs(beta.sum() - 1.0) <= 1e-10
+            assert (ineq @ beta - bound >= -1e-10).all()
+            res = optimize.minimize(
+                lambda b: objective(design, target, weights, b), np.eye(len(beta))[0],
+                jac=True, method="SLSQP",
+                constraints=[{"type": "eq", "fun": lambda b: b.sum() - 1.0},
+                             {"type": "ineq", "fun": lambda b: ineq @ b - bound}],
+                options={"ftol": 1e-15, "maxiter": 500})
+            if (not res.success or abs(res.x.sum() - 1.0) > 1e-9
+                    or (ineq @ res.x - bound < -1e-9).any()):
+                continue
+            # Where the prices fit exactly both objectives are float noise.
+            assert (objective(design, target, weights, beta)[0]
+                    <= res.fun * (1.0 + 1e-9) + noise_floor(target, weights))
 
 
 class TestBatchedFitCore:
@@ -609,15 +732,44 @@ class TestBatchedFitCore:
            picks=st.lists(st.integers(0, 90), min_size=1, max_size=6, unique=True))
     def test_each_rate_of_a_stack_equals_its_own_fit(self, sigma, hazard, recovery, picks):
         quotes = synthetic_quotes(BASE, hazard, recovery, sigma=sigma)
-        prepared = calibration._QuoteSet(quotes, BASE, FitConfig(eta_grid=(0.005, 0.02, 0.1)))
+        grid = (0.005, 0.02, 0.1)
+        prepared = calibration._QuoteSet(quotes, BASE, FitConfig(eta_grid=grid))
         rates = [RATES[i] for i in picks]
         fits = calibration._fit_core(prepared, rates)
         with mock.patch.object(calibration, "_solve_constrained_wls", reference_stack):
             reference = calibration._fit_core(prepared, rates)
+        singles = [calibration._QuoteSet(quotes, BASE, FitConfig(eta_grid=(eta,)))
+                   for eta in grid]
         assert len(fits) == len(rates)
         for rate, fit, ref in zip(rates, fits, reference):
-            assert fit_fields(fit) == fit_fields(ref)
+            # The reference's working set may end unsorted: its beta can move in
+            # the last digits, its choices not.
+            assert (fit.eta, fit.active_constraints) == (ref.eta, ref.active_constraints)
+            assert fit.curve.beta == pytest.approx(ref.curve.beta, rel=1e-9, abs=1e-12)
             assert fit_fields(fit) == fit_fields(calibration._fit_core(prepared, [rate])[0])
+            # The multi-eta fit is the best of its single-eta fits, the earliest on a tie.
+            alone = []
+            for single in singles:
+                try:
+                    alone.append(calibration._fit_core(single, [rate])[0])
+                except FitError:
+                    pass
+            assert fit_fields(fit) == fit_fields(
+                min(alone, key=lambda f: f.objective_history[-1]))
+
+    def test_one_curve_per_returned_rate(self, monkeypatch):
+        built = []
+
+        class Counted(SplineSurvivalCurve):
+            def __init__(self, *args, **kwargs):
+                built.append(args[0].eta)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "SplineSurvivalCurve", Counted)
+        quotes = synthetic_quotes(BASE, 0.04, 0.30, count=8)
+        _, fit = implied_recovery(quotes, BASE, FitConfig(eta_grid=(0.01, 0.05, 0.1)))
+        assert len(built) == len(RATES)
+        assert fit.eta in built
 
     def test_failed_candidate_drops_only_its_rate(self, monkeypatch):
         quotes = synthetic_quotes(BASE, 0.04, 0.30, count=8)
@@ -639,8 +791,8 @@ class TestBatchedFitCore:
 
         monkeypatch.setattr(calibration, "_solve_constrained_wls", spy)
         clean = calibration._fit_core(prepared, RATES)
-        # Fail a candidate that wins its rate, in an eta stack that also holds
-        # other rates' winners.
+        # Fail a candidate that wins its rate, in a stack that also holds
+        # other rates' winners at its eta.
         bad_design, bad_target, bad_eta, j = next(
             (design, target, eta, j) for design, target in seen
             for eta, j in [locate(design, target)] if clean[j].eta == eta)
@@ -659,6 +811,23 @@ class TestBatchedFitCore:
         for i, (before, after) in enumerate(zip(clean, patched)):
             if i != j:
                 assert fit_fields(after) == fit_fields(before)
+
+    def test_one_solver_call_per_irls_step(self, monkeypatch):
+        quotes = synthetic_quotes(BASE, 0.04, 0.30, sigma=1e-3, count=8)
+        grid = (0.01, 0.05, 0.1)
+        prepared = calibration._QuoteSet(quotes, BASE, FitConfig(eta_grid=grid))
+        solve, calls = calibration._solve_constrained_wls, []
+
+        def spy(designs, *args):
+            calls.append(len(designs))
+            return solve(designs, *args)
+
+        monkeypatch.setattr(calibration, "_solve_constrained_wls", spy)
+        fits = calibration._fit_core(prepared, RATES)
+        steps = max(len(fit.objective_history) for fit in fits)
+        assert len(calls) <= calibration.OUTLIER_MAX_ITER
+        assert calls[0] == len(grid) * len(RATES)
+        assert len(calls) >= steps
 
 
 class TestInfeasibleEta:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from creditcurves.curves import sorted_unique
 from creditcurves.splines import SplineBasis
 from creditcurves.survival import SplineSurvivalCurve
 
@@ -141,7 +140,7 @@ def test_row_and_curve_match_the_closed_forms(case, times):
             if t <= tenor:
                 assert row[k - 1] == 0.0
     # The curve's terms rebuild Q on every cut, the tail past the horizon included.
-    cuts = sorted_unique([0.0, 100.0, *curve._breakpoints(), *times])
+    cuts = sorted({0.0, 100.0, *curve._breakpoints(), *times})
     for a, b in zip(cuts, cuts[1:]):
         terms = curve._exp_terms(a, b)
         for u in (a, 0.5 * (a + b), b):
