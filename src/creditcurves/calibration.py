@@ -15,9 +15,10 @@ Recovery enters linearly too: the design is the FRP cash-flow map of
 U(eta, R) = (A - R B) Phi(eta), and the target V(R) = v0 - R v1, with A,
 B, v0, v1 free of eta and R.  Each call precomputes them once, forms the
 Phi products once per eta, and hands every (eta, R) problem to the
-constrained-WLS solver as one stack per IRLS step.  DAS is solved only for
-the fit returned, so ``implied_recovery`` (91 rates) is one precompute, one
-stack per IRLS step, one curve per rate and one DAS pass.
+constrained-WLS solver as one stack per IRLS step.  Each problem's status,
+objective history and active rows are arrays, and only the fit returned is
+built, so ``implied_recovery`` (91 rates) is one precompute, one stack per
+IRLS step, one curve and one DAS pass.
 
 The solver enumerates KKT systems.  Once the weighted design pins beta on
 sum(beta) = 1 the QP is strictly convex, so its optimum is unique, and with
@@ -39,7 +40,8 @@ import csv
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,6 +61,10 @@ OUTLIER_MAX_ITER = 10    # IRLS cap: weighted solves per eta candidate
 FLAT_ERROR_TOL = 1e-6    # recovery not identified: fit error spread across the scan below this
 _FEAS_TOL = 1e-10
 _MULT_TOL = 1e-10
+# A stacked problem's status indexes its message: 0 solved, then the solver's failures.
+_STATUS = ("solved", "infeasible start: Q(H) = exp(-eta H) is below the slack",
+           "singular KKT system (active set [])", "no working set of at most {} rows is optimal")
+_INFEASIBLE, _SINGULAR, _NO_SET, _RANK_DEFICIENT = 1, 2, 3, 4  # 4: the fit's, see ``_rank_error``
 
 
 def default_eta_grid() -> tuple[float, ...]:
@@ -145,7 +151,7 @@ class _QuoteSet:
     flows), b_i = g (z_i - z_{i+1}), z_{N+1} = 0, and v1 = g z_1, for the
     recovery load g = 1 + C/2q of ``pricing.frp_coefficients``.  So its design
     row is sum_i (a_i - R b_i) Phi(t_i) and its target v0 - R v1, v0 the dirty
-    price.  A fit passes its config, which adds the base weights and checks the count.
+    price.  A fit passes its config, which adds the base weights and checks the count and ids.
     """
 
     def __init__(self, quotes: list[BondQuote], base: BaseCurve,
@@ -154,6 +160,9 @@ class _QuoteSet:
             raise InsufficientDataError(
                 f"insufficient quotes: need at least {config.factors}, got {len(quotes)}"
             )
+        ids = [q.id for q in quotes]
+        if config is not None and len(set(ids)) < len(ids):  # results are reported by id
+            raise ValueError(f"duplicate bond id {next(i for i in ids if ids.count(i) > 1)!r}")
         self.quotes, self.base, self.config = quotes, base, config
         # Python floats, not numpy scalars, feed the scalar loops of the solves.
         self.times, self.cf_z, self.spans, b, v1 = [], [], [], [], []
@@ -220,10 +229,11 @@ def _solve_constrained_wls(
     weights: np.ndarray,
     ineq: np.ndarray,
     bound: np.ndarray,
-) -> tuple[np.ndarray, list[list[int]], dict[int, FitError]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimize sum w (U beta - V)^2 s.t. sum(beta) = 1, G beta >= b for each problem
     (U, V, w, G, b) of a stack, G and b of shapes (count, m, k) and (count, m): the
-    betas, sorted active sets, {index: FitError}.
+    betas, a (count, m) mask of each chosen working set's rows, and each status (0
+    where solved, else the index of its message in ``_STATUS``).
 
     KKT enumeration by level (Nocedal & Wright 2006, ch. 16).  Once the weighted
     design pins beta on sum(beta) = 1 the QP is strictly convex, so the first working
@@ -234,37 +244,35 @@ def _solve_constrained_wls(
     empty set, the m one-row sets, the C(m, 2) two-row sets (1 + 4 + 6 for the fit's
     k = 3).  Where two sets give one beta (a degenerate optimum) the smaller set, then
     the lower index, wins.  A problem whose start beta = e1 breaks a row fails before
-    any solve; one whose equality-only KKT matrix is singular (its weighted design
-    leaves beta free on sum(beta) = 1, e.g. too many zero weights) fails as well,
-    and any other singular set drops only itself.
+    any solve (``_INFEASIBLE``), one whose equality-only KKT matrix is singular (its
+    weighted design leaves beta free on sum(beta) = 1, e.g. too many zero weights)
+    fails with it (``_SINGULAR``) while any other singular set drops only itself, and
+    one that no set satisfies fails last (``_NO_SET``).
     """
-    count, _, k = designs.shape
-    m = ineq.shape[1]
+    (count, _, k), m = designs.shape, ineq.shape[1]
     wsqrt = np.sqrt(weights)
     dw = designs * wsqrt[:, :, None]
     dwt = np.swapaxes(dw, 1, 2)  # a view: doubling after the products is exact
     hess, lin = 2.0 * (dwt @ dw), 2.0 * (dwt @ (wsqrt * targets)[:, :, None])[:, :, 0]
     del dw, dwt  # the largest array here: free it before the level solves
-    betas, actives = np.zeros((count, k)), [[] for _ in range(count)]
-    # The fit's monotonicity rows read 1 at e1, so only its positivity row can fail here.
-    infeasible = FitError("infeasible start: Q(H) = exp(-eta H) is below the slack")
-    start = (ineq[:, :, 0] - bound < -_FEAS_TOL).any(axis=1)
-    failed = dict.fromkeys(np.flatnonzero(start).tolist(), infeasible)
-    open_ = [j for j in range(count) if j not in failed]
+    betas, active = np.zeros((count, k)), np.zeros((count, m), dtype=bool)
+    # -1 while open.  The fit's monotonicity rows read 1 at e1, so only its
+    # positivity row can fail the start.
+    status = np.where((ineq[:, :, 0] - bound < -_FEAS_TOL).any(axis=1), _INFEASIBLE, -1)
     scale = np.abs(ineq).max(axis=2)  # a row's tolerance scales with the row
     for size in range(min(k - 1, m) + 1):
-        if not open_:
+        open_ = np.flatnonzero(status < 0)
+        if not len(open_):
             break
         # Each set's KKT matrix is the principal submatrix of [H 1 G'; 1' 0 0; G 0 0]
         # with its rows in sorted order, stacked problem by problem, set by set.
-        sets = list(itertools.combinations(range(m), size))
-        rows, n = np.array(sets, dtype=int).reshape(len(sets), size), k + 1 + size
+        sets, n = np.array(list(itertools.combinations(range(m), size)), dtype=int), k + 1 + size
         kkt, rhs = np.zeros((len(open_), len(sets), n, n)), np.zeros((len(open_), len(sets), n))
         kkt[:, :, :k, :k], rhs[:, :, :k] = hess[open_, None], lin[open_, None]
         kkt[:, :, :k, k] = kkt[:, :, k, :k] = rhs[:, :, k] = 1.0
-        g = ineq[open_][:, rows]
+        g = ineq[open_][:, sets]
         kkt[:, :, k + 1:, :k], kkt[:, :, :k, k + 1:] = g, np.swapaxes(g, 2, 3)
-        rhs[:, :, k + 1:] = bound[open_][:, rows]
+        rhs[:, :, k + 1:] = bound[open_][:, sets]
         kkt, rhs = kkt.reshape(-1, n, n), rhs.reshape(-1, n, 1)
         try:
             sols = np.linalg.solve(kkt, rhs)[:, :, 0]
@@ -276,22 +284,18 @@ def _solve_constrained_wls(
                 except np.linalg.LinAlgError:
                     pass
         sols = sols.reshape(len(open_), len(sets), n)
-        if size == 0:
-            singular = np.isnan(sols[:, 0, 0])
-            failed.update((open_[i], FitError("singular KKT system (active set [])"))
-                          for i in np.flatnonzero(singular).tolist())
+        if size == 0:  # a NaN KKT point passes no test below
+            status[open_[np.isnan(sols[:, 0, 0])]] = _SINGULAR
         # H beta + A' nu = lin: the multipliers are -nu, of the right sign once nu <= 0.
         cand = sols[:, :, :k]
         slack = (ineq[open_, None] @ cand[:, :, :, None])[:, :, :, 0] - bound[open_, None]
         ok = ((slack >= -_FEAS_TOL * scale[open_, None]).all(axis=2)
               & (sols[:, :, k + 1:] <= _MULT_TOL).all(axis=2))
-        hits, firsts = ok.any(axis=1), ok.argmax(axis=1)
-        for i in np.flatnonzero(hits).tolist():
-            betas[open_[i]], actives[open_[i]] = cand[i, firsts[i]], list(sets[firsts[i]])
-        open_ = [j for j, hit in zip(open_, hits.tolist()) if not hit and j not in failed]
-    failed.update((j, FitError(f"no working set of at most {k - 1} rows is optimal"))
-                  for j in open_)
-    return betas, actives, failed
+        hit = np.flatnonzero(ok.any(axis=1))
+        won, first = open_[hit], ok[hit].argmax(axis=1)
+        betas[won], status[won], active[won[:, None], sets[first]] = cand[hit, first], 0, True
+    status[status < 0] = _NO_SET
+    return betas, active, status
 
 
 def _rank_error(design: np.ndarray, quotes: list[BondQuote]) -> FitError:
@@ -310,13 +314,15 @@ def _rank_error(design: np.ndarray, quotes: list[BondQuote]) -> FitError:
     return FitError(f"design matrix rank-deficient; collinear bonds: {', '.join(names)}")
 
 
-def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> list[FitResult]:
-    """Eta grid search with IRLS outlier weights, one fit per recovery rate
-    (DAS is left NaN for ``_finish``).  Every (eta, rate) problem of the fit is one
-    IRLS problem, eta the outer axis of the stack, and each IRLS step makes one
-    ``_solve_constrained_wls`` call on all problems still iterating; a problem that
-    fails drops only its rate's candidate at that eta.  Each rate keeps the eta of
-    the lowest final objective (an earlier eta wins ties), whose curve alone is built."""
+def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> tuple[np.ndarray, Callable]:
+    """Eta grid search with IRLS outlier weights per recovery rate: (errors, result),
+    errors[j] rate j's weighted fit error and result(j) its ``FitResult``, curve and
+    DAS built on call.  Every (eta, rate) problem is one row of one stack, eta the
+    outer axis, with one ``_solve_constrained_wls`` call per IRLS step; a problem leaves
+    the stack once converged or once its status (a ``_STATUS`` index, or
+    ``_RANK_DEFICIENT``) is not 0.  Each rate takes the argmin over eta of the final
+    objective, failed problems at +inf (an earlier eta wins ties); a rate whose every
+    eta failed raises."""
     config, base_w, quotes = prepared.config, prepared.base_w, prepared.quotes
     rates = np.asarray(recoveries, dtype=float)
     count, k = len(rates), config.factors
@@ -327,64 +333,57 @@ def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> list[FitResult]:
     targets = np.tile(prepared.v0 - rates[:, None] * prepared.v1, (len(parts), 1))
     ineq = np.repeat(np.array([part[2] for part in parts]), count, axis=0)
     bound = np.repeat(np.array([part[3] for part in parts]), count, axis=0)
-    failed = {j: _rank_error(designs[j], quotes)
-              for j in np.flatnonzero(np.linalg.matrix_rank(designs) < k).tolist()}
+    status = np.where(np.linalg.matrix_rank(designs) < k, _RANK_DEFICIENT, 0)
     betas, eps, w_out = np.zeros((len(designs), k)), np.zeros(targets.shape), np.ones(targets.shape)
-    actives, histories = {}, [[] for _ in designs]
+    active = np.zeros(ineq.shape[:2], dtype=bool)
+    history, steps = np.zeros((len(designs), OUTLIER_MAX_ITER)), np.zeros(len(designs), dtype=int)
     # The working stack keeps only the problems still iterating: live[i] is row i's problem.
-    live = np.array([j for j in range(len(designs)) if j not in failed], dtype=int)
+    live = np.flatnonzero(status == 0)
     designs, targets, ineq, bound = designs[live], targets[live], ineq[live], bound[live]
-    for _ in range(OUTLIER_MAX_ITER):
+    for step in range(OUTLIER_MAX_ITER):
         if not len(live):
             break
         w_live = w_out[live]
         weights = w_live * base_w
-        betas[live], sets, errors = _solve_constrained_wls(designs, targets, weights, ineq, bound)
-        actives.update(zip(live.tolist(), sets))
-        failed.update((int(live[i]), exc) for i, exc in errors.items())  # ride along this step
+        betas[live], active[live], status[live] = _solve_constrained_wls(
+            designs, targets, weights, ineq, bound)
         eps[live] = residuals = targets - (designs @ betas[live, :, None])[:, :, 0]
         w_out[live] = w_new = _bisquare_weights(residuals, OUTLIER_TUNING)
+        history[live, step], steps[live] = np.sum(weights * residuals**2, axis=1), step + 1
         keep = ~((np.max(np.abs(w_new - w_live), axis=1) < OUTLIER_TOL)
-                 | (np.max(np.abs(residuals), axis=1) <= PRICE_TOL))
-        keep[list(errors)] = False
-        for j, objective in zip(live.tolist(), np.sum(weights * residuals**2, axis=1)):
-            histories[j].append(float(objective))
+                 | (np.max(np.abs(residuals), axis=1) <= PRICE_TOL)) & (status[live] == 0)
         del w_live, weights, residuals, w_new  # free the step's arrays before compacting
         live, designs, targets, ineq, bound = (a[keep] for a in (live, designs, targets, ineq, bound))
-    best = []
-    for j in range(count):
-        fitted = [p for p in range(j, len(betas), count) if p not in failed]  # by eta
-        if not fitted:  # report the first eta's failure
-            _, _, g, b, labels = parts[0]
-            low = int(np.argmin(g[:, 0] - b))  # G beta - b at the solver's start beta = e1
-            note = (f" ({labels[low]} = {g[low, 0]:.3g} at beta = e1, CONSTRAINT_SLACK = "
-                    f"{CONSTRAINT_SLACK:g})" if g[low, 0] - b[low] < -_FEAS_TOL else "")
-            raise FitError(f"eta={config.eta_grid[0]:g}{note}: {failed[j]}")
-        win = min(fitted, key=lambda p: histories[p][-1])  # an earlier eta wins ties
-        e, weights = win // count, w_out[win] * base_w
-        total = float(np.sum(weights))
-        error = float(np.sqrt(np.sum(weights * eps[win]**2) / total)) if total > 0 else float("nan")
-        best.append(FitResult(
-            curve=SplineSurvivalCurve(bases[e], tuple(betas[win]), horizon=prepared.horizon),
-            ids=tuple(q.id for q in quotes),
-            residuals=eps[win].copy(),
-            das=np.full(eps.shape[1], np.nan),
-            outlier_weights=w_out[win].copy(),
-            weighted_error=error,
+    final = np.where(status == 0, history[np.arange(len(status)), steps - 1], np.inf)
+    wins = final.reshape(len(parts), count).argmin(axis=0) * count + np.arange(count)
+    lost = np.flatnonzero(status[wins])  # rates no eta fits: report the first at eta 0
+    if len(lost):
+        j = int(lost[0])
+        _, _, g, b, labels = parts[0]
+        low = int(np.argmin(g[:, 0] - b))  # G beta - b at the solver's start beta = e1
+        note = (f" ({labels[low]} = {g[low, 0]:.3g} at beta = e1, CONSTRAINT_SLACK = "
+                f"{CONSTRAINT_SLACK:g})" if g[low, 0] - b[low] < -_FEAS_TOL else "")
+        cause = (_rank_error(parts[0][0] - rates[j] * parts[0][1], quotes)
+                 if status[j] == _RANK_DEFICIENT else _STATUS[status[j]].format(k - 1))
+        raise FitError(f"eta={config.eta_grid[0]:g}{note}: {cause}")
+    weights = w_out[wins] * base_w
+    total = np.sum(weights, axis=1)
+    errors = np.sqrt(np.sum(weights * eps[wins]**2, axis=1) / np.where(total > 0, total, np.nan))
+
+    def result(j: int) -> FitResult:
+        win, e = wins[j], wins[j] // count
+        curve = SplineSurvivalCurve(bases[e], tuple(betas[win]), horizon=prepared.horizon)
+        cfs = (pricing.frp_cash_flows(q.spec, prepared.base, curve, recoveries[j]) for q in quotes)
+        return FitResult(
+            curve=curve, ids=tuple(q.id for q in quotes), residuals=eps[win].copy(),
+            das=np.array([solve_spread(q.spec.payment_times, cf, dirty)  # as measures.das
+                          for q, cf, dirty in zip(quotes, cfs, prepared.dirty)]),
+            outlier_weights=w_out[win].copy(), weighted_error=float(errors[j]),
             eta=config.eta_grid[e],
-            active_constraints=tuple(parts[e][4][i] for i in actives[win]),
-            objective_history=tuple(histories[win]),
-        ))
-    return best
-
-
-def _finish(fit: FitResult, prepared: _QuoteSet, recovery: float) -> FitResult:
-    """Each bond's DAS on the fitted curve: ``measures.das``'s solve."""
-    return replace(fit, das=np.array([
-        solve_spread(q.spec.payment_times,
-                     pricing.frp_cash_flows(q.spec, prepared.base, fit.curve, recovery), dirty)
-        for q, dirty in zip(prepared.quotes, prepared.dirty)
-    ]))
+            active_constraints=tuple(itertools.compress(parts[e][4], active[win])),
+            objective_history=tuple(history[win, :steps[win]].tolist()),
+        )
+    return errors, result
 
 
 def fit_survival(
@@ -397,7 +396,7 @@ def fit_survival(
     """
     config = config or FitConfig()
     prepared = _QuoteSet([q for q in quotes if q.include], base, config)
-    return _finish(_fit_core(prepared, [config.recovery])[0], prepared, config.recovery)
+    return _fit_core(prepared, [config.recovery])[1](0)
 
 
 def calibrate_from_cds(
@@ -450,8 +449,8 @@ def implied_recovery(
     by the cross-section; a warning is issued and the config default is
     returned.
 
-    The 91 rates share one precompute of the quote set and are fitted as
-    one stacked solve per eta; DAS is solved only for the fit returned.
+    The 91 rates share one precompute of the quote set and one stack per IRLS
+    step; only the returned rate's curve and DAS are built.
     """
     config = config or FitConfig()
     live = [q for q in quotes if q.include]
@@ -463,9 +462,8 @@ def implied_recovery(
 
     prepared = _QuoteSet(live, base, config)
     rates = [step / 100.0 for step in range(91)]
-    fits = dict(zip(rates, _fit_core(prepared, rates)))
-    errors = {r: f.weighted_error for r, f in fits.items()}
-    spread = max(errors.values()) - min(errors.values())
+    errors, result = _fit_core(prepared, rates)
+    spread = float(errors.max() - errors.min())
     if spread < FLAT_ERROR_TOL:
         warnings.warn(
             "recovery not identified: fit error is flat across recovery rates "
@@ -474,11 +472,10 @@ def implied_recovery(
             stacklevel=2,
         )
         rate = config.recovery
-        fit = fits.get(rate) or _fit_core(prepared, [rate])[0]
-    else:
-        rate = min(errors, key=lambda r: (errors[r], r))
-        fit = fits[rate]
-    return rate, _finish(fit, prepared, rate)
+        return rate, (result(rates.index(rate)) if rate in rates
+                      else _fit_core(prepared, [rate])[1](0))
+    j = int(errors.argmin())  # the first minimum: the lowest rate wins ties
+    return rates[j], result(j)
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +522,8 @@ def load_bond_quotes(path: str) -> list[BondQuote]:
                 raise ParseError(f"{path}: row {line}: duplicate bond id {row['id']!r}, "
                                  f"first on row {rows_by_id[row['id']]}")
             rows_by_id[row["id"]] = line
+    if not out:
+        raise ParseError(f"{path}: no quote rows")
     return out
 
 

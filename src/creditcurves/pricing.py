@@ -299,7 +299,7 @@ def continuous_prices(bond: BondSpec, base: BaseCurve, curve: SurvivalCurve, rec
 
     One backward walk from T: the integrals from t_i to T are the piece over
     [t_i, t_{i+1}] plus the sums already held for t_{i+1}.  The -C/2q * (1 - E)
-    term and the (1 + C/2q) recovery load correct the naive integral formula for
+    term and the ``frp_coefficients`` load 1 + C/2q correct the naive integral formula for
     the expected accrued coupon lost at default and for the early-discount bias of
     spreading coupons over the period.
     """
@@ -307,6 +307,7 @@ def continuous_prices(bond: BondSpec, base: BaseCurve, curve: SurvivalCurve, rec
     if not math.isfinite(das):
         raise ValueError(f"das must be finite, got {das!r}")
     C, q, T = bond.coupon, bond.freq, bond.maturity
+    load = frp_coefficients(C, q)[1]
     end_zq = base.df(T) * curve.survival(T) * math.exp(-das * T)
     i_zq = i_hzq = 0.0
     end, prices = T, []
@@ -316,7 +317,7 @@ def continuous_prices(bond: BondSpec, base: BaseCurve, curve: SurvivalCurve, rec
         scale = base.df(t) * curve.survival(t) * math.exp(-das * t)
         survived = end_zq / scale
         prices.append(C * i_zq / scale + survived - C / (2.0 * q) * (1.0 - survived)
-                      + R * (1.0 + C / (2.0 * q)) * i_hzq / scale)
+                      + R * load * i_hzq / scale)
     return prices[::-1]
 
 

@@ -151,6 +151,20 @@ class TestFitSurvival:
         with pytest.raises(InsufficientDataError, match="insufficient quotes"):
             fit_survival(round_trip_quotes[:2], base_curve, FIT_CONFIG)
 
+    def test_duplicate_ids_are_rejected(self, base_curve, round_trip_quotes):
+        # Results are reported by id, as the loader's ids are.
+        quotes = [replace(q, id="dup") if j in (1, 2) else q
+                  for j, q in enumerate(round_trip_quotes[:5])]
+        with pytest.raises(ValueError, match="^duplicate bond id 'dup'$"):
+            fit_survival(quotes, base_curve, FIT_CONFIG)
+        scan = [replace(q, id="dup") if j in (0, 7) else q
+                for j, q in enumerate(synthetic_quotes(base_curve, 0.04, 0.30, count=8))]
+        with pytest.raises(ValueError, match="^duplicate bond id 'dup'$"):
+            implied_recovery(scan, base_curve, FIT_CONFIG)
+        # An excluded quote is not part of the fit.
+        quotes[2] = replace(quotes[2], include=False)
+        assert fit_survival(quotes, base_curve, FIT_CONFIG).ids.count("dup") == 1
+
     def test_rank_deficient_names_bonds(self, base_curve):
         spec = BondSpec(coupon=0.05, freq=2, maturity=5.0)
         quotes = [BondQuote(id=f"dup{j}", spec=spec, clean_price=0.95, spread_duration=4.0)
@@ -394,7 +408,7 @@ class TestImpliedRecoverySharedPrecompute:
 
 
 def fit_fields(fit):
-    """Every field of a core fit, floats as bit patterns (DAS is NaN there)."""
+    """Every field of a fit, floats as bit patterns."""
     return (fit.ids, fit.eta, fit.active_constraints, fit.curve.horizon,
             [float(b).hex() for b in fit.curve.beta], fit.residuals.tobytes(),
             fit.das.tobytes(), fit.outlier_weights.tobytes(), float(fit.weighted_error).hex(),
@@ -475,21 +489,25 @@ def reference_solve(design, target, weights, ineq, bound):
 
 def reference_stack(designs, targets, weights, ineq, bound):
     """Each problem of a stack through ``reference_solve``, in the stacked
-    solver's return shape."""
-    betas, actives, failed = np.zeros((len(designs), designs.shape[2])), [], {}
+    solver's return shape: a failure's status is its message's index in
+    ``_STATUS``, or ``_NO_SET`` for a message the stacked solver does not have."""
+    betas, active = np.zeros((len(designs), designs.shape[2])), np.zeros(ineq.shape[:2], bool)
+    status = np.zeros(len(designs), dtype=int)
     for i, problem in enumerate(zip(designs, targets, weights, ineq, bound)):
         try:
-            betas[i], active = reference_solve(*problem)
+            betas[i], rows = reference_solve(*problem)
+            active[i, rows] = True
         except FitError as exc:
-            active, failed[i] = [], exc
-        actives.append(active)
-    return betas, actives, failed
+            status[i] = (calibration._STATUS.index(str(exc)) if str(exc) in calibration._STATUS
+                         else calibration._NO_SET)
+    return betas, active, status
 
 
-def outcomes(betas, actives, failed):
-    """Per problem: its error message, or beta as hex floats and its active set."""
-    return [str(failed[i]) if i in failed else ([float(b).hex() for b in beta], sorted(active))
-            for i, (beta, active) in enumerate(zip(betas, actives))]
+def outcomes(betas, active, status):
+    """Per problem: its error message, or beta as hex floats and its active rows."""
+    return [calibration._STATUS[code].format(betas.shape[1] - 1) if code
+            else ([float(b).hex() for b in beta], np.flatnonzero(rows).tolist())
+            for beta, rows, code in zip(betas, active, status.tolist())]
 
 
 def reference_paths(designs, targets, weights, ineq, bound):
@@ -574,23 +592,25 @@ def assert_matches_reference(stack):
     objective is no worse.  A problem whose start is infeasible fails with the
     reference's message, and one whose equality-only KKT system is singular
     fails as the reference's first solve does from the empty set."""
-    betas, actives, failed = calibration._solve_constrained_wls(*stack)
-    ref_betas, ref_actives, ref_failed = reference_stack(*stack)
+    betas, active, status = calibration._solve_constrained_wls(*stack)
+    ref_betas, ref_active, ref_status = reference_stack(*stack)
+    messages = outcomes(betas, active, status)
     sets = working_sets(*stack[3].shape[1:])
     for i, problem in enumerate(zip(*stack)):
-        if str(ref_failed.get(i, "")).startswith("infeasible start"):
-            assert str(failed[i]) == str(ref_failed[i])
+        chosen, ref_chosen = (np.flatnonzero(mask[i]).tolist() for mask in (active, ref_active))
+        if ref_status[i] == calibration._INFEASIBLE:
+            assert messages[i] == "infeasible start: Q(H) = exp(-eta H) is below the slack"
             continue
         if kkt_solve(*problem, []) is None:
-            assert str(failed[i]) == "singular KKT system (active set [])"
+            assert messages[i] == "singular KKT system (active set [])"
             continue
-        assert i not in failed
-        assert betas[i].tobytes() == kkt_solve(*problem, actives[i])[0].tobytes()
-        first = sets.index(actives[i])
-        assert optimal_set(problem, actives[i])
+        assert status[i] == 0
+        assert betas[i].tobytes() == kkt_solve(*problem, chosen)[0].tobytes()
+        first = sets.index(chosen)
+        assert optimal_set(problem, chosen)
         assert not any(optimal_set(problem, s) for s in sets[:first])
-        if i not in ref_failed and actives[i] != ref_actives[i]:
-            assert sets.index(ref_actives[i]) > first and optimal_set(problem, ref_actives[i])
+        if ref_status[i] == 0 and chosen != ref_chosen:
+            assert sets.index(ref_chosen) > first and optimal_set(problem, ref_chosen)
             design, target, weights = problem[:3]
             assert (objective(design, target, weights, betas[i])[0]
                     <= objective(design, target, weights, ref_betas[i])[0] * (1.0 + 1e-9)
@@ -688,10 +708,10 @@ class TestStackedSolver:
         # whose multiplier no longer passes once the tolerance is below it.
         stack = three_factor_stack([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], *DEGENERATE)
         monkeypatch.setattr(calibration, "_MULT_TOL", -10.0)
-        betas, actives, failed = calibration._solve_constrained_wls(*stack)
-        assert (betas[0].tolist(), actives[0]) == ([1.0, 0.0, 0.0], [])
-        assert list(failed) == [1]
-        assert str(failed[1]) == "no working set of at most 2 rows is optimal"
+        betas, active, status = calibration._solve_constrained_wls(*stack)
+        assert (betas[0].tolist(), active[0].tolist()) == ([1.0, 0.0, 0.0], [False] * 3)
+        assert status.tolist() == [0, calibration._NO_SET]
+        assert outcomes(betas, active, status)[1] == "no working set of at most 2 rows is optimal"
 
     @settings(max_examples=30, deadline=None)
     @given(hazard=st.floats(0.005, 0.3), recovery=st.floats(0.0, 0.6),
@@ -704,9 +724,9 @@ class TestStackedSolver:
         # An oracle independent of the reference: scipy's SLSQP from the same start.
         optimize = pytest.importorskip("scipy.optimize")
         stack = stack_problem(hazard, recovery, sigma, eta, picks, scales, binding)
-        betas, _, failed = calibration._solve_constrained_wls(*stack)
+        betas, _, status = calibration._solve_constrained_wls(*stack)
         for i, (design, target, weights, ineq, bound) in enumerate(zip(*stack)):
-            if i in failed:
+            if status[i]:
                 continue
             beta = betas[i]
             assert abs(beta.sum() - 1.0) <= 1e-10
@@ -725,6 +745,21 @@ class TestStackedSolver:
                     <= res.fun * (1.0 + 1e-9) + noise_floor(target, weights))
 
 
+def core_fits(prepared, rates):
+    """Every rate's ``FitResult`` from one ``_fit_core`` call, and its errors."""
+    errors, result = calibration._fit_core(prepared, rates)
+    return [result(j) for j in range(len(rates))], errors
+
+
+def recovery_case(case):
+    """Quotes and config of an identified scan, or of a flat one whose default
+    rate is on ("flat") or off ("flat off grid") the scan's 0.01 grid."""
+    if case == "scan":
+        return synthetic_quotes(BASE, 0.04, 0.30, count=8), FitConfig(eta_grid=(0.01, 0.05, 0.1))
+    recovery = 0.405 if case == "flat off grid" else 0.40
+    return risk_free_quotes(BASE), FitConfig(factors=1, eta_grid=(1e-9,), recovery=recovery)
+
+
 class TestBatchedFitCore:
     @settings(max_examples=25, deadline=None)
     @given(sigma=st.sampled_from([0.0, 2e-4, 1e-3]), hazard=st.floats(0.005, 0.2),
@@ -735,41 +770,62 @@ class TestBatchedFitCore:
         grid = (0.005, 0.02, 0.1)
         prepared = calibration._QuoteSet(quotes, BASE, FitConfig(eta_grid=grid))
         rates = [RATES[i] for i in picks]
-        fits = calibration._fit_core(prepared, rates)
+        fits, errors = core_fits(prepared, rates)
         with mock.patch.object(calibration, "_solve_constrained_wls", reference_stack):
-            reference = calibration._fit_core(prepared, rates)
+            reference = core_fits(prepared, rates)[0]
         singles = [calibration._QuoteSet(quotes, BASE, FitConfig(eta_grid=(eta,)))
                    for eta in grid]
         assert len(fits) == len(rates)
+        assert errors.tolist() == [fit.weighted_error for fit in fits]
         for rate, fit, ref in zip(rates, fits, reference):
             # The reference's working set may end unsorted: its beta can move in
             # the last digits, its choices not.
             assert (fit.eta, fit.active_constraints) == (ref.eta, ref.active_constraints)
             assert fit.curve.beta == pytest.approx(ref.curve.beta, rel=1e-9, abs=1e-12)
-            assert fit_fields(fit) == fit_fields(calibration._fit_core(prepared, [rate])[0])
+            # DAS included: a stacked rate is bit for bit its one-rate fit.
+            assert fit_fields(fit) == fit_fields(core_fits(prepared, [rate])[0][0])
             # The multi-eta fit is the best of its single-eta fits, the earliest on a tie.
             alone = []
             for single in singles:
                 try:
-                    alone.append(calibration._fit_core(single, [rate])[0])
+                    alone.append(core_fits(single, [rate])[0][0])
                 except FitError:
                     pass
             assert fit_fields(fit) == fit_fields(
                 min(alone, key=lambda f: f.objective_history[-1]))
 
-    def test_one_curve_per_returned_rate(self, monkeypatch):
-        built = []
+    @pytest.mark.parametrize("case", ["scan", "flat", "flat off grid"])
+    def test_implied_recovery_builds_one_curve_per_call(self, monkeypatch, case):
+        quotes, config = recovery_case(case)
+        core, cores, built, solves = calibration._fit_core, [], [], []
+
+        def spy_core(prepared, recoveries):
+            cores.append(len(recoveries))
+            return core(prepared, recoveries)
 
         class Counted(SplineSurvivalCurve):
             def __init__(self, *args, **kwargs):
-                built.append(args[0].eta)
+                built.append((cores[-1], args[0].eta))
                 super().__init__(*args, **kwargs)
 
+        def spy_solve(*args, solve=calibration.solve_spread):
+            solves.append(len(cores))
+            return solve(*args)
+
+        monkeypatch.setattr(calibration, "_fit_core", spy_core)
         monkeypatch.setattr(calibration, "SplineSurvivalCurve", Counted)
-        quotes = synthetic_quotes(BASE, 0.04, 0.30, count=8)
-        _, fit = implied_recovery(quotes, BASE, FitConfig(eta_grid=(0.01, 0.05, 0.1)))
-        assert len(built) == len(RATES)
-        assert fit.eta in built
+        monkeypatch.setattr(calibration, "solve_spread", spy_solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rate, fit = implied_recovery(quotes, BASE, config)
+        # Off the grid the 91-rate stack builds nothing and the one-rate refit builds one.
+        assert cores == ([len(RATES), 1] if case == "flat off grid" else [len(RATES)])
+        assert built == [(cores[-1], fit.eta)]
+        assert solves == [len(cores)] * len(quotes)
+        assert (rate == config.recovery) == (case != "scan")
+        # That one DAS pass is ``measures.das`` at the returned rate.
+        assert fit.das.tolist() == [
+            measures.das(q.spec, q.clean_price, BASE, fit.curve, rate) for q in quotes]
 
     def test_failed_candidate_drops_only_its_rate(self, monkeypatch):
         quotes = synthetic_quotes(BASE, 0.04, 0.30, count=8)
@@ -790,7 +846,7 @@ class TestBatchedFitCore:
                         return eta, j
 
         monkeypatch.setattr(calibration, "_solve_constrained_wls", spy)
-        clean = calibration._fit_core(prepared, RATES)
+        clean = core_fits(prepared, RATES)[0]
         # Fail a candidate that wins its rate, in a stack that also holds
         # other rates' winners at its eta.
         bad_design, bad_target, bad_eta, j = next(
@@ -798,14 +854,14 @@ class TestBatchedFitCore:
             for eta, j in [locate(design, target)] if clean[j].eta == eta)
 
         def failing(designs, targets, *args):
-            betas, actives, failed = solve(designs, targets, *args)
+            betas, active, status = solve(designs, targets, *args)
             for i, (design, target) in enumerate(zip(designs, targets)):
                 if np.array_equal(design, bad_design) and np.array_equal(target, bad_target):
-                    failed[i] = FitError("forced failure")
-            return betas, actives, failed
+                    status[i] = calibration._NO_SET
+            return betas, active, status
 
         monkeypatch.setattr(calibration, "_solve_constrained_wls", failing)
-        patched = calibration._fit_core(prepared, RATES)
+        patched = core_fits(prepared, RATES)[0]
         assert patched[j].eta != bad_eta
         assert sum(fit.eta == bad_eta for fit in patched) > 1
         for i, (before, after) in enumerate(zip(clean, patched)):
@@ -823,7 +879,7 @@ class TestBatchedFitCore:
             return solve(designs, *args)
 
         monkeypatch.setattr(calibration, "_solve_constrained_wls", spy)
-        fits = calibration._fit_core(prepared, RATES)
+        fits = core_fits(prepared, RATES)[0]
         steps = max(len(fit.objective_history) for fit in fits)
         assert len(calls) <= calibration.OUTLIER_MAX_ITER
         assert calls[0] == len(grid) * len(RATES)
@@ -931,6 +987,12 @@ class TestLoaders:
             "b,oops,2,5.0,0.0,0.97\n"
         )
         with pytest.raises(ParseError, match="row 3"):
+            load_bond_quotes(str(path))
+
+    def test_bond_quotes_csv_header_only(self, tmp_path):
+        path = tmp_path / "bonds.csv"
+        path.write_text("id,coupon,freq,maturity_years,accrued_years,clean_price\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: no quote rows$"):
             load_bond_quotes(str(path))
 
     @pytest.mark.parametrize("maturity", ["5.1", "1e9"])

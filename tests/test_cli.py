@@ -271,6 +271,20 @@ class TestBasisAndHedge:
         assert plan["legs"][-1]["notional"] == 1.0
         assert abs(plan["residual_npv"]) < 1e-10
 
+    @pytest.mark.parametrize("command", ["hedge", "price"])
+    def test_header_only_bond_file_exits_2_and_writes_nothing(self, pipeline_dir, capsys,
+                                                              command):
+        bonds = pipeline_dir / "empty.csv"
+        bonds.write_text("id,coupon,freq,maturity_years,accrued_years,clean_price\n")
+        out = pipeline_dir / "out"
+        inputs = (["--cds", pipeline_dir / "cds.csv"] if command == "hedge"
+                  else ["--curve", pipeline_dir / "curve.json"])
+        code = run([command, "--base", pipeline_dir / "base.csv", "--bonds", bonds,
+                    *inputs, "--out", out])
+        assert code == 2
+        assert f"{bonds}: no quote rows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_recovery_flag(self, fixture_dir):
         assert run(["fit", "--base", fixture_dir / "base.csv",
                     "--bonds", fixture_dir / "bonds.csv",
