@@ -7,7 +7,8 @@ margin.  Accrued interest handling: full coupons are discounted at their
 scheduled times and compared against the dirty price (clean + accrued).
 The Z-spread and its duration are ``rootfind.solve_spread`` and
 ``rootfind.spread_duration`` on the discounted cash flows CF * Z_base(t):
-the survival-based DAS with survival Q = 1.
+the survival-based DAS with survival Q = 1.  The yield is the Z-spread over a zero
+curve, converted from continuous compounding; the FRN margin uses ``solve_bracketed``.
 """
 
 from __future__ import annotations
@@ -97,20 +98,15 @@ class FrnSpec:
         return grid_periods(self.maturity, self.freq)
 
 
-def _pv_at_yield(bond: BondSpec, y: float, q_conv: float) -> float:
-    if math.isinf(q_conv):
-        return sum(cf * math.exp(-y * t) for t, cf in bond.cash_flows())
-    return sum(cf * (1.0 + y / q_conv) ** (-q_conv * t) for t, cf in bond.cash_flows())
-
-
 def ytm(bond: BondSpec, clean_price: float, q_conv: float | None = None) -> float:
-    """Yield to maturity in compounding convention q_conv (default: the
-    bond's own frequency; ``math.inf`` for continuous compounding)."""
+    """Yield to maturity in compounding q_conv (default: the bond's frequency; ``math.inf``
+    for continuous): q_conv * expm1(s / q_conv), s the ``z_spread`` over a zero curve on
+    ``RATE_BRACKET``, so a yield below q_conv * expm1(-0.5 / q_conv) raises ConvergenceError."""
     conv = float(bond.freq) if q_conv is None else float(q_conv)
     if not conv > 0.0:
         raise ValueError(f"q_conv must be > 0 or math.inf, got {q_conv!r}")
-    dirty = check_price(clean_price + bond.accrued_interest)
-    return solve_bracketed(lambda y: _pv_at_yield(bond, y, conv) - dirty, *RATE_BRACKET)
+    s = z_spread(bond, clean_price, BaseCurve.flat(0.0))
+    return s if math.isinf(conv) else conv * math.expm1(s / conv)
 
 
 def i_spread(
@@ -172,10 +168,12 @@ def discount_margin(frn: FrnSpec, price: float, base: BaseCurve | None = None) -
             (base.df((i - 1) * delta) / base.df(i * delta) - 1.0) / delta
             for i in range(1, n + 1)
         )
+    if not 1.0 + delta * (min(fixings) + RATE_BRACKET[0]) > 0.0:
+        raise ValueError(f"fixings must keep 1 + (fixing + margin)/freq > 0 on {RATE_BRACKET}, "
+                         f"got {fixings!r}")
 
     def residual(dm: float) -> float:
-        pv = 0.0
-        disc = 1.0
+        pv, disc = 0.0, 1.0
         for i, fix in enumerate(fixings, start=1):
             disc /= 1.0 + delta * (fix + dm)
             cf = (fix + frn.quoted_margin) * delta

@@ -7,10 +7,10 @@ horizon.  The hedge grid and CDS legs pay ``pricing.CDS_FREQ`` times a
 year.  Exposure NPVs are weighted by the default-leg measure
 Z * dQ * (1 - R), since hedge errors only realize in default states.
 Grids come from ``curves.grid_times``; CDS legs and those weights are
-read from one quarterly ``pricing.LegTable`` per hedge, and the forward
-prices on a hedge grid from one ``pricing.continuous_prices`` walk.  The
-CDS-bond basis is ``measures.das`` (one ``rootfind.solve_spread``) taken
-on the CDS-implied curve.
+read from one quarterly ``pricing.LegTable`` per hedge, the coarse hedge's cover
+to a candidate maturity included (its protection sum), and the forward prices on
+a hedge or RFC grid from one ``pricing.continuous_prices`` walk.  The CDS-bond
+basis is ``measures.das`` (one ``rootfind.solve_spread``) on the CDS-implied curve.
 """
 
 from __future__ import annotations
@@ -80,10 +80,7 @@ def fwd_bond_price(
     recovery: float,
     t: float,
 ) -> float:
-    """Projected forward price P(t, T) in the continuous approximation:
-    ``pricing.continuous_prices`` at t alone; P(T, T) = 1."""
-    if not 0.0 <= t <= bond.maturity:
-        raise ValueError("need 0 <= t <= maturity")
+    """Projected forward price P(t, T), P(T, T) = 1: ``pricing.continuous_prices`` at t alone."""
     return pricing.continuous_prices(bond, base, curve, recovery, [t])[0]
 
 
@@ -106,14 +103,8 @@ def rfc_stream(
     recovery: float,
     t: float,
 ) -> float:
-    """Risk-free-equivalent coupon RFC(t, T) = C - h(t) * (P(t,T) - R).
-
-    The stream a riskless bond would need to track the credit bond's
-    forward price; equivalently C less the forward CDS carry.
-    """
-    R = check_recovery(recovery)
-    price = fwd_bond_price(bond, base, curve, recovery, t)
-    return bond.coupon - curve.hazard(t) * (price - R)
+    """Risk-free-equivalent coupon RFC(t, T): ``rfc_profile`` at t alone."""
+    return rfc_profile(bond, base, curve, recovery, [t])[0].rfc
 
 
 def rfc_profile(
@@ -123,16 +114,18 @@ def rfc_profile(
     recovery: float,
     grid: list[float],
 ) -> tuple[RfcPoint, ...]:
-    """Sample the risk-free-equivalent coupon stream on a tenor grid."""
-    return tuple(
-        RfcPoint(t=t, rfc=rfc_stream(bond, base, curve, recovery, t)) for t in grid
-    )
+    """Risk-free-equivalent coupon RFC(t, T) = C - h(t) * (P(t,T) - R) on a ``check_dates``
+    grid, P from one ``pricing.continuous_prices`` walk: the stream a riskless bond needs to
+    track the credit bond's forward price, equivalently C less the forward CDS carry."""
+    R = check_recovery(recovery)
+    pts = check_dates(grid, bond.maturity, "grid")
+    prices = pricing.continuous_prices(bond, base, curve, R, pts)
+    return tuple(RfcPoint(t, bond.coupon - curve.hazard(t) * (p - R)) for t, p in zip(pts, prices))
 
 
 def _aggregate_spread(legs: list[tuple[float, float, float]], table: pricing.LegTable) -> float:
     """rpv01-weighted aggregate spread of (maturity, notional, spread) legs."""
-    num = 0.0
-    den = 0.0
+    num = den = 0.0
     for maturity, notional, spread in legs:
         pv01 = table.rpv01(table.n(maturity))
         num += notional * spread * pv01
@@ -216,17 +209,18 @@ def coarse_hedge(
 
     best: HedgePlan | None = None
     for m in candidates:
-        covered = sum(w for t, w in zip(grid, weights) if t <= m + 1e-12)
+        k = table.n(m)  # grid dates the staggered leg covers
+        covered = table.protection[k - 1]
         if covered <= 0.0:
             continue
         notional = total_gap / covered
         # NPV of residual default exposures Z * dQ * (1-R) * (target - hedged).
-        residual = sum(w * (1.0 - R) * (n - (1.0 + (notional if t <= m + 1e-12 else 0.0)))
-                       for t, w, n in zip(grid, weights, fwd_n))
+        residual = sum(w * (1.0 - R) * (n - (1.0 + (notional if i < k else 0.0)))
+                       for i, (w, n) in enumerate(zip(weights, fwd_n)))
         if abs(m - T) <= 1e-9:
             legs = [(T, 1.0 + notional, spread_T)]
         else:
-            legs = [(m, notional, table.par_spread(table.n(m), R)), (T, 1.0, spread_T)]
+            legs = [(m, notional, table.par_spread(k, R)), (T, 1.0, spread_T)]
         plan = HedgePlan(legs=tuple(HedgeLeg(*leg) for leg in legs),
                          cost=_aggregate_spread(legs, table), residual_npv=residual)
         if best is None or plan.cost < best.cost:

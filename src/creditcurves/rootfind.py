@@ -1,13 +1,13 @@
 """Scalar root finding on the fixed rate bracket ``RATE_BRACKET``.
 
-``solve_spread`` (DAS, basis, Z-spread) and ``spread_duration`` solve
+``solve_spread`` (DAS, basis, Z-spread, yield) and ``spread_duration`` solve
 PV(s) = sum w_i exp(-s t_i) = dirty.  For flows w_i >= 0 at times t_i > 0 PV
 is convex and decreasing, so Newton's method from s = 0 lands left of the root
 after one step and then climbs to it monotonically.  A step out of the bracket,
 a slope not > 0 (flows pushed negative at float noise) or a spent budget falls
 back to ``solve_bracketed``, bisection refined by secant steps, which also
-serves the yield and CDS bootstrap solves.  Every solve accepts a residual of
-at most ``PRICE_TOL``; the tolerances are fixed here, not passed by callers.
+serves the FRN discount margin and CDS bootstrap solves.  Every solve accepts a
+residual of at most ``PRICE_TOL``; the tolerances are fixed here, not passed by callers.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from creditcurves.conventional import (
     BondSpec,
@@ -26,6 +28,25 @@ def bisect(f, lo, hi, n=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def price_at(bond, y, q_conv):
+    """Clean price at yield y compounded q_conv times a year (continuously at math.inf)."""
+    if math.isinf(q_conv):
+        dirty = sum(cf * math.exp(-y * t) for t, cf in bond.cash_flows())
+    else:
+        dirty = sum(cf * (1 + y / q_conv) ** (-q_conv * t) for t, cf in bond.cash_flows())
+    return dirty - bond.accrued_interest
+
+
+@st.composite
+def bullet_bonds(draw):
+    """Bonds of 1 to 10 years of periods, part of the first period possibly accrued."""
+    freq = draw(st.sampled_from((1, 2, 4)))
+    periods = draw(st.integers(1, 10 * freq))
+    accrued = draw(st.floats(0.0, 0.9)) / freq
+    return BondSpec(coupon=draw(st.floats(0.0, 0.15)), freq=freq,
+                    maturity=periods / freq - accrued, accrued_time=accrued)
 
 
 class TestBondSpec:
@@ -90,6 +111,25 @@ class TestYtm:
         bond = BondSpec(coupon=0.0, freq=1, maturity=1.0)
         with pytest.raises(ConvergenceError):
             ytm(bond, 5.0)  # price above any PV on the bracket
+
+    @settings(max_examples=300, deadline=None)
+    @given(bullet_bonds(), st.floats(-0.2, 0.5),
+           st.sampled_from((0.25, 0.5, 1.0, 2.0, 4.0, 12.0, math.inf)))
+    def test_round_trip_in_every_compounding(self, bond, y, q_conv):
+        assert ytm(bond, price_at(bond, y, q_conv), q_conv) == pytest.approx(y, abs=1e-10)
+
+    # RATE_BRACKET bounds the continuous yield: its lower end -0.5 is an annually
+    # compounded yield of expm1(-0.5), and the upper end 5.0 one of expm1(5) > 5.
+    @pytest.mark.parametrize("y", [math.expm1(-0.5) + 1e-3, 6.0], ids=["near_lower_end", "6.0"])
+    def test_yield_inside_the_continuous_bracket_solves(self, y):
+        bond = BondSpec(coupon=0.05, freq=1, maturity=5.0)
+        assert ytm(bond, price_at(bond, y, 1.0), 1.0) == pytest.approx(y, abs=1e-10)
+
+    def test_yield_below_the_continuous_bracket_raises(self):
+        bond = BondSpec(coupon=0.05, freq=1, maturity=5.0)
+        price = price_at(bond, math.expm1(-0.5) - 1e-3, 1.0)
+        with pytest.raises(ConvergenceError, match="no sign change"):
+            ytm(bond, price, 1.0)
 
 
 class TestISpread:
@@ -173,6 +213,17 @@ class TestDiscountMargin:
         assert discount_margin(frn, price) == pytest.approx(
             bisect(gap, 0.0, 0.2), abs=1e-10
         )
+
+    @pytest.mark.parametrize("fixing", [-0.5, -0.7])
+    def test_fixing_that_breaks_discounting_on_the_bracket_names_it(self, fixing):
+        # 1 + (fixing + dm) / freq reaches 0 (or below) at dm = -0.5, the bracket's lower end.
+        frn = FrnSpec(quoted_margin=0.01, freq=1, maturity=2.0, fixings=(fixing, 0.02))
+        with pytest.raises(ValueError, match=r"fixings must keep .* got \("):
+            discount_margin(frn, 1.0)
+
+    def test_fixing_just_inside_the_limit_solves(self):
+        frn = FrnSpec(quoted_margin=0.01, freq=1, maturity=2.0, fixings=(-0.49, 0.02))
+        assert discount_margin(frn, 1.0) == pytest.approx(0.01, abs=1e-12)
 
     def test_fixings_length_checked(self):
         with pytest.raises(ValueError):

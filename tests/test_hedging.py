@@ -119,6 +119,13 @@ class TestComplementarity:
                 bond, base, curve, HEDGE_RECOVERY, point.t
             )
 
+    @pytest.mark.parametrize("grid", [[2.0, 1.0], [1.0, 1.0]])
+    def test_rfc_profile_rejects_unsorted_or_duplicate_grid(self, hedge_market, hedge_bonds,
+                                                            grid):
+        base, curve = hedge_market
+        with pytest.raises(ValueError, match="grid must be"):
+            hedging.rfc_profile(hedge_bonds["premium"], base, curve, HEDGE_RECOVERY, grid)
+
     def test_rfc_composed_oracle(self):
         # Compose the forward price from quadrature with the closed-form
         # flat hazard; the stream must be C - h (P - R).
@@ -244,7 +251,7 @@ class TestOneWalkPerHedge:
     """Each hedge integrates every closed-form cut of its grid once, through one
     ``pricing.continuous_prices`` walk, not once per date from that date to maturity."""
 
-    @pytest.mark.parametrize("hedge", ["spot", "coarse"])
+    @pytest.mark.parametrize("hedge", ["spot", "coarse", "rfc"])
     def test_cut_evaluations_are_linear_in_the_grid(self, base_curve, monkeypatch, hedge):
         curve = PiecewiseHazardCurve([(t, 0.01 + 0.001 * t) for t in (1, 2, 3, 5, 7, 10, 15, 20)])
         bond = BondSpec(coupon=0.07, freq=2, maturity=20.0)
@@ -254,9 +261,12 @@ class TestOneWalkPerHedge:
         if hedge == "spot":
             grid = quarterly_grid(20.0)
             hedging.spot_hedge_notionals(bond, base_curve, curve, 0.4, grid)
-        else:
+        elif hedge == "coarse":
             grid = grid_times(20.0, pricing.CDS_FREQ)
             hedging.coarse_hedge(bond, base_curve, curve, 0.4, [5.0, 10.0, 20.0])
+        else:
+            grid = quarterly_grid(20.0)
+            hedging.rfc_profile(bond, base_curve, curve, 0.4, grid)
         assert len(calls) <= len(grid) + len(base_curve.node_tenors) + len(curve._breakpoints())
 
 
@@ -325,6 +335,13 @@ class TestCoarseHedge:
         off_quarter = BondSpec(coupon=0.08, freq=2, maturity=4.9, accrued_time=0.1)
         with pytest.raises(ScheduleError, match="4.9"):
             hedging.coarse_hedge(off_quarter, base, curve, 0.5, [4.9])
+
+    @pytest.mark.parametrize("off_grid", [0.1, 1.1])
+    def test_off_grid_candidate_raises(self, hedge_market, hedge_bonds, off_grid):
+        # Below the first CDS date as well as between two of them.
+        base, curve = hedge_market
+        with pytest.raises(ScheduleError, match=str(off_grid)):
+            hedging.coarse_hedge(hedge_bonds["premium"], base, curve, 0.5, [off_grid, 5.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
     def test_candidate_outside_range_names_it(self, hedge_market, hedge_bonds, bad):
