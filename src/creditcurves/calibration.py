@@ -32,6 +32,10 @@ count or an iterative active-set solve.
 
 ``calibrate_from_cds`` bootstraps a piecewise-constant hazard curve from
 par CDS quotes instead.
+
+Only the regression needs arrays, so numpy is imported inside the fit's own
+functions: the quote types, the loaders and the CDS bootstrap are scalar code,
+and a program that prices, reports or hedges without fitting never loads numpy.
 """
 
 from __future__ import annotations
@@ -42,8 +46,7 @@ import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import pricing
 from .conventional import BondSpec
@@ -53,6 +56,9 @@ from .errors import (ArbitrageError, ConvergenceError, FitError, InsufficientDat
 from .rootfind import PRICE_TOL, check_price, solve_bracketed, solve_spread, spread_duration
 from .splines import SplineBasis
 from .survival import PiecewiseHazardCurve, SplineSurvivalCurve
+
+if TYPE_CHECKING:  # annotations only (see the module docstring)
+    import numpy as np
 
 CONSTRAINT_SLACK = 1e-8  # strict inequalities relaxed to >= this margin
 OUTLIER_TUNING = 4.685   # Tukey bisquare constant, in robust standard deviations
@@ -156,6 +162,7 @@ class _QuoteSet:
 
     def __init__(self, quotes: list[BondQuote], base: BaseCurve,
                  config: FitConfig | None = None) -> None:
+        import numpy as np
         if config is not None and len(quotes) < config.factors:
             raise InsufficientDataError(
                 f"insufficient quotes: need at least {config.factors}, got {len(quotes)}"
@@ -192,6 +199,7 @@ class _QuoteSet:
         For factors 1..3, -Q'(t) = eta x g(x), x = exp(-eta t), g(x) = sum_k k beta_k
         x^(k-1); row j is g's j-th Bernstein coefficient on [exp(-eta H), 1] (j = 0
         at H), 1 at beta = e1, and rows >= 0 give g >= 0 (Farouki 2012)."""
+        import numpy as np
         phi = basis.row(self.times)
         starts = [lo for lo, _ in self.spans]
         n, x0 = basis.size - 1, math.exp(-basis.eta * self.horizon)
@@ -210,6 +218,7 @@ class _QuoteSet:
 
 def _row_medians(x: np.ndarray) -> np.ndarray:
     """``np.median(x, axis=1, keepdims=True)`` of rows of finite values, by one partition."""
+    import numpy as np
     lo, hi = (x.shape[1] - 1) // 2, x.shape[1] // 2
     part = np.partition(x, (lo, hi), axis=1)
     return (part[:, lo:lo + 1] + part[:, hi:hi + 1]) / 2
@@ -217,6 +226,7 @@ def _row_medians(x: np.ndarray) -> np.ndarray:
 
 def _bisquare_weights(residuals: np.ndarray, tuning: float) -> np.ndarray:
     """Tukey bisquare weights of each row of a stack of residual vectors."""
+    import numpy as np
     centered = residuals - _row_medians(residuals)
     # Residuals at float noise are treated as clean.
     u = centered / (tuning * np.maximum(_row_medians(np.abs(centered)) / 0.6745, 1e-10))
@@ -249,6 +259,7 @@ def _solve_constrained_wls(
     fails with it (``_SINGULAR``) while any other singular set drops only itself, and
     one that no set satisfies fails last (``_NO_SET``).
     """
+    import numpy as np
     (count, _, k), m = designs.shape, ineq.shape[1]
     wsqrt = np.sqrt(weights)
     dw = designs * wsqrt[:, :, None]
@@ -300,6 +311,7 @@ def _solve_constrained_wls(
 
 def _rank_error(design: np.ndarray, quotes: list[BondQuote]) -> FitError:
     """The error for a rank-deficient design, naming its collinear bonds."""
+    import numpy as np
     # Point at near-parallel design rows first; they are the usual cause.
     norms = np.linalg.norm(design, axis=1)
     culprits = set()
@@ -323,6 +335,7 @@ def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> tuple[np.ndarray,
     ``_RANK_DEFICIENT``) is not 0.  Each rate takes the argmin over eta of the final
     objective, failed problems at +inf (an earlier eta wins ties); a rate whose every
     eta failed raises."""
+    import numpy as np
     config, base_w, quotes = prepared.config, prepared.base_w, prepared.quotes
     rates = np.asarray(recoveries, dtype=float)
     count, k = len(rates), config.factors

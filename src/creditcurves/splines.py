@@ -6,15 +6,19 @@ switch on above a knot tenor T and are built so that both the value and
 the first derivative vanish at the knot (C1 continuity), levelling off
 at 1/3 far above it.  On a knot segment that starts at a, every factor is
 a cubic in y = exp(-eta (u - a)); ``SplineBasis.coefficients`` is the one
-statement of those cubics, and ``row`` and the survival curve read them.
+statement of those cubics, in Python floats, and ``row`` and the survival curve
+read them.  Only ``row``, which builds the fit's design, imports numpy, so the
+survival curve and everything that prices off it load without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -48,30 +52,31 @@ class SplineBasis:
     def knot_tenors(self) -> tuple[float, ...]:
         return tuple(t for _, t in self.knots)
 
-    def coefficients(self, a: float) -> np.ndarray:
-        """The one statement of the factors: C (size x 4) with Phi_k(u) = sum_m C[k-1, m] y^m,
-        y = exp(-eta (u - a)), on a knot segment that starts at a.  Factor k <= 3 has
-        exp(-k eta a) at m = k; a knotted factor at or above its knot T has
-        (1/3, -z, z^2, -z^3/3) with z = exp(-eta (a - T)) <= 1, so no entry overflows
-        however large eta T is, and zeros below it."""
-        c = np.zeros((self.size, 4))
+    def coefficients(self, a: float) -> list[list[float]]:
+        """The one statement of the factors, in Python floats: C (size lists of 4) with
+        Phi_k(u) = sum_m C[k-1][m] y^m, y = exp(-eta (u - a)), on a knot segment that
+        starts at a.  Factor k <= 3 has exp(-k eta a) at m = k; a knotted factor at or
+        above its knot T has (1/3, -z, z^2, -z^3/3) with z = exp(-eta (a - T)) <= 1, so
+        no entry overflows however large eta T is, and zeros below it."""
+        c = [[0.0] * 4 for _ in range(self.size)]
         for k in range(1, min(self.size, 3) + 1):
-            c[k - 1, k] = math.exp(-k * self.eta * a)
+            c[k - 1][k] = math.exp(-k * self.eta * a)
         for k, tenor in self.knots:
             if a >= tenor:
                 z = math.exp(-self.eta * (a - tenor))
-                c[k - 1] = 1.0 / 3.0, -z, z * z, -z * z * z / 3.0
+                c[k - 1] = [1.0 / 3.0, -z, z * z, -z * z * z / 3.0]
         return c
 
     def row(self, t) -> np.ndarray:
         """Phi(t) through ``coefficients``: the factor vector at a scalar t >= 0, or one row
         per entry of a 1-D array.  t in (T_j, T_j+1] reads the segment that starts at
         knot T_j, so a knotted factor is exactly 0 at and below its knot."""
+        import numpy as np  # the fit's design only (see the module docstring)
         t = np.asarray(t, dtype=float)
         if not np.all(t >= 0.0):
             raise ValueError("t must be >= 0")
         starts = np.array((0.0,) + self.knot_tenors)
         seg = np.maximum(np.searchsorted(starts, t) - 1, 0)
-        c = np.stack([self.coefficients(a) for a in starts])[seg]
+        c = np.array([self.coefficients(a) for a in starts])[seg]
         y = np.exp(-self.eta * (t - starts[seg]))[..., None]
         return ((c[..., 3] * y + c[..., 2]) * y + c[..., 1]) * y + c[..., 0]

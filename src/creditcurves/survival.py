@@ -24,8 +24,6 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ParseError
 from .splines import SplineBasis
 
@@ -99,7 +97,8 @@ class SplineSurvivalCurve(SurvivalCurve):
             raise ValueError(f"beta entries must be finite, got {beta!r}")
         self.basis, self.beta, self.horizon = basis, beta, float(horizon)
         self._starts = [0.0] + [t for t in basis.knot_tenors if t < self.horizon]
-        self._cubics = [tuple((np.array(beta) @ basis.coefficients(a)).tolist())
+        self._cubics = [tuple(sum(b * c for b, c in zip(beta, column))
+                              for column in zip(*basis.coefficients(a)))
                         for a in self._starts]
         if abs(sum(self._cubics[0]) - 1.0) > _Q0_TOL:  # knotted factors are 0 at t = 0
             raise ValueError(f"Q(0) = knot-free sum(beta) = {sum(self._cubics[0])!r} must equal 1")
@@ -120,9 +119,9 @@ class SplineSurvivalCurve(SurvivalCurve):
             y_b = math.exp(-eta * (b - a))
             for y in sorted((y for y in roots if y_b < y < 1.0), reverse=True) + [y_b]:
                 q = ((p3 * y + p2) * y + p1) * y + p0
-                if q > prev + _Q0_TOL:
-                    raise ValueError(
-                        f"survival probability increases near t={a - math.log(y) / eta:.2f}")
+                if q > prev + _Q0_TOL:  # y_b may underflow to 0: no logarithm at the end
+                    t = b if y == y_b else a - math.log(y) / eta
+                    raise ValueError(f"survival probability increases near t={t:.2f}")
                 prev = q
         if prev <= 0.0:
             raise ValueError("survival probability non-positive at the horizon")

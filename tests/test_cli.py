@@ -1,9 +1,14 @@
 import argparse
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import creditcurves
 from creditcurves import measures, pricing
 from creditcurves.calibration import calibrate_from_cds
 from creditcurves.cli import build_parser, main
@@ -396,3 +401,43 @@ class TestBadInputRows:
         curve.write_text(text)
         assert run(full_argv(pipeline_dir, "report")) == 2
         assert f"error: {curve}: " in capsys.readouterr().err
+
+
+# Runs in a fresh interpreter: each argv list of argv[1] is one ``cli.main`` call,
+# and ``numpy`` is looked up in sys.modules after the scalar commands and after the fit.
+_NUMPY_PROBE = """
+import json, sys
+import creditcurves
+import creditcurves.cli as cli
+scalar, fitting = json.loads(sys.argv[1])
+loaded = {"import": "numpy" in sys.modules}
+for argv in scalar:
+    if cli.main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+loaded["scalar"] = "numpy" in sys.modules
+if cli.main(fitting) != 0:
+    sys.exit("fit failed")
+loaded["fit"] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_report_price_and_hedge_load_no_numpy(pipeline_dir, true_curve):
+    """Only the fit needs numpy: the package, the CLI and the report, price and hedge
+    commands (on a hazard curve and on a spline curve) never import it, and a fit
+    does, so the check cannot pass by never reaching a numpy import."""
+    true_curve.save(str(pipeline_dir / "spline.json"))
+    scalar = [full_argv(pipeline_dir, "hedge")]
+    for curve in ("curve.json", "spline.json"):
+        for command in ("report", "price"):
+            argv = full_argv(pipeline_dir, command)
+            argv[argv.index("--curve") + 1] = str(pipeline_dir / curve)
+            scalar.append(argv)
+    src = pathlib.Path(creditcurves.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps([scalar, full_argv(pipeline_dir, "fit")])],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"import": False, "scalar": False, "fit": True}
+    assert {p.name for p in (pipeline_dir / "out").iterdir()} >= {
+        "termstructure.csv", "prices.json", "hedge_plans.json", "curve.json"}

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -54,6 +55,47 @@ def test_invalid_configuration():
         SplineBasis(eta=0.05, size=4, knots=((4, -1.0),))  # bad tenor
     with pytest.raises(ValueError):
         SplineBasis(eta=0.05, size=5, knots=((4, 3.0), (5, 2.0)))  # not increasing
+
+
+def numpy_coefficients(basis, a):
+    """``SplineBasis.coefficients`` restated as a size x 4 array."""
+    c = np.zeros((basis.size, 4))
+    for k in range(1, min(basis.size, 3) + 1):
+        c[k - 1, k] = math.exp(-k * basis.eta * a)
+    for k, tenor in basis.knots:
+        if a >= tenor:
+            z = math.exp(-basis.eta * (a - tenor))
+            c[k - 1] = 1.0 / 3.0, -z, z * z, -z * z * z / 3.0
+    return c
+
+
+KNOT_FREE = SplineBasis(eta=0.3)
+KNOTTED = SplineBasis(eta=0.3, size=4, knots=((4, 7.0),))
+
+
+@pytest.mark.parametrize("basis", [KNOT_FREE, KNOTTED], ids=["knot_free", "knotted"])
+@pytest.mark.parametrize("a", [0.0, 6.5, 7.0, 9.25], ids=["zero", "below", "at", "above"])
+def test_coefficients_are_builtin_floats_equal_to_the_array_form(basis, a):
+    c = basis.coefficients(a)
+    assert len(c) == basis.size and all(len(factor) == 4 for factor in c)
+    assert all(type(x) is float for factor in c for x in factor)
+    assert c == numpy_coefficients(basis, a).tolist()
+
+
+@pytest.mark.parametrize("basis", [KNOT_FREE, KNOTTED], ids=["knot_free", "knotted"])
+def test_row_is_horner_on_the_coefficients(basis):
+    """Bit for bit, for a scalar t and for an array: t in (T_j, T_j+1] reads the
+    cubic of the segment that starts at T_j, at y = exp(-eta (t - T_j))."""
+    times = [0.0, 3.0, 6.5, 7.0, 7.0 + 1e-9, 9.25, 40.0]
+    starts = [0.0, *basis.knot_tenors]
+    expected = []
+    for t in times:
+        a = starts[max(bisect.bisect_left(starts, t) - 1, 0)]
+        y = float(np.exp(-basis.eta * (np.array([t]) - a))[0])  # row's exp
+        expected.append([((c3 * y + c2) * y + c1) * y + c0
+                         for c0, c1, c2, c3 in basis.coefficients(a)])
+    assert basis.row(np.array(times)).tolist() == expected
+    assert [basis.row(t).tolist() for t in times] == expected
 
 
 @given(

@@ -158,6 +158,13 @@ def test_a_steep_knotted_record_is_a_parse_error(tmp_path):
         load_survival_curve(str(path))
 
 
+def test_a_rise_at_an_underflowed_segment_end_is_named():
+    # eta (b - a) = 760: y at the segment end underflows to 0, where Q = -y + 2 y^3
+    # climbs back from its interior minimum -0.27 to 0.
+    with pytest.raises(ValueError, match="survival probability increases near t=38.00"):
+        SplineSurvivalCurve(SplineBasis(eta=20.0, size=3), (-1.0, 0.0, 2.0), horizon=38.0)
+
+
 def sampled_rise(basis, beta, horizon, points=4001):
     """Largest Q(t_j) - Q(t_i), t_i < t_j, over a dense grid of [0, horizon],
     with Q summed from the factor formulas."""
