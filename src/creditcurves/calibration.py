@@ -13,12 +13,13 @@ with a Tukey bisquare on median/MAD-standardized residuals.
 Recovery enters linearly too: the design is the FRP cash-flow map of
 ``pricing.frp_coefficients`` applied to the spline factors,
 U(eta, R) = (A - R B) Phi(eta), and the target V(R) = v0 - R v1, with A,
-B, v0, v1 free of eta and R.  Each call precomputes them once, forms the
-Phi products once per eta, and hands every (eta, R) problem to the
-constrained-WLS solver as one stack per IRLS step.  Each problem's status,
-objective history and active rows are arrays, and only the fit returned is
-built, so ``implied_recovery`` (91 rates) is one precompute, one stack per
-IRLS step, one curve and one DAS pass.
+B, v0, v1 free of eta and R.  Each fit precomputes them, the Phi products of
+the whole eta grid and each eta's constraint half of every KKT system once,
+and hands every (eta, R) problem to the constrained-WLS solver as one stack
+per IRLS step, which fills in only the weighted blocks.  Each problem's
+status, objective history and active rows are arrays, and only the fit
+returned is built, so ``implied_recovery`` (91 rates) is one precompute, one
+stack per IRLS step, one curve and one DAS pass.
 
 The solver enumerates KKT systems.  Once the weighted design pins beta on
 sum(beta) = 1 the QP is strictly convex, so its optimum is unique, and with
@@ -112,6 +113,7 @@ class FitConfig:
         # factors 4 and up need.
         if self.factors not in (1, 2, 3):
             raise ValueError(f"factors must be 1, 2 or 3, got {self.factors!r}")
+        object.__setattr__(self, "eta_grid", tuple(float(e) for e in self.eta_grid))
         if not self.eta_grid or not all(0.0 < e < math.inf for e in self.eta_grid):
             raise ValueError(f"eta_grid must be non-empty, finite and > 0, got {self.eta_grid!r}")
         if self.weight_scheme not in ("formula", "prose"):
@@ -193,27 +195,42 @@ class _QuoteSet:
             ])
             self.base_w = 1.0 / np.sqrt(sd) if config.weight_scheme == "formula" else 1.0 / sd**2
 
-    def for_basis(self, basis: SplineBasis) -> tuple:
-        """(A Phi, B Phi, constraint rows G, bounds b, labels) with G beta >= b
-        keeping Q decreasing to the horizon H and positive there (row Phi(H)).
-        For factors 1..3, -Q'(t) = eta x g(x), x = exp(-eta t), g(x) = sum_k k beta_k
-        x^(k-1); row j is g's j-th Bernstein coefficient on [exp(-eta H), 1] (j = 0
-        at H), 1 at beta = e1, and rows >= 0 give g >= 0 (Farouki 2012)."""
+    def design_grid(self, bases: list[SplineBasis]) -> tuple:
+        """(A Phi, B Phi, constraint rows G, bounds b, labels) of knot-free bases of one size,
+        stacked by eta, with G beta >= b keeping Q decreasing to the horizon H and positive
+        there (row Phi(H)).  For factors 1..3, -Q'(t) = eta x g(x), x = exp(-eta t), g(x) =
+        sum_k k beta_k x^(k-1); row j is g's j-th Bernstein coefficient on [exp(-eta H), 1]
+        (j = 0 at H), 1 at beta = e1, and rows >= 0 give g >= 0 (Farouki 2012).  Phi is one
+        exponential over (eta, date), summed factor by factor in place."""
         import numpy as np
-        phi = basis.row(self.times)
-        starts = [lo for lo, _ in self.spans]
-        n, x0 = basis.size - 1, math.exp(-basis.eta * self.horizon)
-        ineq = [[k * sum(math.comb(j, i) * math.comb(n - j, k - 1 - i) * x0 ** (k - 1 - i)
-                         for i in range(min(j, k - 1) + 1)) / math.comb(n, k - 1)
-                 for k in range(1, n + 2)] for j in range(n + 1)]
-        ineq.append(basis.row(self.horizon))
-        return (
-            np.add.reduceat(self.a[:, None] * phi, starts, axis=0),
-            np.add.reduceat(self.b[:, None] * phi, starts, axis=0),
-            np.vstack(ineq),
-            np.full(len(ineq), CONSTRAINT_SLACK),
-            [f"monotonicity:b{j}" for j in range(n + 1)] + [f"positivity@{self.horizon:g}"],
-        )
+        if any(basis.knots for basis in bases):  # Phi and G read the first segment only
+            raise ValueError("the fit's design takes knot-free bases only")
+        n, starts, dates = bases[0].size - 1, [lo for lo, _ in self.spans], len(self.times)
+        y = np.exp(-np.array([[basis.eta] for basis in bases]) * (self.times + [self.horizon]))
+        c = np.array([basis.coefficients(0.0) for basis in bases])[:, :, :, None]
+        phi, (a_phi, b_phi) = np.empty_like(y), np.empty((2, len(bases), len(starts), n + 1))
+        ineq = np.empty((len(bases), n + 2, n + 1))
+        for f in range(n + 1):
+            phi[:] = c[:, f, 3]
+            for m in (2, 1, 0):  # Horner, as ``SplineBasis.row``
+                phi *= y
+                phi += c[:, f, m]
+            a_phi[:, :, f] = np.add.reduceat(self.a * phi[:, :dates], starts, axis=1)
+            b_phi[:, :, f] = np.add.reduceat(self.b * phi[:, :dates], starts, axis=1)
+            ineq[:, n + 1, f] = phi[:, dates]
+        for e, basis in enumerate(bases):
+            x0 = math.exp(-basis.eta * self.horizon)  # x0 and its powers in Python floats
+            ineq[e, :n + 1] = [[k * sum(math.comb(j, i) * math.comb(n - j, k - 1 - i)
+                                        * x0 ** (k - 1 - i) for i in range(min(j, k - 1) + 1))
+                                / math.comb(n, k - 1) for k in range(1, n + 2)]
+                               for j in range(n + 1)]
+        return (a_phi, b_phi, ineq, np.full(ineq.shape[:2], CONSTRAINT_SLACK),
+                [f"monotonicity:b{j}" for j in range(n + 1)] + [f"positivity@{self.horizon:g}"])
+
+    def for_basis(self, basis: SplineBasis) -> tuple:
+        """``design_grid`` of one knot-free basis: its arrays without the eta axis."""
+        *arrays, labels = self.design_grid([basis])
+        return (*(array[0] for array in arrays), labels)
 
 
 def _row_medians(x: np.ndarray) -> np.ndarray:
@@ -233,15 +250,35 @@ def _bisquare_weights(residuals: np.ndarray, tuning: float) -> np.ndarray:
     return np.where(np.abs(u) < 1.0, (1.0 - u**2) ** 2, 0.0)
 
 
+def _kkt_frames(ineq: np.ndarray, bound: np.ndarray) -> tuple:
+    """The weight-free part of the KKT levels of E constraint sets G beta >= b: G, b,
+    each row's bound -``_FEAS_TOL`` times its largest entry, whether beta = e1 breaks a
+    row, and per working-set size the sets (rows in sorted order), their KKT matrices,
+    principal submatrices of [0 1 G'; 1' 0 0; G 0 0], and right-hand sides (0, 1, b)."""
+    import numpy as np
+    (count, m, k), levels = ineq.shape, []
+    for size in range(min(k - 1, m) + 1):
+        sets, n = np.array(list(itertools.combinations(range(m), size)), dtype=int), k + 1 + size
+        kkt, rhs = np.zeros((count, len(sets), n, n)), np.zeros((count, len(sets), n))
+        kkt[:, :, :k, k] = kkt[:, :, k, :k] = rhs[:, :, k] = 1.0
+        g = ineq[:, sets]
+        kkt[:, :, k + 1:, :k], kkt[:, :, :k, k + 1:] = g, np.swapaxes(g, 2, 3)
+        rhs[:, :, k + 1:] = bound[:, sets]
+        levels.append((sets, kkt, rhs))
+    # The fit's monotonicity rows read 1 at e1, so only its positivity row can fail the start.
+    return (ineq, bound, -_FEAS_TOL * np.abs(ineq).max(axis=2),
+            (ineq[:, :, 0] - bound < -_FEAS_TOL).any(axis=1), levels)
+
+
 def _solve_constrained_wls(
     designs: np.ndarray,
     targets: np.ndarray,
     weights: np.ndarray,
-    ineq: np.ndarray,
-    bound: np.ndarray,
+    frames: tuple,
+    index: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimize sum w (U beta - V)^2 s.t. sum(beta) = 1, G beta >= b for each problem
-    (U, V, w, G, b) of a stack, G and b of shapes (count, m, k) and (count, m): the
+    (U, V, w) of a stack, G and b those of its eta ``index[i]`` in ``_kkt_frames``: the
     betas, a (count, m) mask of each chosen working set's rows, and each status (0
     where solved, else the index of its message in ``_STATUS``).
 
@@ -252,38 +289,30 @@ def _solve_constrained_wls(
     the unique optimum, which needs at most k - 1 rows of G.  Sets are tried by size
     and then row index, one stacked solve per size over the problems still open: the
     empty set, the m one-row sets, the C(m, 2) two-row sets (1 + 4 + 6 for the fit's
-    k = 3).  Where two sets give one beta (a degenerate optimum) the smaller set, then
-    the lower index, wins.  A problem whose start beta = e1 breaks a row fails before
-    any solve (``_INFEASIBLE``), one whose equality-only KKT matrix is singular (its
-    weighted design leaves beta free on sum(beta) = 1, e.g. too many zero weights)
-    fails with it (``_SINGULAR``) while any other singular set drops only itself, and
-    one that no set satisfies fails last (``_NO_SET``).
+    k = 3), each filling only H and lin into a copy of its frames.  Where two sets give
+    one beta the smaller set, then the lower index, wins.  A problem whose start
+    beta = e1 breaks a row fails before any solve (``_INFEASIBLE``), one whose
+    equality-only KKT matrix is singular (its weighted design leaves beta free on
+    sum(beta) = 1, e.g. too many zero weights) fails with it (``_SINGULAR``) while any
+    other singular set drops only itself, and one that no set satisfies fails last
+    (``_NO_SET``).
     """
     import numpy as np
-    (count, _, k), m = designs.shape, ineq.shape[1]
+    (count, _, k), (ineq, bound, tol, infeasible, levels) = designs.shape, frames
     wsqrt = np.sqrt(weights)
     dw = designs * wsqrt[:, :, None]
     dwt = np.swapaxes(dw, 1, 2)  # a view: doubling after the products is exact
     hess, lin = 2.0 * (dwt @ dw), 2.0 * (dwt @ (wsqrt * targets)[:, :, None])[:, :, 0]
     del dw, dwt  # the largest array here: free it before the level solves
-    betas, active = np.zeros((count, k)), np.zeros((count, m), dtype=bool)
-    # -1 while open.  The fit's monotonicity rows read 1 at e1, so only its
-    # positivity row can fail the start.
-    status = np.where((ineq[:, :, 0] - bound < -_FEAS_TOL).any(axis=1), _INFEASIBLE, -1)
-    scale = np.abs(ineq).max(axis=2)  # a row's tolerance scales with the row
-    for size in range(min(k - 1, m) + 1):
+    betas, active = np.zeros((count, k)), np.zeros((count, ineq.shape[1]), dtype=bool)
+    status = np.where(infeasible[index], _INFEASIBLE, -1)  # -1 while open
+    for size, (sets, kkt_frame, rhs_frame) in enumerate(levels):
         open_ = np.flatnonzero(status < 0)
         if not len(open_):
             break
-        # Each set's KKT matrix is the principal submatrix of [H 1 G'; 1' 0 0; G 0 0]
-        # with its rows in sorted order, stacked problem by problem, set by set.
-        sets, n = np.array(list(itertools.combinations(range(m), size)), dtype=int), k + 1 + size
-        kkt, rhs = np.zeros((len(open_), len(sets), n, n)), np.zeros((len(open_), len(sets), n))
+        at, n = index[open_], k + 1 + size
+        kkt, rhs = kkt_frame[at], rhs_frame[at]
         kkt[:, :, :k, :k], rhs[:, :, :k] = hess[open_, None], lin[open_, None]
-        kkt[:, :, :k, k] = kkt[:, :, k, :k] = rhs[:, :, k] = 1.0
-        g = ineq[open_][:, sets]
-        kkt[:, :, k + 1:, :k], kkt[:, :, :k, k + 1:] = g, np.swapaxes(g, 2, 3)
-        rhs[:, :, k + 1:] = bound[open_][:, sets]
         kkt, rhs = kkt.reshape(-1, n, n), rhs.reshape(-1, n, 1)
         try:
             sols = np.linalg.solve(kkt, rhs)[:, :, 0]
@@ -299,8 +328,8 @@ def _solve_constrained_wls(
             status[open_[np.isnan(sols[:, 0, 0])]] = _SINGULAR
         # H beta + A' nu = lin: the multipliers are -nu, of the right sign once nu <= 0.
         cand = sols[:, :, :k]
-        slack = (ineq[open_, None] @ cand[:, :, :, None])[:, :, :, 0] - bound[open_, None]
-        ok = ((slack >= -_FEAS_TOL * scale[open_, None]).all(axis=2)
+        slack = (ineq[at, None] @ cand[:, :, :, None])[:, :, :, 0] - bound[at, None]
+        ok = ((slack >= tol[at, None]).all(axis=2)
               & (sols[:, :, k + 1:] <= _MULT_TOL).all(axis=2))
         hit = np.flatnonzero(ok.any(axis=1))
         won, first = open_[hit], ok[hit].argmax(axis=1)
@@ -329,54 +358,54 @@ def _rank_error(design: np.ndarray, quotes: list[BondQuote]) -> FitError:
 def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> tuple[np.ndarray, Callable]:
     """Eta grid search with IRLS outlier weights per recovery rate: (errors, result),
     errors[j] rate j's weighted fit error and result(j) its ``FitResult``, curve and
-    DAS built on call.  Every (eta, rate) problem is one row of one stack, eta the
-    outer axis, with one ``_solve_constrained_wls`` call per IRLS step; a problem leaves
-    the stack once converged or once its status (a ``_STATUS`` index, or
-    ``_RANK_DEFICIENT``) is not 0.  Each rate takes the argmin over eta of the final
-    objective, failed problems at +inf (an earlier eta wins ties); a rate whose every
-    eta failed raises."""
+    DAS built on call.  Built once per fit: one ``design_grid`` and ``_kkt_frames``,
+    and every (eta, rate) problem as one row of one stack, eta the outer axis.  Per
+    IRLS step: one ``_solve_constrained_wls`` call, which fills in the weighted blocks
+    only; a problem leaves the stack once converged or once its status (a ``_STATUS``
+    index, or ``_RANK_DEFICIENT``) is not 0.  Each rate takes the argmin over eta of
+    the final objective, failed problems at +inf (an earlier eta wins ties); a rate
+    whose every eta failed raises."""
     import numpy as np
     config, base_w, quotes = prepared.config, prepared.base_w, prepared.quotes
     rates = np.asarray(recoveries, dtype=float)
     count, k = len(rates), config.factors
     bases = [SplineBasis(eta=eta, size=k) for eta in config.eta_grid]
-    parts = [prepared.for_basis(basis) for basis in bases]
+    a_phi, b_phi, ineq, bound, labels = prepared.design_grid(bases)
+    frames = _kkt_frames(ineq, bound)
     # Problem e * count + j is rate j at eta e.
-    designs = np.concatenate([a_phi - rates[:, None, None] * b_phi for a_phi, b_phi, *_ in parts])
-    targets = np.tile(prepared.v0 - rates[:, None] * prepared.v1, (len(parts), 1))
-    ineq = np.repeat(np.array([part[2] for part in parts]), count, axis=0)
-    bound = np.repeat(np.array([part[3] for part in parts]), count, axis=0)
+    designs = rates[:, None, None] * b_phi[:, None]
+    designs = np.subtract(a_phi[:, None], designs, out=designs).reshape(-1, *a_phi.shape[1:])
+    targets = np.tile(prepared.v0 - rates[:, None] * prepared.v1, (len(bases), 1))
     status = np.where(np.linalg.matrix_rank(designs) < k, _RANK_DEFICIENT, 0)
     betas, eps, w_out = np.zeros((len(designs), k)), np.zeros(targets.shape), np.ones(targets.shape)
-    active = np.zeros(ineq.shape[:2], dtype=bool)
+    active = np.zeros((len(designs), ineq.shape[1]), dtype=bool)
     history, steps = np.zeros((len(designs), OUTLIER_MAX_ITER)), np.zeros(len(designs), dtype=int)
     # The working stack keeps only the problems still iterating: live[i] is row i's problem.
     live = np.flatnonzero(status == 0)
-    designs, targets, ineq, bound = designs[live], targets[live], ineq[live], bound[live]
+    designs, targets = designs[live], targets[live]
     for step in range(OUTLIER_MAX_ITER):
         if not len(live):
             break
         w_live = w_out[live]
         weights = w_live * base_w
         betas[live], active[live], status[live] = _solve_constrained_wls(
-            designs, targets, weights, ineq, bound)
+            designs, targets, weights, frames, live // count)
         eps[live] = residuals = targets - (designs @ betas[live, :, None])[:, :, 0]
         w_out[live] = w_new = _bisquare_weights(residuals, OUTLIER_TUNING)
         history[live, step], steps[live] = np.sum(weights * residuals**2, axis=1), step + 1
         keep = ~((np.max(np.abs(w_new - w_live), axis=1) < OUTLIER_TOL)
                  | (np.max(np.abs(residuals), axis=1) <= PRICE_TOL)) & (status[live] == 0)
         del w_live, weights, residuals, w_new  # free the step's arrays before compacting
-        live, designs, targets, ineq, bound = (a[keep] for a in (live, designs, targets, ineq, bound))
+        live, designs, targets = live[keep], designs[keep], targets[keep]
     final = np.where(status == 0, history[np.arange(len(status)), steps - 1], np.inf)
-    wins = final.reshape(len(parts), count).argmin(axis=0) * count + np.arange(count)
+    wins = final.reshape(len(bases), count).argmin(axis=0) * count + np.arange(count)
     lost = np.flatnonzero(status[wins])  # rates no eta fits: report the first at eta 0
     if len(lost):
         j = int(lost[0])
-        _, _, g, b, labels = parts[0]
-        low = int(np.argmin(g[:, 0] - b))  # G beta - b at the solver's start beta = e1
-        note = (f" ({labels[low]} = {g[low, 0]:.3g} at beta = e1, CONSTRAINT_SLACK = "
-                f"{CONSTRAINT_SLACK:g})" if g[low, 0] - b[low] < -_FEAS_TOL else "")
-        cause = (_rank_error(parts[0][0] - rates[j] * parts[0][1], quotes)
+        low = int(np.argmin(ineq[0, :, 0] - bound[0]))  # G beta - b at the start beta = e1
+        note = (f" ({labels[low]} = {ineq[0, low, 0]:.3g} at beta = e1, CONSTRAINT_SLACK = "
+                f"{CONSTRAINT_SLACK:g})" if ineq[0, low, 0] - bound[0, low] < -_FEAS_TOL else "")
+        cause = (_rank_error(a_phi[0] - rates[j] * b_phi[0], quotes)
                  if status[j] == _RANK_DEFICIENT else _STATUS[status[j]].format(k - 1))
         raise FitError(f"eta={config.eta_grid[0]:g}{note}: {cause}")
     weights = w_out[wins] * base_w
@@ -393,7 +422,7 @@ def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> tuple[np.ndarray,
                           for q, cf, dirty in zip(quotes, cfs, prepared.dirty)]),
             outlier_weights=w_out[win].copy(), weighted_error=float(errors[j]),
             eta=config.eta_grid[e],
-            active_constraints=tuple(itertools.compress(parts[e][4], active[win])),
+            active_constraints=tuple(itertools.compress(labels, active[win])),
             objective_history=tuple(history[win, :steps[win]].tolist()),
         )
     return errors, result

@@ -61,7 +61,10 @@ class SurvivalCurve:
         """Average hazard to T: -ln Q(T) / T (zero-coupon zero-recovery spread)."""
         if not T > 0.0:
             raise ValueError("T must be > 0")
-        return -math.log(self.survival(T)) / T
+        q = self.survival(T)
+        if q <= 0.0:
+            raise ValueError(f"survival vanishes at t={T}")
+        return -math.log(q) / T
 
     # -- segment decomposition used by the closed-form integrators ---------
 

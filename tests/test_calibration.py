@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -49,6 +50,16 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="eta_grid"):
             FitConfig(eta_grid=grid)
 
+    def test_a_generator_grid_is_kept_for_the_fit(self):
+        grid = FitConfig(eta_grid=(e for e in [0.05, 0.1])).eta_grid
+        assert grid == (0.05, 0.1) and grid == FitConfig(eta_grid=(0.05, 0.1)).eta_grid
+
+    def test_a_list_grid_leaves_the_config_hashable(self):
+        config = FitConfig(eta_grid=[0.05, np.float64(0.1)])
+        assert config.eta_grid == (0.05, 0.1)
+        assert [type(e) for e in config.eta_grid] == [float, float]
+        assert hash(config) == hash(FitConfig(eta_grid=(0.05, 0.1)))
+
     @pytest.mark.parametrize("factors", [0, 4])
     def test_factors_outside_knot_free_range(self, factors):
         with pytest.raises(ValueError, match="factors"):
@@ -77,6 +88,12 @@ class TestBuildRegressors:
         expected += dfs[-1] * (1.0 - 0.4) * basis.row(times[-1])
         assert row == pytest.approx(expected, rel=1e-13)
         assert value == pytest.approx(0.9 - 0.4 * dfs[0])
+
+    def test_a_knotted_basis_is_refused(self, base_curve):
+        quote = BondQuote(id="x", spec=BondSpec(coupon=0.05, freq=2, maturity=5.0), clean_price=0.9)
+        with pytest.raises(ValueError, match="knot-free"):
+            build_regressors(quote, base_curve, SplineBasis(eta=0.05, size=4, knots=((4, 3.0),)),
+                             0.4)
 
     @pytest.mark.parametrize("beta", [(1.0, 0.0, 0.0), (0.55, 0.3, 0.15), (0.2, 0.5, 0.3)])
     @pytest.mark.parametrize("spec_args", [(0.06, 2, 5.0, 0.0), (0.08, 4, 3.4, 0.1),
@@ -487,10 +504,21 @@ def reference_solve(design, target, weights, ineq, bound):
     raise FitError("active-set iteration did not converge")
 
 
-def reference_stack(designs, targets, weights, ineq, bound):
+def framed(designs, targets, weights, ineq, bound):
+    """A stack of problems, each with its own G and b, as the solver's arguments."""
+    return designs, targets, weights, calibration._kkt_frames(ineq, bound), np.arange(len(ineq))
+
+
+def solve_stack(stack):
+    """``_solve_constrained_wls`` on a stack of problems with their own G and b."""
+    return calibration._solve_constrained_wls(*framed(*stack))
+
+
+def reference_stack(designs, targets, weights, frames, index):
     """Each problem of a stack through ``reference_solve``, in the stacked
-    solver's return shape: a failure's status is its message's index in
-    ``_STATUS``, or ``_NO_SET`` for a message the stacked solver does not have."""
+    solver's arguments and return shape: a failure's status is its message's index
+    in ``_STATUS``, or ``_NO_SET`` for a message the stacked solver does not have."""
+    ineq, bound = frames[0][index], frames[1][index]
     betas, active = np.zeros((len(designs), designs.shape[2])), np.zeros(ineq.shape[:2], bool)
     status = np.zeros(len(designs), dtype=int)
     for i, problem in enumerate(zip(designs, targets, weights, ineq, bound)):
@@ -592,8 +620,8 @@ def assert_matches_reference(stack):
     objective is no worse.  A problem whose start is infeasible fails with the
     reference's message, and one whose equality-only KKT system is singular
     fails as the reference's first solve does from the empty set."""
-    betas, active, status = calibration._solve_constrained_wls(*stack)
-    ref_betas, ref_active, ref_status = reference_stack(*stack)
+    betas, active, status = solve_stack(stack)
+    ref_betas, ref_active, ref_status = reference_stack(*framed(*stack))
     messages = outcomes(betas, active, status)
     sets = working_sets(*stack[3].shape[1:])
     for i, problem in enumerate(zip(*stack)):
@@ -685,12 +713,12 @@ class TestStackedSolver:
 
     def test_a_singular_problem_fails_alone(self):
         stack = stack_problem(*PATH_EXAMPLES["singular KKT"])
-        together = outcomes(*calibration._solve_constrained_wls(*stack))
+        together = outcomes(*solve_stack(stack))
         assert [type(o) for o in together] == [tuple, str, tuple]
         assert together[1] == "singular KKT system (active set [])"
         for i in (0, 2):
             alone = [a[i:i + 1] for a in stack]
-            assert outcomes(*calibration._solve_constrained_wls(*alone)) == [together[i]]
+            assert outcomes(*solve_stack(alone)) == [together[i]]
 
     def test_a_degenerate_optimum_keeps_the_smallest_set_then_the_lowest_index(self):
         stack = three_factor_stack([[1.0, 1.0, 0.0]], *DEGENERATE)
@@ -700,15 +728,14 @@ class TestStackedSolver:
             assert np.abs(kkt_solve(*problem, tied)[0] - beta).max() <= 1e-15
             assert optimal_set(problem, tied)
         assert kkt_solve(*problem, [0, 1]) is None  # a singular set drops alone
-        assert outcomes(*calibration._solve_constrained_wls(*stack)) == [
-            ([float(b).hex() for b in beta], [0])]
+        assert outcomes(*solve_stack(stack)) == [([float(b).hex() for b in beta], [0])]
 
     def test_a_problem_no_set_satisfies_fails_alone(self, monkeypatch):
         # c = (1, 0, 0) is feasible and needs no row; c = (1, 1, 0) needs row 0,
         # whose multiplier no longer passes once the tolerance is below it.
         stack = three_factor_stack([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], *DEGENERATE)
         monkeypatch.setattr(calibration, "_MULT_TOL", -10.0)
-        betas, active, status = calibration._solve_constrained_wls(*stack)
+        betas, active, status = solve_stack(stack)
         assert (betas[0].tolist(), active[0].tolist()) == ([1.0, 0.0, 0.0], [False] * 3)
         assert status.tolist() == [0, calibration._NO_SET]
         assert outcomes(betas, active, status)[1] == "no working set of at most 2 rows is optimal"
@@ -724,7 +751,7 @@ class TestStackedSolver:
         # An oracle independent of the reference: scipy's SLSQP from the same start.
         optimize = pytest.importorskip("scipy.optimize")
         stack = stack_problem(hazard, recovery, sigma, eta, picks, scales, binding)
-        betas, _, status = calibration._solve_constrained_wls(*stack)
+        betas, _, status = solve_stack(stack)
         for i, (design, target, weights, ineq, bound) in enumerate(zip(*stack)):
             if status[i]:
                 continue
@@ -956,6 +983,99 @@ class TestMonotonicityRows:
         scale = 1.0 + size * np.abs(beta).sum() + wanted.sum()
         assert np.abs(g - bernstein).max() <= 1e-12 * scale
         assert g.min() >= -1e-12 * scale
+
+
+def per_eta_build(prepared, basis):
+    """One eta's (A Phi, B Phi, G, b, labels) built alone: Phi through ``SplineBasis.row``
+    at the payment dates and at the horizon, the Bernstein rows in Python floats."""
+    phi, starts = basis.row(prepared.times), [lo for lo, _ in prepared.spans]
+    n, x0 = basis.size - 1, math.exp(-basis.eta * prepared.horizon)
+    bernstein = [[k * sum(math.comb(j, i) * math.comb(n - j, k - 1 - i) * x0 ** (k - 1 - i)
+                          for i in range(min(j, k - 1) + 1)) / math.comb(n, k - 1)
+                  for k in range(1, n + 2)] for j in range(n + 1)]
+    ineq = np.vstack(bernstein + [basis.row(prepared.horizon)])
+    return (np.add.reduceat(prepared.a[:, None] * phi, starts, axis=0),
+            np.add.reduceat(prepared.b[:, None] * phi, starts, axis=0),
+            ineq, np.full(len(ineq), calibration.CONSTRAINT_SLACK),
+            [f"monotonicity:b{j}" for j in range(n + 1)] + [f"positivity@{prepared.horizon:g}"])
+
+
+def hexes(array):
+    """An array's shape and its entries as hex floats."""
+    return np.shape(array), [float(x).hex() for x in np.ravel(array)]
+
+
+# (coupon, freq, periods to maturity, accrued fraction of a period)
+BOND_TERMS = st.tuples(st.sampled_from([0.0, 0.03, 0.05, 0.08]), st.sampled_from([1, 2, 4]),
+                       st.integers(1, 120), st.sampled_from([0.0, 0.25, 0.5]))
+
+
+class TestDesignGrid:
+    """``_QuoteSet.design_grid`` builds every eta of a fit at once."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(terms=st.lists(BOND_TERMS, min_size=1, max_size=12),
+           etas=st.lists(st.floats(1e-4, 5.0), min_size=1, max_size=13), size=st.integers(1, 3))
+    def test_each_eta_is_bit_for_bit_its_own_build(self, terms, etas, size):
+        specs = [BondSpec(coupon=coupon, freq=freq, accrued_time=frac / freq,
+                          maturity=(min(periods, 30 * freq) - frac) / freq)
+                 for coupon, freq, periods, frac in terms]
+        quotes = [BondQuote(id=f"b{i}", spec=spec, clean_price=0.9) for i, spec in enumerate(specs)]
+        prepared = calibration._QuoteSet(quotes, BASE)
+        bases = [SplineBasis(eta=eta, size=size) for eta in etas]
+        *arrays, labels = prepared.design_grid(bases)
+        for e, basis in enumerate(bases):
+            *alone, alone_labels = per_eta_build(prepared, basis)
+            assert labels == alone_labels
+            for grid_part, alone_part in zip(arrays, alone):
+                assert hexes(grid_part[e]) == hexes(alone_part)
+
+    @pytest.mark.parametrize("scan", [False, True])
+    def test_one_grid_and_one_frame_build_per_fit(self, monkeypatch, scan):
+        quotes, config = recovery_case("scan")
+        grid, frames, cores, grids, frame_sets = (calibration._QuoteSet.design_grid,
+                                                  calibration._kkt_frames,
+                                                  calibration._fit_core, [], [])
+        rates = []
+
+        def spy_grid(prepared, bases):
+            grids.append(len(bases))
+            return grid(prepared, bases)
+
+        def spy_frames(ineq, bound):
+            frame_sets.append(ineq.shape)
+            return frames(ineq, bound)
+
+        def spy_core(prepared, recoveries):
+            rates.append(len(recoveries))
+            return cores(prepared, recoveries)
+
+        monkeypatch.setattr(calibration._QuoteSet, "design_grid", spy_grid)
+        monkeypatch.setattr(calibration, "_kkt_frames", spy_frames)
+        monkeypatch.setattr(calibration, "_fit_core", spy_core)
+        (implied_recovery if scan else fit_survival)(quotes, BASE, config)
+        assert rates == [len(RATES) if scan else 1]
+        assert grids == [len(config.eta_grid)]
+        assert frame_sets == [(len(config.eta_grid), config.factors + 1, config.factors)]
+
+    def test_grid_build_memory_is_a_few_eta_by_date_arrays(self):
+        # An (E, dates, k) temporary next to the exponential would take 4 of them.
+        quotes = [BondQuote(id=f"b{i}", spec=BondSpec(coupon=0.05, freq=2,
+                                                      maturity=float(1 + i % 30)),
+                            clean_price=0.95) for i in range(200)]
+        prepared = calibration._QuoteSet(quotes, BASE)
+        bases = [SplineBasis(eta=eta) for eta in default_eta_grid()]
+        prepared.design_grid(bases)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            prepared.design_grid(bases)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        eta_by_date = len(bases) * len(prepared.times) * np.dtype(float).itemsize
+        assert len(bases) == 13 and len(prepared.times) == 6000
+        assert peak < 4 * eta_by_date
 
 
 class TestLoaders:

@@ -337,6 +337,13 @@ class TestTermStructureReport:
             assert report == measures.term_structure_report(
                 base_curve, true_spline_curve, 0.4, grid=measures.report_grid(), freq=freq)
 
+    def test_survival_that_underflows_to_zero_raises_by_name(self):
+        # Q(19) = exp(-40 * 19) underflows to 0.0, so its zz_spread has no logarithm.
+        curve = PiecewiseHazardCurve([(30.0, 40.0)])
+        assert curve.survival(19.0) == 0.0 < curve.survival(18.5)
+        with pytest.raises(ValueError, match=r"^survival vanishes at t=19\.0$"):
+            measures.term_structure_report(BaseCurve.flat(0.03, 5.0), curve, 0.4)
+
     @pytest.mark.parametrize("grid", [(), (2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-1.0,)])
     def test_bad_grid_raises(self, base_curve, true_spline_curve, grid):
         with pytest.raises(ValueError, match="report grid must be non-empty, strictly "

@@ -88,6 +88,13 @@ def test_zz_spread_values(spline_curve):
     assert curve.zz_spread(5.0) == pytest.approx(-math.log(0.9) / 5.0, rel=1e-12)
 
 
+def test_zz_spread_where_survival_vanishes_names_the_tenor():
+    curve = PiecewiseHazardCurve([(30.0, 40.0)])
+    assert curve.zz_spread(10.0) == pytest.approx(40.0, rel=1e-12)
+    with pytest.raises(ValueError, match=r"^survival vanishes at t=25\.0$"):
+        curve.zz_spread(25.0)
+
+
 def test_zz_spread_is_average_hazard(spline_curve):
     # quadrature of the hazard via fine trapezoid against -ln Q / T
     T, n = 8.0, 4000

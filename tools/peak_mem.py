@@ -10,13 +10,15 @@ The subprocess builds the workload's operations for seeds 11 and 12 over
 cycles 0-1 and runs each once, keeping no output, then reads its own
 ``ru_maxrss``.  It then runs every operation again under ``tracemalloc`` and
 takes the largest per-operation peak: the memory one call of the library
-allocates on top of what it holds before the call.  ``bench/run.py`` keeps
+allocates on top of what it holds before the call, with the issuer and the
+bond count of the operation that took it.  ``bench/run.py`` keeps
 every finished operation for a timed run, so its ``peak_rss_mb`` grows with
 the number of operations it gets through; these fixed lists do not, which
 separates the library's own memory from that effect.
 
 Per workload it prints ``ru_maxrss`` and the largest per-operation peak of
-each tree and their difference, and the number of operations run.
+each tree and their difference, the issuer and bond count of each tree's
+largest operation, and the number of operations run.
 """
 
 from __future__ import annotations
@@ -36,31 +38,35 @@ SEEDS, CYCLES = (11, 12), 2
 
 def collect(name: str) -> dict:
     """ru_maxrss (MB) after one plain pass over the fixed operation list of
-    workload ``name``, and its largest per-operation tracemalloc peak (KB)."""
+    workload ``name``, its largest per-operation tracemalloc peak (KB), and that
+    operation's issuer id and bond count."""
     from workloads import WORKLOAD_CLASSES  # the bench/ of the tree under test
 
     ops, loaded = [], []
     for seed in SEEDS:
         workload = WORKLOAD_CLASSES[name](seed, os.getcwd())
         workload.prepare(CYCLES)
-        ops += [op for block in workload.prepared for op in block.ops]
+        ops += [(op, block.bonds) for block in workload.prepared for op in block.ops]
         loaded.append(workload)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for op in ops:
+        for op, _ in ops:
             op.run()
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        peak = 0
+        peak, largest = 0, (None, 0)
         tracemalloc.start()
-        for op in ops:
+        for op, bonds in ops:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             op.run()
-            peak = max(peak, tracemalloc.get_traced_memory()[1] - before)
+            used = tracemalloc.get_traced_memory()[1] - before
+            if used > peak:
+                peak, largest = used, (op.issuer, bonds)
         tracemalloc.stop()
     for workload in loaded:
         workload.close()
-    return {"rss_mb": rss_mb, "op_peak_kb": peak / 1024.0, "ops": len(ops)}
+    return {"rss_mb": rss_mb, "op_peak_kb": peak / 1024.0, "op_peak_issuer": largest[0],
+            "op_peak_bonds": largest[1], "ops": len(ops)}
 
 
 def run_tree(tree: str, name: str) -> dict:
@@ -76,11 +82,14 @@ def run_tree(tree: str, name: str) -> dict:
 
 
 def report(name: str, parent: dict, change: dict) -> str:
-    """One line per workload: each side's ru_maxrss and largest op peak, and the difference."""
+    """One line per workload: each side's ru_maxrss and largest op peak, the
+    differences, and the issuer and bond count of each side's largest op."""
     return (f"{name}: ru_maxrss {parent['rss_mb']:.1f} -> {change['rss_mb']:.1f} MB "
             f"({change['rss_mb'] - parent['rss_mb']:+.1f}), largest op peak "
             f"{parent['op_peak_kb']:.0f} -> {change['op_peak_kb']:.0f} KB "
-            f"({change['op_peak_kb'] - parent['op_peak_kb']:+.0f}), "
+            f"({change['op_peak_kb'] - parent['op_peak_kb']:+.0f}) at "
+            f"{parent['op_peak_issuer']} ({parent['op_peak_bonds']} bonds) / "
+            f"{change['op_peak_issuer']} ({change['op_peak_bonds']} bonds), "
             f"ops {parent['ops']} / {change['ops']}")
 
 
