@@ -41,9 +41,9 @@ and a program that prices, reports or hedges without fitting never loads numpy.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
+import numbers
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -51,9 +51,8 @@ from typing import TYPE_CHECKING
 
 from . import pricing
 from .conventional import BondSpec
-from .curves import BaseCurve, grid_periods
-from .errors import (ArbitrageError, ConvergenceError, FitError, InsufficientDataError,
-                     ParseError, ScheduleError)
+from .curves import BaseCurve, grid_periods, read_csv_rows
+from .errors import ArbitrageError, ConvergenceError, FitError, InsufficientDataError
 from .rootfind import PRICE_TOL, check_price, solve_bracketed, solve_spread, spread_duration
 from .splines import SplineBasis
 from .survival import PiecewiseHazardCurve, SplineSurvivalCurve
@@ -113,9 +112,11 @@ class FitConfig:
         # factors 4 and up need.
         if self.factors not in (1, 2, 3):
             raise ValueError(f"factors must be 1, 2 or 3, got {self.factors!r}")
-        object.__setattr__(self, "eta_grid", tuple(float(e) for e in self.eta_grid))
-        if not self.eta_grid or not all(0.0 < e < math.inf for e in self.eta_grid):
-            raise ValueError(f"eta_grid must be non-empty, finite and > 0, got {self.eta_grid!r}")
+        grid = tuple(self.eta_grid)  # a bool or a numeric string is no decay rate
+        if not grid or not all(isinstance(e, numbers.Real) and not isinstance(e, bool)
+                               and 0.0 < e < math.inf for e in grid):
+            raise ValueError(f"eta_grid must be non-empty, real, finite and > 0, got {grid!r}")
+        object.__setattr__(self, "eta_grid", tuple(map(float, grid)))
         if self.weight_scheme not in ("formula", "prose"):
             raise ValueError("weight_scheme must be 'formula' or 'prose'")
         pricing.check_recovery(self.recovery)
@@ -147,8 +148,8 @@ def build_regressors(
     to the left-hand side.  A one-bond view of the fit's precompute.
     """
     one = _QuoteSet([quote], base)
-    a_phi, b_phi = one.for_basis(basis)[:2]
-    return a_phi[0] - recovery * b_phi[0], float(one.v0[0] - recovery * one.v1[0])
+    a_phi, b_phi = one.design_grid([basis])[:2]
+    return a_phi[0, 0] - recovery * b_phi[0, 0], float(one.v0[0] - recovery * one.v1[0])
 
 
 class _QuoteSet:
@@ -226,11 +227,6 @@ class _QuoteSet:
                                for j in range(n + 1)]
         return (a_phi, b_phi, ineq, np.full(ineq.shape[:2], CONSTRAINT_SLACK),
                 [f"monotonicity:b{j}" for j in range(n + 1)] + [f"positivity@{self.horizon:g}"])
-
-    def for_basis(self, basis: SplineBasis) -> tuple:
-        """``design_grid`` of one knot-free basis: its arrays without the eta axis."""
-        *arrays, labels = self.design_grid([basis])
-        return (*(array[0] for array in arrays), labels)
 
 
 def _row_medians(x: np.ndarray) -> np.ndarray:
@@ -533,68 +529,47 @@ def load_bond_quotes(path: str) -> list[BondQuote]:
 
     Bond ids must be unique: results are reported by id.
     """
-    out: list[BondQuote] = []
     rows_by_id: dict[str, int] = {}
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        fields = reader.fieldnames or []
-        required = set(BOND_CSV_FIELDS[:-1])
-        if not required.issubset(fields):
-            missing = ", ".join(sorted(required - set(fields)))
-            raise ParseError(f"{path}: missing columns: {missing}")
-        for row in reader:
-            line = reader.line_num
-            try:
-                sd_raw = (row.get("spread_duration") or "").strip()
-                spec = BondSpec(
-                    coupon=float(row["coupon"]),
-                    freq=int(row["freq"]),
-                    maturity=float(row["maturity_years"]),
-                    accrued_time=float(row["accrued_years"]),
-                )
-                out.append(BondQuote(
-                    id=row["id"],
-                    spec=spec,
-                    clean_price=float(row["clean_price"]),
-                    spread_duration=float(sd_raw) if sd_raw else None,
-                ))
-            except (TypeError, ValueError, KeyError, ScheduleError) as exc:
-                raise ParseError(f"{path}: row {line}: {exc}") from exc
-            if row["id"] in rows_by_id:
-                raise ParseError(f"{path}: row {line}: duplicate bond id {row['id']!r}, "
-                                 f"first on row {rows_by_id[row['id']]}")
-            rows_by_id[row["id"]] = line
-    if not out:
-        raise ParseError(f"{path}: no quote rows")
-    return out
+
+    def header(fields: list[str]) -> str:
+        missing = ", ".join(sorted(set(BOND_CSV_FIELDS[:-1]) - set(fields)))
+        return missing and f"missing columns: {missing}"
+
+    def parse(row: dict, line: int) -> BondQuote:
+        sd_raw = (row.get("spread_duration") or "").strip()
+        spec = BondSpec(float(row["coupon"]), int(row["freq"]), float(row["maturity_years"]),
+                        accrued_time=float(row["accrued_years"]))
+        quote = BondQuote(id=row["id"], spec=spec, clean_price=float(row["clean_price"]),
+                          spread_duration=float(sd_raw) if sd_raw else None)
+        first = rows_by_id.setdefault(quote.id, line)
+        if first != line:
+            raise ValueError(f"duplicate bond id {quote.id!r}, first on row {first}")
+        return quote
+
+    return read_csv_rows(path, header, parse, "quote")
 
 
 def load_cds_quotes(path: str) -> list[tuple[float, float]]:
     """Read CDS quotes CSV with header ``maturity_years,par_spread_bp``, each row a
     finite spread > 0 and a maturity on the CDS grid above the previous row's;
     spreads are returned in decimals."""
-    out: list[tuple[float, float]] = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        fields = reader.fieldnames or []
-        if "maturity_years" not in fields or "par_spread_bp" not in fields:
-            raise ParseError(f"{path}: header must be maturity_years,par_spread_bp")
-        for row in reader:
-            line = reader.line_num
-            try:
-                maturity = float(row["maturity_years"])
-                spread_bp = float(row["par_spread_bp"])
-                if not math.isfinite(spread_bp):
-                    raise ValueError(f"par_spread_bp must be finite, got {spread_bp!r}")
-                if not spread_bp > 0.0:
-                    raise ValueError(f"par_spread_bp must be > 0, got {spread_bp!r}")
-                grid_periods(maturity, pricing.CDS_FREQ)
-                if out and not maturity > out[-1][0]:
-                    raise ValueError(f"maturity_years {maturity!r} is not above the "
-                                     f"previous row's {out[-1][0]!r}")
-            except (TypeError, ValueError, ScheduleError) as exc:
-                raise ParseError(f"{path}: row {line}: {exc}") from exc
-            out.append((maturity, spread_bp / 1e4))
-    if not out:
-        raise ParseError(f"{path}: no quote rows")
-    return out
+    previous = 0.0
+
+    def parse(row: dict, _: int) -> tuple[float, float]:
+        nonlocal previous
+        maturity = float(row["maturity_years"])
+        spread_bp = float(row["par_spread_bp"])
+        if not math.isfinite(spread_bp):
+            raise ValueError(f"par_spread_bp must be finite, got {spread_bp!r}")
+        if not spread_bp > 0.0:
+            raise ValueError(f"par_spread_bp must be > 0, got {spread_bp!r}")
+        grid_periods(maturity, pricing.CDS_FREQ)
+        if not maturity > previous:  # the first row's grid check has made it > 0
+            raise ValueError(f"maturity_years {maturity!r} is not above the "
+                             f"previous row's {previous!r}")
+        previous = maturity
+        return maturity, spread_bp / 1e4
+
+    return read_csv_rows(
+        path, lambda fields: "" if {"maturity_years", "par_spread_bp"} <= set(fields)
+        else "header must be maturity_years,par_spread_bp", parse, "quote")

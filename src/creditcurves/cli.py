@@ -38,7 +38,7 @@ class _MissingInput(Exception):
 def _require(path: str | None, label: str) -> str:
     if not path:
         raise _MissingInput(f"{label} required")
-    if not os.path.exists(path):
+    if not os.path.isfile(path):  # a directory is no input file either
         raise _MissingInput(f"{label} not found: {path}")
     return path
 

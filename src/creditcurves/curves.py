@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import ParseError, ScheduleError
 
@@ -54,12 +54,12 @@ class BaseCurve:
     @classmethod
     def from_zero_rates(cls, pairs: Iterable[tuple[float, float]]) -> "BaseCurve":
         """Build from (tenor, continuously-compounded zero rate) pairs."""
-        return cls([(t, math.exp(-r * t)) for t, r in pairs])
+        return cls([(t, _discount(r, t)) for t, r in pairs])
 
     @classmethod
     def flat(cls, rate: float, tenor: float = 1.0) -> "BaseCurve":
         """Flat curve df(t) = exp(-rate * t); exact at all t, not just nodes."""
-        return cls([(tenor, math.exp(-rate * tenor))])
+        return cls([(tenor, _discount(rate, tenor))])
 
     @property
     def node_tenors(self) -> tuple[float, ...]:
@@ -106,34 +106,53 @@ class BaseCurve:
         return f"BaseCurve([{inner}])"
 
 
+def _discount(rate: float, t: float) -> float:
+    try:  # exp(-rate * t); where it overflows, a ValueError names the rate and t
+        return math.exp(-rate * t)
+    except OverflowError:
+        raise ValueError(f"zero rate {rate!r} at t={t!r} overflows the discount factor") from None
+
+
+def read_csv_rows(path: str, header: Callable[[list[str]], str],
+                  parse: Callable[[dict, int], object], noun: str) -> list:
+    """The one rule for CSV input: ``header(fieldnames)`` returns "" or a fault and
+    ``parse(row, line)`` builds one value.  A fault, a row that fails to parse or has
+    cells beyond the header, bytes that are not UTF-8 or no rows is a ``ParseError``."""
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.DictReader(handle)
+            fault = header(reader.fieldnames or [])
+            rows = [] if fault else [(row, reader.line_num) for row in reader]
+    except UnicodeDecodeError as exc:
+        fault = f"not UTF-8: {exc}"
+    if fault or not rows:
+        raise ParseError(f"{path}: {fault or f'no {noun} rows'}")
+    out = []
+    for row, line in rows:
+        try:
+            if None in row:  # DictReader keys the cells past the header by None
+                raise ValueError(f"cells beyond the header: {row[None]!r}")
+            out.append(parse(row, line))
+        except (TypeError, ValueError, ScheduleError) as exc:
+            raise ParseError(f"{path}: row {line}: {exc}") from exc
+    return out
+
+
 def load_base_curve(path: str) -> BaseCurve:
     """Read a curve CSV with header ``tenor_years,zero_rate`` or
     ``tenor_years,discount_factor`` (exactly one of the two columns)."""
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        fields = reader.fieldnames or []
-        has_rate = "zero_rate" in fields
-        has_df = "discount_factor" in fields
-        if "tenor_years" not in fields or has_rate == has_df:
-            raise ParseError(
-                f"{path}: header must be tenor_years plus exactly one of "
-                "zero_rate / discount_factor"
-            )
-        column = "zero_rate" if has_rate else "discount_factor"
-        pairs = []
-        for row in reader:
-            line = reader.line_num
-            try:
-                tenor = float(row["tenor_years"])
-                value = float(row[column])
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{path}: row {line}: {exc}") from exc
-            pairs.append((tenor, value))
-        if not pairs:
-            raise ParseError(f"{path}: no curve rows")
+    def header(fields: list[str]) -> str:
+        one_value = ("zero_rate" in fields) != ("discount_factor" in fields)
+        return "" if "tenor_years" in fields and one_value else (
+            "header must be tenor_years plus exactly one of zero_rate / discount_factor")
+
+    def parse(row: dict, _: int) -> tuple[float, float]:
+        t = float(row["tenor_years"])
+        return t, (_discount(float(row["zero_rate"]), t) if "zero_rate" in row
+                   else float(row["discount_factor"]))
+
+    pairs = read_csv_rows(path, header, parse, "curve")
     try:
-        if has_rate:
-            return BaseCurve.from_zero_rates(pairs)
         return BaseCurve(pairs)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -45,7 +45,8 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="spread_duration"):
             BondQuote(id="bad", spec=spec, clean_price=0.95, spread_duration=value)
 
-    @pytest.mark.parametrize("grid", [(0.01, float("nan")), (float("inf"),)])
+    @pytest.mark.parametrize("grid", [(0.01, float("nan")), (float("inf"),), ["0.05"],
+                                      (0.05, "0.1"), (True,), (0.05, None)])
     def test_non_finite_eta_grid(self, grid):
         with pytest.raises(ValueError, match="eta_grid"):
             FitConfig(eta_grid=grid)
@@ -656,7 +657,7 @@ def stack_problem(hazard, recovery, sigma, eta, picks, scales, binding=None):
     ``binding`` of G made binding at the start; G and b repeat per problem."""
     quotes = synthetic_quotes(BASE, hazard, recovery, sigma=sigma)
     prepared = calibration._QuoteSet(quotes, BASE, FitConfig())
-    a_phi, b_phi, ineq, bound = prepared.for_basis(SplineBasis(eta=eta))[:4]
+    a_phi, b_phi, ineq, bound = (x[0] for x in prepared.design_grid([SplineBasis(eta=eta)])[:4])
     rates = np.array([RATES[i] for i in picks])
     designs = a_phi - rates[:, None, None] * b_phi
     targets = prepared.v0 - rates[:, None] * prepared.v1
@@ -866,7 +867,7 @@ class TestBatchedFitCore:
 
         def locate(design, target):
             for eta in prepared.config.eta_grid:
-                a_phi, b_phi = prepared.for_basis(SplineBasis(eta=eta))[:2]
+                a_phi, b_phi = (x[0] for x in prepared.design_grid([SplineBasis(eta=eta)])[:2])
                 for j, rate in enumerate(RATES):
                     if (np.array_equal(a_phi - rate * b_phi, design)
                             and np.array_equal(prepared.v0 - rate * prepared.v1, target)):
@@ -967,7 +968,8 @@ class TestMonotonicityRows:
                                                            coefficients):
         spec = BondSpec(coupon=0.05, freq=2, maturity=float(maturity))
         prepared = calibration._QuoteSet([BondQuote(id="b", spec=spec, clean_price=1.0)], BASE)
-        _, _, ineq, bound, labels = prepared.for_basis(SplineBasis(eta=eta, size=size))
+        _, _, ineq, bound, labels = prepared.design_grid([SplineBasis(eta=eta, size=size)])
+        ineq, bound = ineq[0], bound[0]
         assert labels == [f"monotonicity:b{j}" for j in range(size)] + [
             f"positivity@{maturity + 5}"]
         assert (bound == calibration.CONSTRAINT_SLACK).all()

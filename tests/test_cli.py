@@ -385,6 +385,33 @@ class TestBadInputRows:
         assert f"{cds}: row 3: " in capsys.readouterr().err
         assert not (pipeline_dir / "out").exists()
 
+    def test_overflowing_base_rate_exits_2_naming_tenor_and_rate(self, pipeline_dir, capsys):
+        base = pipeline_dir / "base.csv"
+        base.write_text("tenor_years,zero_rate\n1.0,0.02\n2.0,-500\n")
+        assert run(full_argv(pipeline_dir, "report")) == 2
+        assert f"{base}: row 3: zero rate -500.0 at t=2.0 " in capsys.readouterr().err
+        assert not (pipeline_dir / "out").exists()
+
+    @pytest.mark.parametrize("row, message", [
+        (b"\xff\xfe,0.05,2,5.0,0.0,0.97,\n", "not UTF-8: "),
+        (b"c,0.05,2,5.0,0.0,0.97,,0.98\n", "row 8: cells beyond the header: ['0.98']"),
+    ], ids=["undecodable", "extra-cells"])
+    def test_undecodable_or_overlong_bond_row_exits_2(self, pipeline_dir, capsys, row, message):
+        bonds = pipeline_dir / "bonds.csv"
+        bonds.write_bytes(bonds.read_bytes() + row)
+        assert run(full_argv(pipeline_dir, "price")) == 2
+        assert f"error: {bonds}: {message}" in capsys.readouterr().err
+        assert not (pipeline_dir / "out").exists()
+
+    @pytest.mark.parametrize("command, flag", [("price", "--bonds"), ("hedge", "--cds"),
+                                               ("report", "--base")])
+    def test_a_directory_as_input_exits_4(self, pipeline_dir, capsys, command, flag):
+        argv = full_argv(pipeline_dir, command)
+        argv[argv.index(flag) + 1] = str(pipeline_dir)
+        assert run(argv) == 4
+        assert f"not found: {pipeline_dir}" in capsys.readouterr().err
+        assert not (pipeline_dir / "out").exists()
+
     def test_cds_quote_beyond_the_hazard_bracket_exits_5_naming_it(self, pipeline_dir, capsys):
         (pipeline_dir / "cds.csv").write_text("maturity_years,par_spread_bp\n1,500000\n")
         assert run(full_argv(pipeline_dir, "hedge")) == 5

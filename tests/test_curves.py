@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from creditcurves.calibration import load_bond_quotes, load_cds_quotes
 from creditcurves.curves import BaseCurve, load_base_curve
 from creditcurves.errors import ParseError, ScheduleError
 
@@ -159,3 +160,47 @@ def test_load_curve_csv_names_bad_row(tmp_path):
     path = _write(tmp_path / "c.csv", "tenor_years,zero_rate\n1.0,0.02\nxx,0.03\n")
     with pytest.raises(ParseError, match="row 3"):
         load_base_curve(path)
+
+
+@pytest.mark.parametrize("build", [lambda: BaseCurve.from_zero_rates([(1.0, 0.02), (2.0, -500)]),
+                                   lambda: BaseCurve.flat(-1000, 2.0)])
+def test_an_overflowing_zero_rate_names_tenor_and_rate(build):
+    with pytest.raises(ValueError, match=r"^zero rate -(500|1000) at t=2.0 overflows"):
+        build()
+
+
+def test_a_negative_rate_that_does_not_overflow_keeps_its_message():
+    with pytest.raises(ValueError, match=r"^discount factor at t=1.0 must be in \(0, 1\]$"):
+        BaseCurve.from_zero_rates([(1.0, -0.01)])
+
+
+# Per loader: header, two good rows, a bad row, and the noun of its empty-file message.
+CSV_LOADERS = {
+    "curve": (load_base_curve, "tenor_years,zero_rate", "1.0,0.02", "2.0,0.03", "2.0,xx",
+              "curve"),
+    "bonds": (load_bond_quotes, "id,coupon,freq,maturity_years,accrued_years,clean_price",
+              "a,0.05,2,5.0,0.0,0.97", "b,0.05,2,7.0,0.0,0.99", "b,oops,2,5.0,0.0,0.97",
+              "quote"),
+    "cds": (load_cds_quotes, "maturity_years,par_spread_bp", "1.0,80", "2.0,90", "2.0,oops",
+            "quote"),
+}
+
+
+@pytest.mark.parametrize("fault", ["header", "row", "empty", "undecodable", "extra cells"])
+@pytest.mark.parametrize("kind", sorted(CSV_LOADERS))
+def test_every_csv_loader_names_file_and_row(tmp_path, kind, fault):
+    """The three CSV loaders share ``read_csv_rows`` and so its failure messages."""
+    load, header, good, good2, bad, noun = CSV_LOADERS[kind]
+    lines = {"header": ["wrong,columns", good], "row": [header, good, bad], "empty": [header],
+             "undecodable": [header, good, "\xff\xfe"], "extra cells": [header, good, good2 + ",9"]}
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes("\n".join(lines[fault]).encode("latin-1") + b"\n")
+    with pytest.raises(ParseError) as info:
+        load(str(path))
+    message = str(info.value)
+    assert message.startswith(f"{path}: row 3: " if fault in ("row", "extra cells")
+                              else f"{path}: ")
+    assert fault in ("row", "extra cells") or " row " not in message
+    assert message.endswith({"empty": f": no {noun} rows", "extra cells": ": cells beyond the "
+                             "header: ['9']"}.get(fault, ""))
+    assert (fault == "undecodable") == ("not UTF-8" in message)
