@@ -157,10 +157,11 @@ class _QuoteSet:
 
     A bond's FRP price is sum_i (a_i - R b_i) Q(t_i) + R v1, with z_i the
     discount factors at its payment times t_i, a_i = CF_i z_i (its Z-spread
-    flows), b_i = g (z_i - z_{i+1}), z_{N+1} = 0, and v1 = g z_1, for the
-    recovery load g = 1 + C/2q of ``pricing.frp_coefficients``.  So its design
-    row is sum_i (a_i - R b_i) Phi(t_i) and its target v0 - R v1, v0 the dirty
-    price.  A fit passes its config, which adds the base weights and checks the count and ids.
+    flows, CF_i from ``pricing.frp_coefficients``), b_i = g (z_i - z_{i+1}), z_{N+1} = 0,
+    and v1 = g z_1, for the recovery load g = 1 + C/2q.  So its design row is sum_i (a_i -
+    R b_i) Phi(t_i) and its target v0 - R v1, v0 the dirty price.  Each schedule is read
+    once; ``zs`` keeps the z_i for the fit's DAS pass.  A fit passes its config, which adds
+    the base weights and checks the count and ids.
     """
 
     def __init__(self, quotes: list[BondQuote], base: BaseCurve,
@@ -175,13 +176,15 @@ class _QuoteSet:
             raise ValueError(f"duplicate bond id {next(i for i in ids if ids.count(i) > 1)!r}")
         self.quotes, self.base, self.config = quotes, base, config
         # Python floats, not numpy scalars, feed the scalar loops of the solves.
-        self.times, self.cf_z, self.spans, b, v1 = [], [], [], [], []
+        self.times, self.zs, self.cf_z, self.spans, b, v1 = [], [], [], [], [], []
         for q in quotes:
-            z = [base.df(t) for t in q.spec.payment_times]
-            g = pricing.frp_coefficients(q.spec.coupon, q.spec.freq)[1]
+            times = q.spec.payment_times
+            z = [base.df(t) for t in times]
+            cpn, g = pricing.frp_coefficients(q.spec.coupon, q.spec.freq)
             self.spans.append((len(self.times), len(self.times) + len(z)))
-            self.times += q.spec.payment_times
-            self.cf_z += [cf * zi for (_, cf), zi in zip(q.spec.cash_flows(), z)]
+            self.times += times
+            self.zs += z
+            self.cf_z += [cpn * zi for zi in z[:-1]] + [(cpn + 1.0) * z[-1]]
             b += [g * (zi - z_next) for zi, z_next in zip(z, z[1:] + [0.0])]
             v1.append(g * z[0])
         self.a, self.b, self.v1 = np.array(self.cf_z), np.array(b), np.array(v1)
@@ -411,11 +414,12 @@ def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> tuple[np.ndarray,
     def result(j: int) -> FitResult:
         win, e = wins[j], wins[j] // count
         curve = SplineSurvivalCurve(bases[e], tuple(betas[win]), horizon=prepared.horizon)
-        cfs = (pricing.frp_cash_flows(q.spec, prepared.base, curve, recoveries[j]) for q in quotes)
+        times, zs, qs = prepared.times, prepared.zs, [curve.survival(t) for t in prepared.times]
         return FitResult(
             curve=curve, ids=tuple(q.id for q in quotes), residuals=eps[win].copy(),
-            das=np.array([solve_spread(q.spec.payment_times, cf, dirty)  # as measures.das
-                          for q, cf, dirty in zip(quotes, cfs, prepared.dirty)]),
+            das=np.array([solve_spread(times[lo:hi], pricing.frp_flows(  # as measures.das
+                q.spec.coupon, q.spec.freq, recoveries[j], zs[lo:hi], qs[lo:hi]), dirty)
+                for q, (lo, hi), dirty in zip(quotes, prepared.spans, prepared.dirty)]),
             outlier_weights=w_out[win].copy(), weighted_error=float(errors[j]),
             eta=config.eta_grid[e],
             active_constraints=tuple(itertools.compress(labels, active[win])),
@@ -546,7 +550,7 @@ def load_bond_quotes(path: str) -> list[BondQuote]:
             raise ValueError(f"duplicate bond id {quote.id!r}, first on row {first}")
         return quote
 
-    return read_csv_rows(path, header, parse, "quote")
+    return read_csv_rows(path, header, parse, "quote", optional=BOND_CSV_FIELDS[-1:])
 
 
 def load_cds_quotes(path: str) -> list[tuple[float, float]]:

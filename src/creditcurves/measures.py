@@ -7,7 +7,7 @@ bond-implied CDS, forward CDS spreads, and the bond-level measures
 spread).  Sign convention: DAS > 0 means the bond trades cheap to the
 fitted curve.  Par coupons, CCPs and CDS spreads are reads of one
 ``pricing.LegTable`` per schedule (``curves.grid_times`` or the bond's own
-payment times); DAS is ``rootfind.solve_spread`` on ``pricing.frp_cash_flows``.
+payment times); DAS is ``rootfind.solve_spread`` on ``pricing.frp_walk``'s flows.
 ``term_structure_report`` walks three tables once and reads every row from
 them; ``par_coupon``, ``p_spread`` (against ``BaseCurve.par_yield``), ``ccp``
 (a fresh bond through ``pricing.bond_pv_frp``) and ``bcds`` price one tenor
@@ -114,21 +114,16 @@ def fitted_p_spread(
     return fitted_par_coupon(bond, base, curve, recovery) - fitted_base_par_coupon(bond, base)
 
 
-def das(
-    bond: BondSpec,
-    market_clean_price: float,
-    base: BaseCurve,
-    curve: SurvivalCurve,
-    recovery: float,
-) -> float:
+def das(bond: BondSpec, market_clean_price: float, base: BaseCurve, curve: SurvivalCurve,
+        recovery: float) -> float:
     """Default-adjusted spread: constant discount spread applied to all
     legs that reconciles the fitted price with the market clean price.
 
-    The curves are walked once, into ``pricing.frp_cash_flows``; the root
-    search only re-discounts those flows.
+    The schedule is read and the curves walked once, in ``pricing.frp_walk``;
+    the root search only re-discounts those flows.
     """
-    flows = pricing.frp_cash_flows(bond, base, curve, recovery)
-    return solve_spread(bond.payment_times, flows, market_clean_price + bond.accrued_interest)
+    times, flows = pricing.frp_walk(bond, base, curve, recovery)
+    return solve_spread(times, flows, market_clean_price + bond.accrued_interest)
 
 
 def excess_spread(

@@ -5,16 +5,20 @@ coupon of accrued interest, settled on the first coupon date after
 default.  CDS legs net accrued premium against the protection payment.
 All discrete schedules live on the instrument's own payment grid; CDS
 pay quarterly (``CDS_FREQ``, the package's one statement of that
-convention).  ``LegTable`` is the one schedule walk behind every discrete
-leg, par coupon and hedge weight, read at any date of its schedule.  The
-FRP coefficients (``frp_coefficients``, also the fit's design) apply to it
+convention).  ``_legs`` states the per-date legs Z*Q and Z*(Q_prev - Q) once;
+``LegTable`` sums them, the one schedule walk behind every discrete CDS leg,
+par coupon and hedge weight, read at any date of its schedule.  The FRP
+coefficients (``frp_coefficients``, also the fit's design) apply to the legs
 twice: ``LegTable.price`` applies them to the running sums, the dirty price
 of a bond paying on the first n dates, and ``LegTable.par_coupon`` is that
-formula solved for the coupon; ``frp_cash_flows`` applies them to the
-per-date legs, giving a bond's discounted expected cash flows w_i, priced at
-spread s as sum w_i * exp(-s * t_i), the form ``rootfind.solve_spread``
-solves.  ``check_recovery``, ``check_dates`` and ``curves.grid_periods`` are
-the single homes of the recovery-range, date-list and payment-grid rules.
+formula solved for the coupon; ``frp_flows``, the one FRP flow rule, applies
+them to the per-date legs, giving a bond's discounted expected cash flows w_i,
+priced at spread s as sum w_i * exp(-s * t_i), the form ``rootfind.solve_spread``
+solves.  It serves ``frp_walk`` (one schedule read, one walk per curve; behind
+``frp_cash_flows``, ``bond_pv_frp`` and ``measures.das``) and the fit's DAS pass,
+on the fit's own discount factors.  ``check_recovery``, ``check_dates`` and
+``curves.grid_periods`` are the single homes of the recovery-range, date-list
+and payment-grid rules.
 
 The continuous-time forms evaluate the survival-weighted discount
 integrals in closed form (``survival_discount_integrals``): both curve
@@ -106,20 +110,22 @@ class TriangleQuotes:
             check_recovery(getattr(self, name), name)
 
 
+def _legs(zs: list[float], qs: list[float]) -> tuple[list[float], list[float]]:
+    """Per-date Z*Q and Z*(Q_prev - Q), Q_prev = 1 before the first date."""
+    return [z * q for z, q in zip(zs, qs)], [z * (p - q) for z, p, q in zip(zs, [1.0] + qs, qs)]
+
+
 class LegTable:
-    """One schedule walk: per-date Z*Q and Z*(Q_prev - Q) (Q_prev = 1 before the first time)
-    and their running sums; the one par spread, rpv01, bond price and par coupon to date n,
-    1..len(zq)."""
+    """One schedule walk: the per-date ``_legs`` and their running sums; the one par spread,
+    rpv01, bond price and par coupon to date n, 1..len(zq).  A bond's per-date flows are
+    ``frp_flows``, which reads the same legs and no running sum."""
 
     def __init__(self, times: tuple[float, ...], freq: int, base: BaseCurve,
                  curve: SurvivalCurve) -> None:
         if not times:
             raise ValueError("empty payment schedule")
-        zs = [base.df(t) for t in times]
-        qs = [curve.survival(t) for t in times]
         self.freq = freq
-        self.zq = [z * q for z, q in zip(zs, qs)]
-        self.zdq = [z * (q_prev - q) for z, q_prev, q in zip(zs, [1.0] + qs, qs)]
+        self.zq, self.zdq = _legs([base.df(t) for t in times], [curve.survival(t) for t in times])
         self.annuity, self.protection = list(accumulate(self.zq)), list(accumulate(self.zdq))
 
     def n(self, maturity: float) -> int:
@@ -142,7 +148,7 @@ class LegTable:
     def price(self, n: int, coupon: float, recovery: float) -> float:
         """Dirty FRP price of a bond paying ``coupon`` on dates 1..n:
         C/q * annuity + R (1 + C/2q) * protection + survived principal, the
-        ``frp_coefficients`` applied to the running sums as ``frp_cash_flows``
+        ``frp_coefficients`` applied to the running sums as ``frp_flows``
         applies them to the per-date legs."""
         cpn, load = frp_coefficients(coupon, self.freq)
         rec_factor = check_recovery(recovery) * load
@@ -164,34 +170,41 @@ def frp_coefficients(coupon: float, freq: int) -> tuple[float, float]:
     return coupon / freq, 1.0 + coupon / (2.0 * freq)
 
 
-def frp_cash_flows(
-    bond: BondSpec, base: BaseCurve, curve: SurvivalCurve, recovery: float
-) -> list[float]:
-    """Discounted expected cash flow w_i on each of the bond's payment dates:
-    ``frp_coefficients`` applied to the per-date legs of a ``LegTable``, plus
-    the survived principal at maturity."""
-    cpn, load = frp_coefficients(bond.coupon, bond.freq)
+def frp_flows(coupon: float, freq: int, recovery: float, zs: list, qs: list) -> list[float]:
+    """The one FRP flow rule: discounted expected cash flow w_i on each payment date from
+    its discount factor z_i and survival q_i, ``frp_coefficients`` applied to the
+    per-date ``_legs``, plus the survived principal z_N q_N on the last date."""
+    cpn, load = frp_coefficients(coupon, freq)
     rec_factor = check_recovery(recovery) * load
-    legs = LegTable(bond.payment_times, bond.freq, base, curve)
-    flows = [cpn * a + rec_factor * p for a, p in zip(legs.zq, legs.zdq)]
-    flows[-1] += legs.zq[-1]
+    zq, zdq = _legs(zs, qs)
+    flows = [cpn * a + rec_factor * p for a, p in zip(zq, zdq)]
+    flows[-1] += zq[-1]
     return flows
 
 
-def bond_pv_frp(
-    bond: BondSpec,
-    base: BaseCurve,
-    curve: SurvivalCurve,
-    recovery: float,
-    das: float = 0.0,
-) -> float:
+def frp_walk(bond: BondSpec, base: BaseCurve, curve: SurvivalCurve,
+             recovery: float) -> tuple[tuple[float, ...], list[float]]:
+    """(payment times, ``frp_flows``): the bond's schedule read once, each curve once a date."""
+    times = bond.payment_times
+    return times, frp_flows(bond.coupon, bond.freq, recovery,
+                            [base.df(t) for t in times], [curve.survival(t) for t in times])
+
+
+def frp_cash_flows(bond: BondSpec, base: BaseCurve, curve: SurvivalCurve,
+                   recovery: float) -> list[float]:
+    """Discounted expected cash flow w_i on each of the bond's payment dates (``frp_walk``)."""
+    return frp_walk(bond, base, curve, recovery)[1]
+
+
+def bond_pv_frp(bond: BondSpec, base: BaseCurve, curve: SurvivalCurve, recovery: float,
+                das: float = 0.0) -> float:
     """Dirty present value of a credit bond under fractional recovery of par:
-    sum w_i * exp(-das * t_i) over ``frp_cash_flows``, so a non-zero
+    sum w_i * exp(-das * t_i) over the ``frp_walk`` flows, so a non-zero
     ``das`` discounts all three legs by exp(-das * t)."""
     if not math.isfinite(das):
         raise ValueError(f"das must be finite, got {das!r}")
-    flows = frp_cash_flows(bond, base, curve, recovery)
-    return sum(w * math.exp(-das * t) for t, w in zip(bond.payment_times, flows))
+    times, flows = frp_walk(bond, base, curve, recovery)
+    return sum(w * math.exp(-das * t) for t, w in zip(times, flows))
 
 
 def cds_upfront(cds: CdsSpec, base: BaseCurve, curve: SurvivalCurve) -> float:

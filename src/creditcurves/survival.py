@@ -139,7 +139,8 @@ class SplineSurvivalCurve(SurvivalCurve):
             raise ValueError(f"t must be finite and >= 0, got {t!r}")
         if t > self.horizon:
             return self._q_horizon * math.exp(-self._tail_hazard * (t - self.horizon))
-        (p0, p1, p2, p3), y = self._cubic(t)
+        i = bisect_left(self._starts, t, 1) - 1  # ``_cubic`` inline: read once per payment date
+        (p0, p1, p2, p3), y = self._cubics[i], math.exp(-self.basis.eta * (t - self._starts[i]))
         return ((p3 * y + p2) * y + p1) * y + p0
 
     def hazard(self, t: float) -> float:
@@ -199,17 +200,14 @@ class PiecewiseHazardCurve(SurvivalCurve):
     def hazard_rates(self) -> tuple[float, ...]:
         return tuple(h for _, h in self.segments)
 
-    def _cumulative(self, t: float) -> float:
-        i = bisect_left(self._tenors, t)  # the segment (tenor_{i-1}, tenor_i] holding t
-        if i == len(self._tenors):
-            return self._cum[-1] + self.segments[-1][1] * (t - self.horizon)
-        prev = self._tenors[i - 1] if i else 0.0
-        return self._cum[i] + self.segments[i][1] * (t - prev)
-
     def survival(self, t: float) -> float:
         if not 0.0 <= t < math.inf:
             raise ValueError(f"t must be finite and >= 0, got {t!r}")
-        return math.exp(-self._cumulative(t))
+        i = bisect_left(self._tenors, t)  # the segment (tenor_{i-1}, tenor_i] holding t
+        if i == len(self._tenors):
+            return math.exp(-(self._cum[-1] + self.segments[-1][1] * (t - self.horizon)))
+        prev = self._tenors[i - 1] if i else 0.0
+        return math.exp(-(self._cum[i] + self.segments[i][1] * (t - prev)))
 
     def hazard(self, t: float) -> float:
         """Right-continuous hazard rate; terminal rate past the last tenor."""

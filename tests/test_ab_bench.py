@@ -63,6 +63,22 @@ def test_verdict_gain_needs_nine_wins_in_ten_and_a_move_beyond_the_iqr():
         "9/10  within bound", "9/10  within bound"]
 
 
+def test_each_sides_median_ops_per_run_follows_the_failed_ops():
+    pairs = [(run(100, 10, attempted=200), run(50, 20, attempted=410)),
+             (run(110, 11, attempted=220), run(55, 19, attempted=390)),
+             (run(90, 9, attempted=210), run(45, 21, attempted=400))]
+    assert ab_bench.summarize(pairs, METRICS)[3] == "  ops per run, median: parent 210, change 400"
+
+
+def test_median_ops_per_run_leaves_out_failed_runs():
+    pairs = [(run(100, 10, attempted=200), None), (None, run(60, 24, attempted=301)),
+             (run(120, 12, attempted=221), run(60, 24, attempted=300))]
+    assert ab_bench.summarize(pairs, METRICS)[3] == (
+        "  ops per run, median: parent 210.5, change 300.5")
+    assert ab_bench.summarize([(None, None)], METRICS)[-1] == (
+        "  ops per run, median: parent none, change none")
+
+
 def test_metric_without_a_bound_has_no_verdict():
     line = ab_bench.summarize([(run(100, 10), run(95, 11))], METRICS)[0]
     assert line.endswith("wins 1/1")

@@ -403,6 +403,15 @@ class TestBadInputRows:
         assert f"error: {bonds}: {message}" in capsys.readouterr().err
         assert not (pipeline_dir / "out").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "price"])
+    def test_a_bond_row_without_its_id_cell_exits_2(self, pipeline_dir, capsys, command):
+        bonds = pipeline_dir / "bonds.csv"
+        bonds.write_text("coupon,freq,maturity_years,accrued_years,clean_price,id\n"
+                         "0.05,2,5.0,0.0,0.97,a\n0.05,2,5.0,0.0,0.97\n")
+        assert run(full_argv(pipeline_dir, command)) == 2
+        assert f"error: {bonds}: row 3: missing cell for column 'id'" in capsys.readouterr().err
+        assert not (pipeline_dir / "out").exists()
+
     @pytest.mark.parametrize("command, flag", [("price", "--bonds"), ("hedge", "--cds"),
                                                ("report", "--base")])
     def test_a_directory_as_input_exits_4(self, pipeline_dir, capsys, command, flag):

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -204,3 +205,33 @@ def test_every_csv_loader_names_file_and_row(tmp_path, kind, fault):
     assert message.endswith({"empty": f": no {noun} rows", "extra cells": ": cells beyond the "
                              "header: ['9']"}.get(fault, ""))
     assert (fault == "undecodable") == ("not UTF-8" in message)
+
+
+@pytest.mark.parametrize("kind, header, row, column", [
+    ("curve", "tenor_years,zero_rate", "2.0", "zero_rate"),
+    ("bonds", "coupon,freq,maturity_years,accrued_years,clean_price,id", "0.05,2,7.0,0.0,0.99",
+     "id"),
+    ("cds", "maturity_years,par_spread_bp", "2.0", "par_spread_bp"),
+], ids=["curve", "bonds", "cds"])
+def test_a_row_without_a_required_cell_names_file_row_and_column(tmp_path, kind, header, row,
+                                                                 column):
+    load, _, good = CSV_LOADERS[kind][:3]
+    good = {"bonds": "0.05,2,5.0,0.0,0.97,a"}.get(kind, good)  # this header puts id last
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(f"{header}\n{good}\n{row}\n")
+    message = f"{path}: row 3: missing cell for column '{column}'"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load(str(path))
+
+
+@pytest.mark.parametrize("lines", [
+    ["id,coupon,freq,maturity_years,accrued_years,clean_price", "a,0.05,2,5.0,0.0,0.97"],
+    ["id,coupon,freq,maturity_years,accrued_years,clean_price,spread_duration",
+     "a,0.05,2,5.0,0.0,0.97,", "b,0.05,2,7.0,0.0,0.99"],
+], ids=["no column", "blank or short"])
+def test_the_optional_spread_duration_cell_may_be_absent_or_blank(tmp_path, lines):
+    path = tmp_path / "bonds.csv"
+    path.write_text("\n".join(lines) + "\n")
+    quotes = load_bond_quotes(str(path))
+    assert [q.id for q in quotes] == ["a", "b"][:len(lines) - 1]
+    assert all(q.spread_duration is None for q in quotes)

@@ -7,8 +7,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
+from conftest import make_round_trip_quotes
 from creditcurves import hedging, measures, pricing
-from creditcurves.calibration import BondQuote, FitConfig, calibrate_from_cds, load_bond_quotes
+from creditcurves.calibration import (
+    BondQuote,
+    FitConfig,
+    calibrate_from_cds,
+    fit_survival,
+    load_bond_quotes,
+)
 from creditcurves.conventional import (
     BondSpec,
     FrnSpec,
@@ -332,6 +339,68 @@ class TestSpreadSolver:
         assert len(flows) == len(bond.payment_times)
         assert sum(flows) == pytest.approx(
             frp_pv_oracle(bond, base, curve, recovery), abs=1e-14)
+
+
+def _counting_payment_times(monkeypatch):
+    """Count reads of ``BondSpec.payment_times``, by the bond read."""
+    reads, read = [], BondSpec.payment_times.fget
+
+    def counted(bond):
+        reads.append(bond)
+        return read(bond)
+
+    monkeypatch.setattr(BondSpec, "payment_times", property(counted))
+    return reads
+
+
+class TestOneWalkPerBond:
+    """Every FRP bond walk reads the bond's schedule once and each curve once per date."""
+
+    BOND = BondSpec(coupon=0.06, freq=2, maturity=9.75, accrued_time=0.25)
+
+    @pytest.mark.parametrize("walk", [
+        lambda bond, base, curve: measures.fitted_price(bond, base, curve, 0.4),
+        lambda bond, base, curve: pricing.bond_pv_frp(bond, base, curve, 0.4, das=0.01),
+        lambda bond, base, curve: pricing.frp_cash_flows(bond, base, curve, 0.4),
+        lambda bond, base, curve: measures.das(bond, 0.93, base, curve, 0.4),
+    ], ids=["fitted_price", "bond_pv_frp", "frp_cash_flows", "das"])
+    def test_each_curve_once_per_payment_date_and_one_schedule_read(self, monkeypatch, walk):
+        base = _CountingBase([(2.0, 0.95), (10.0, 0.7)])
+        curve = _CountingHazard([(3.0, 0.02), (10.0, 0.03)])
+        times = list(self.BOND.payment_times)
+        reads = _counting_payment_times(monkeypatch)
+        walk(self.BOND, base, curve)
+        assert base.times == times == curve.times
+        assert reads == [self.BOND]
+
+    def test_frp_flows_is_the_walks_flow_rule(self):
+        base, curve = BaseCurve.flat(0.03), PiecewiseHazardCurve([(3.0, 0.02), (10.0, 0.03)])
+        times = self.BOND.payment_times
+        zs, qs = [base.df(t) for t in times], [curve.survival(t) for t in times]
+        flows = pricing.frp_flows(self.BOND.coupon, self.BOND.freq, 0.4, zs, qs)
+        assert pricing.frp_walk(self.BOND, base, curve, 0.4) == (times, flows)
+        # Its legs are the table's, bit for bit.
+        legs = pricing.LegTable(times, self.BOND.freq, base, curve)
+        cpn, load = pricing.frp_coefficients(self.BOND.coupon, self.BOND.freq)
+        assert flows[:-1] == [cpn * a + 0.4 * load * p for a, p in zip(legs.zq, legs.zdq)][:-1]
+        assert flows[-1] == cpn * legs.zq[-1] + 0.4 * load * legs.zdq[-1] + legs.zq[-1]
+        with pytest.raises(ValueError, match="recovery must be in"):
+            pricing.frp_flows(0.05, 2, 1.0, zs, qs)
+
+    def test_fit_survival_reads_each_discount_factor_and_schedule_once(
+        self, monkeypatch, true_spline_curve
+    ):
+        base = _CountingBase([(0.5, 0.99), (2.0, 0.95), (5.0, 0.86), (10.0, 0.7), (30.0, 0.3)])
+        quotes = make_round_trip_quotes(base, true_spline_curve)
+        dates = [t for q in quotes for t in q.spec.payment_times]
+        base.times.clear()
+        reads = _counting_payment_times(monkeypatch)
+        fit = fit_survival(quotes, base)
+        # One df per payment date: the DAS pass reuses the precompute's discount factors.
+        assert base.times == dates
+        assert reads == [q.spec for q in quotes]
+        assert fit.das.tolist() == [
+            measures.das(q.spec, q.clean_price, base, fit.curve, 0.4) for q in quotes]
 
 
 @pytest.mark.parametrize("name", sorted(_PRICED_MEASURES))

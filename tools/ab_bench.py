@@ -14,8 +14,10 @@ host's speed falls on both sides alike.  Per workload and metric it prints
 
 where a win is a pair in which the change reads better than the parent in
 the metric's ``better`` direction (ties count for neither), then the failed
-operations summed over each side's runs.  A run that exits non-zero or ends
-without its JSON line is reported and counts as one failed operation.
+operations summed over each side's runs, then each side's median operations
+per run, against which a move in ``peak_rss_mb`` can be read (a run keeps
+every operation it times).  A run that exits non-zero or ends without its
+JSON line is reported and counts as one failed operation.
 
 The verdict reads the metric's relative ``bound`` in BENCHMARK.json:
 "worse beyond bound" when the change median is worse than the parent median
@@ -107,8 +109,11 @@ def summarize(pairs: list[tuple[dict | None, dict | None]], metrics: list[dict])
             line += "  " + verdict(parent, change, wins, lower, metric["bound"])
         lines.append(line)
     failed = [sum(1 if run is None else run["failed"] for run in side) for side in zip(*pairs)]
-    attempted = [sum(run["attempted"] for run in side if run) for side in zip(*pairs)]
+    ops = [[run["attempted"] for run in side if run] for side in zip(*pairs)]
+    attempted = [sum(side) for side in ops]
     lines.append(f"  failed ops: parent {failed[0]}/{attempted[0]}, change {failed[1]}/{attempted[1]}")
+    medians = [f"{statistics.median(side):g}" if side else "none" for side in ops]
+    lines.append(f"  ops per run, median: parent {medians[0]}, change {medians[1]}")
     return lines
 
 
