@@ -414,7 +414,7 @@ def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> tuple[np.ndarray,
     def result(j: int) -> FitResult:
         win, e = wins[j], wins[j] // count
         curve = SplineSurvivalCurve(bases[e], tuple(betas[win]), horizon=prepared.horizon)
-        times, zs, qs = prepared.times, prepared.zs, [curve.survival(t) for t in prepared.times]
+        times, zs, qs = prepared.times, prepared.zs, curve.survivals(prepared.times)
         return FitResult(
             curve=curve, ids=tuple(q.id for q in quotes), residuals=eps[win].copy(),
             das=np.array([solve_spread(times[lo:hi], pricing.frp_flows(  # as measures.das
@@ -462,10 +462,14 @@ def calibrate_from_cds(
 
     segments: list[tuple[float, float]] = []
     for maturity, spread in quotes:
+        gaps: dict[float, float] = {}  # each trial hazard priced once, bracket ends included
+
         def spread_gap(h: float) -> float:
-            candidate = PiecewiseHazardCurve(segments + [(maturity, h)])
-            par = pricing.cds_par_spread(maturity, pricing.CDS_FREQ, base, candidate, rs_rate)
-            return par - spread
+            if h not in gaps:
+                candidate = PiecewiseHazardCurve(segments + [(maturity, h)])
+                par = pricing.cds_par_spread(maturity, pricing.CDS_FREQ, base, candidate, rs_rate)
+                gaps[h] = par - spread
+            return gaps[h]
 
         if spread_gap(0.0) > 0.0:
             raise ArbitrageError(

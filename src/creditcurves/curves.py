@@ -118,8 +118,8 @@ def read_csv_rows(path: str, header: Callable[[list[str]], str],
                   optional: tuple[str, ...] = ()) -> list:
     """The one rule for CSV input: ``header(fieldnames)`` returns "" or a fault and
     ``parse(row, line)`` builds one value.  A fault, a row that fails to parse, lacks the
-    cell of a column not ``optional`` or has cells beyond the header, bytes that are not
-    UTF-8 or no rows is a ``ParseError``."""
+    cell of a column not ``optional`` or leaves it blank (empty or whitespace), has cells
+    beyond the header, bytes that are not UTF-8 or no rows is a ``ParseError``."""
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.DictReader(handle)
@@ -134,8 +134,10 @@ def read_csv_rows(path: str, header: Callable[[list[str]], str],
         try:
             if None in row:  # DictReader keys the cells past the header by None
                 raise ValueError(f"cells beyond the header: {row[None]!r}")
-            short = [c for c, cell in row.items() if cell is None and c not in optional]
-            if short:  # DictReader fills the cells a short row lacks with None
+            # DictReader fills the cells a short row lacks with None; a blank cell is as empty.
+            short = [c for c, cell in row.items()
+                     if c not in optional and (cell is None or not cell.strip())]
+            if short:
                 raise ValueError(f"missing cell for column {short[0]!r}")
             out.append(parse(row, line))
         except (TypeError, ValueError, ScheduleError) as exc:

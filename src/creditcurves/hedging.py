@@ -8,8 +8,9 @@ year.  Exposure NPVs are weighted by the default-leg measure
 Z * dQ * (1 - R), since hedge errors only realize in default states.
 Grids come from ``curves.grid_times``; CDS legs and those weights are
 read from one quarterly ``pricing.LegTable`` per hedge, the coarse hedge's cover
-to a candidate maturity included (its protection sum), and the forward prices on
-a hedge or RFC grid from one ``pricing.continuous_prices`` walk.  The CDS-bond
+to a candidate maturity included (its protection sum), the forward prices on
+a hedge or RFC grid from one ``pricing.continuous_prices`` walk, and the spot
+hedge's residual weights from one ``survivals`` read of its grid.  The CDS-bond
 basis is ``measures.das`` (one ``rootfind.solve_spread``) on the CDS-implied curve.
 """
 
@@ -156,7 +157,7 @@ def spot_hedge_notionals(
     notionals = {b: (pa - pb) / (1.0 - R) for b, pa, pb in zip(pts[1:], prices, prices[1:])}
     terminal = (prices[-1] - R) / (1.0 - R)
     notionals[T] = notionals.get(T, 0.0) + terminal
-    table = pricing.LegTable(grid_times(T, CDS_FREQ), CDS_FREQ, base, curve)
+    table = pricing.LegTable.walk(grid_times(T, CDS_FREQ), CDS_FREQ, base, curve)
     legs = [(m, n, table.par_spread(table.n(m), R)) for m, n in sorted(notionals.items()) if m > 0]
     cost = _aggregate_spread(legs, table)
     plan_legs = tuple(HedgeLeg(m, n, s) for m, n, s in legs)
@@ -164,12 +165,12 @@ def spot_hedge_notionals(
     # Residual exposure: each bucket (t_i, t_{i+1}] is covered by the legs
     # maturing after its start, which telescope to the forward notional at
     # the bucket start, so the replication error vanishes on the plan grid.
-    residual = 0.0
-    for a, b, price in zip(pts, pts[1:] + [T], prices):
+    residual, qs = 0.0, curve.survivals(pts + [T])
+    for a, b, price, qa, qb in zip(pts, pts[1:] + [T], prices, qs, qs[1:]):
         if b <= a:
             continue
         target = (price - R) / (1.0 - R)
-        weight = base.df(b) * (curve.survival(a) - curve.survival(b)) * (1.0 - R)
+        weight = base.df(b) * (qa - qb) * (1.0 - R)
         residual += weight * (target - plan.protection_notional(a))
     return HedgePlan(legs=plan_legs, cost=cost, residual_npv=residual)
 
@@ -199,7 +200,7 @@ def coarse_hedge(
         raise ValueError("candidates must include the bond's final maturity")
 
     grid = grid_times(T, CDS_FREQ)
-    table = pricing.LegTable(grid, CDS_FREQ, base, curve_cds)
+    table = pricing.LegTable.walk(grid, CDS_FREQ, base, curve_cds)
     spread_T = table.par_spread(len(grid), R)
     # Forward notionals, and default-leg weights Z * dQ per grid bucket.
     prices = pricing.continuous_prices(bond, base, curve_cds, R, grid)
@@ -257,5 +258,5 @@ def approx_basis(
     R = check_recovery(recovery)
     s_x = measures.excess_spread(bond, market_clean_price, base, curve_bond, R)
     legs = [(leg.maturity, leg.notional, leg.spread) for leg in plan.legs]
-    table = pricing.LegTable(grid_times(legs[-1][0], CDS_FREQ), CDS_FREQ, base, curve_cds)
+    table = pricing.LegTable.walk(grid_times(legs[-1][0], CDS_FREQ), CDS_FREQ, base, curve_cds)
     return s_x - _aggregate_spread(legs, table)

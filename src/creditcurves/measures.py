@@ -8,10 +8,13 @@ spread).  Sign convention: DAS > 0 means the bond trades cheap to the
 fitted curve.  Par coupons, CCPs and CDS spreads are reads of one
 ``pricing.LegTable`` per schedule (``curves.grid_times`` or the bond's own
 payment times); DAS is ``rootfind.solve_spread`` on ``pricing.frp_walk``'s flows.
-``term_structure_report`` walks three tables once and reads every row from
-them; ``par_coupon``, ``p_spread`` (against ``BaseCurve.par_yield``), ``ccp``
-(a fresh bond through ``pricing.bond_pv_frp``) and ``bcds`` price one tenor
-each, on their own walks.
+``term_structure_report`` walks two tables once, builds the riskless twin of one
+on its discount factors, and reads every row from the three; ``fitted_p_spread``
+and ``excess_spread`` read their par coupons, and the DAS flows, from one walk
+of the bond's schedule.
+``par_coupon``, ``p_spread`` (against ``BaseCurve.par_yield``), ``ccp`` (a fresh
+bond through ``pricing.bond_pv_frp``) and ``bcds`` price one tenor each, on
+their own walks.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ def par_coupon(
     maturity: float, freq: int, base: BaseCurve, curve: SurvivalCurve, recovery: float
 ) -> float:
     """Coupon making a hypothetical bond price exactly at par (clean)."""
-    legs = pricing.LegTable(grid_times(maturity, freq), freq, base, curve)
+    legs = pricing.LegTable.walk(grid_times(maturity, freq), freq, base, curve)
     return legs.par_coupon(len(legs.zq), recovery)
 
 
@@ -72,7 +75,7 @@ def fwd_cds_spread(
     """
     if not 0.0 < t1 < t2:
         raise ValueError("need 0 < t1 < t2")
-    legs = pricing.LegTable(grid_times(t2, CDS_FREQ), CDS_FREQ, base, curve)
+    legs = pricing.LegTable.walk(grid_times(t2, CDS_FREQ), CDS_FREQ, base, curve)
     n1, n2 = legs.n(t1), len(legs.zq)
     s1, s2 = legs.par_spread(n1, recovery), legs.par_spread(n2, recovery)
     kappa = legs.rpv01(n1) / legs.rpv01(n2)
@@ -98,7 +101,7 @@ def fitted_par_coupon(
     and carries a slightly higher fitted par coupon than the generic same-
     maturity one.
     """
-    legs = pricing.LegTable(bond.payment_times, bond.freq, base, curve)
+    legs = pricing.LegTable.walk(bond.payment_times, bond.freq, base, curve)
     return legs.par_coupon(len(legs.zq), recovery, bond.accrued_time)
 
 
@@ -111,7 +114,17 @@ def fitted_base_par_coupon(bond: BondSpec, base: BaseCurve) -> float:
 def fitted_p_spread(
     bond: BondSpec, base: BaseCurve, curve: SurvivalCurve, recovery: float
 ) -> float:
-    return fitted_par_coupon(bond, base, curve, recovery) - fitted_base_par_coupon(bond, base)
+    """``fitted_par_coupon`` less ``fitted_base_par_coupon``, from one walk of the schedule."""
+    return _p_spread(bond, pricing.LegTable.walk(bond.payment_times, bond.freq, base, curve),
+                     recovery)
+
+
+def _p_spread(bond: BondSpec, legs: pricing.LegTable, recovery: float) -> float:
+    """Fitted P-spread on the table of the bond's schedule: its par coupon less that of its
+    riskless twin on the same discount factors (Q = 1, R = 0; exactly the zero-hazard curve)."""
+    n, accrued_time = len(legs.zs), bond.accrued_time
+    riskless = pricing.LegTable(legs.zs, [1.0] * n, bond.freq)
+    return legs.par_coupon(n, recovery, accrued_time) - riskless.par_coupon(n, 0.0, accrued_time)
 
 
 def das(bond: BondSpec, market_clean_price: float, base: BaseCurve, curve: SurvivalCurve,
@@ -136,11 +149,14 @@ def excess_spread(
     """Fitted P-spread plus DAS.
 
     A total relative-value spread; not suitable for discounting because
-    the P-spread leg does not refer to the bond's actual cash flows.
+    the P-spread leg does not refer to the bond's actual cash flows.  The
+    P-spread and the DAS flows are read from one walk of the bond's schedule.
     """
-    return fitted_p_spread(bond, base, curve, recovery) + das(
-        bond, market_clean_price, base, curve, recovery
-    )
+    times = bond.payment_times
+    legs = pricing.LegTable.walk(times, bond.freq, base, curve)
+    spread = _p_spread(bond, legs, recovery)
+    flows = pricing.frp_flows(bond.coupon, bond.freq, recovery, legs.zs, legs.qs)
+    return spread + solve_spread(times, flows, market_clean_price + bond.accrued_interest)
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +219,9 @@ def term_structure_report(
     default grid is ``report_grid`` on whole 1/freq periods (freq 1: 1y-30y).
 
     Every column past the curve's own Q, hazard and zz-spread reads one of three
-    tables walked once to the last tenor: the ``freq`` table (par coupon, CCP),
-    its riskless twin on the same times (zero hazard, R = 0; the P-spread's
-    benchmark) and the quarterly CDS table (BCDS)."""
+    tables to the last tenor: the ``freq`` table (par coupon, CCP), its riskless
+    twin on the same discount factors (Q = 1, R = 0; the P-spread's benchmark)
+    and the quarterly CDS table (BCDS)."""
     if grid is None:
         on_grid = set(grid_times(report_grid()[-1], freq))
         grid = [t for t in report_grid() if t in on_grid]
@@ -214,10 +230,9 @@ def term_structure_report(
         raise ValueError("report grid must be non-empty, strictly increasing and > 0")
     for c in coupons:  # a CCP column is a coupon-c bond: reject the terms BondSpec rejects
         BondSpec(coupon=c, freq=freq, maturity=tenors[-1])
-    times = grid_times(tenors[-1], freq)
-    legs = pricing.LegTable(times, freq, base, curve)
-    riskless = pricing.LegTable(times, freq, base, PiecewiseHazardCurve.flat(0.0))
-    cds_legs = pricing.LegTable(grid_times(tenors[-1], CDS_FREQ), CDS_FREQ, base, curve)
+    legs = pricing.LegTable.walk(grid_times(tenors[-1], freq), freq, base, curve)
+    riskless = pricing.LegTable(legs.zs, [1.0] * len(legs.zs), freq)  # Q = 1: zero hazard
+    cds_legs = pricing.LegTable.walk(grid_times(tenors[-1], CDS_FREQ), CDS_FREQ, base, curve)
     rows = []
     for t in tenors:
         n = legs.n(t)

@@ -6,8 +6,9 @@ default.  CDS legs net accrued premium against the protection payment.
 All discrete schedules live on the instrument's own payment grid; CDS
 pay quarterly (``CDS_FREQ``, the package's one statement of that
 convention).  ``_legs`` states the per-date legs Z*Q and Z*(Q_prev - Q) once;
-``LegTable`` sums them, the one schedule walk behind every discrete CDS leg,
-par coupon and hedge weight, read at any date of its schedule.  The FRP
+``LegTable`` sums them from per-date Z and Q (``LegTable.walk`` reads each curve
+once a date), the one table behind every discrete CDS leg, par coupon and
+hedge weight, read at any date of its schedule.  The FRP
 coefficients (``frp_coefficients``, also the fit's design) apply to the legs
 twice: ``LegTable.price`` applies them to the running sums, the dirty price
 of a bond paying on the first n dates, and ``LegTable.par_coupon`` is that
@@ -21,10 +22,10 @@ on the fit's own discount factors.  ``check_recovery``, ``check_dates`` and
 and payment-grid rules.
 
 The continuous-time forms evaluate the survival-weighted discount
-integrals in closed form (``survival_discount_integrals``): both curve
-families reduce, segment by segment, to sums of exponentials relative to
-the segment start, so no numerical quadrature is needed and no term
-overflows.  ``continuous_prices`` is the one continuous-coupon bond price:
+integrals in closed form (``_cut_integrals``, behind ``survival_discount_integrals``):
+both curve families reduce, segment by segment, to sums of exponentials
+relative to the segment start, so no numerical quadrature is needed and no
+term overflows.  ``continuous_prices`` is the one continuous-coupon bond price:
 a backward walk from maturity giving P(t, T) at a list of dates, each
 interval integrated once; the spot price is its value at t = 0.
 """
@@ -32,6 +33,7 @@ interval integrated once; the spot price is its value at t = 0.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
@@ -116,17 +118,24 @@ def _legs(zs: list[float], qs: list[float]) -> tuple[list[float], list[float]]:
 
 
 class LegTable:
-    """One schedule walk: the per-date ``_legs`` and their running sums; the one par spread,
-    rpv01, bond price and par coupon to date n, 1..len(zq).  A bond's per-date flows are
-    ``frp_flows``, which reads the same legs and no running sum."""
+    """One schedule's per-date Z and Q, their ``_legs`` and the legs' running sums; the one
+    par spread, rpv01, bond price and par coupon to date n, 1..len(zq).  ``walk`` reads
+    each curve once a date; a table on the same dates and another curve (the riskless
+    twin, Q = 1) reuses its ``zs``.  A bond's per-date flows are ``frp_flows``, which
+    reads the same legs and no running sum."""
 
-    def __init__(self, times: tuple[float, ...], freq: int, base: BaseCurve,
-                 curve: SurvivalCurve) -> None:
-        if not times:
+    def __init__(self, zs: list[float], qs: list[float], freq: int) -> None:
+        if not zs:
             raise ValueError("empty payment schedule")
-        self.freq = freq
-        self.zq, self.zdq = _legs([base.df(t) for t in times], [curve.survival(t) for t in times])
+        self.zs, self.qs, self.freq = zs, qs, freq
+        self.zq, self.zdq = _legs(zs, qs)
         self.annuity, self.protection = list(accumulate(self.zq)), list(accumulate(self.zdq))
+
+    @classmethod
+    def walk(cls, times: Sequence[float], freq: int, base: BaseCurve,
+             curve: SurvivalCurve) -> "LegTable":
+        """The table on ``times``: one ``df`` a date and one ``survivals`` read."""
+        return cls([base.df(t) for t in times], curve.survivals(times), freq)
 
     def n(self, maturity: float) -> int:
         """Dates to ``maturity`` on the ``grid_times`` grid (``ScheduleError`` off it)."""
@@ -187,7 +196,7 @@ def frp_walk(bond: BondSpec, base: BaseCurve, curve: SurvivalCurve,
     """(payment times, ``frp_flows``): the bond's schedule read once, each curve once a date."""
     times = bond.payment_times
     return times, frp_flows(bond.coupon, bond.freq, recovery,
-                            [base.df(t) for t in times], [curve.survival(t) for t in times])
+                            [base.df(t) for t in times], curve.survivals(times))
 
 
 def frp_cash_flows(bond: BondSpec, base: BaseCurve, curve: SurvivalCurve,
@@ -209,7 +218,7 @@ def bond_pv_frp(bond: BondSpec, base: BaseCurve, curve: SurvivalCurve, recovery:
 
 def cds_upfront(cds: CdsSpec, base: BaseCurve, curve: SurvivalCurve) -> float:
     """Upfront payment equating premium and protection legs."""
-    legs = LegTable(grid_times(cds.maturity, cds.freq), cds.freq, base, curve)
+    legs = LegTable.walk(grid_times(cds.maturity, cds.freq), cds.freq, base, curve)
     prem, prot, cpn = legs.annuity[-1], legs.protection[-1], cds.contractual_coupon
     return (1.0 - cds.recovery - cpn / (2.0 * cds.freq)) * prot - (cpn / cds.freq) * prem
 
@@ -218,13 +227,13 @@ def cds_par_spread(
     maturity: float, freq: int, base: BaseCurve, curve: SurvivalCurve, recovery: float
 ) -> float:
     """Breakeven running premium for zero upfront: ``LegTable.par_spread``."""
-    legs = LegTable(grid_times(maturity, freq), freq, base, curve)
+    legs = LegTable.walk(grid_times(maturity, freq), freq, base, curve)
     return legs.par_spread(len(legs.zq), recovery)
 
 
 def rpv01(maturity: float, freq: int, base: BaseCurve, curve: SurvivalCurve) -> float:
     """Risky PV01: value of a unit running premium paid until default."""
-    legs = LegTable(grid_times(maturity, freq), freq, base, curve)
+    legs = LegTable.walk(grid_times(maturity, freq), freq, base, curve)
     return legs.rpv01(len(legs.zq))
 
 
@@ -285,12 +294,19 @@ def survival_discount_integrals(
         raise ValueError(f"extra_decay must be finite, got {extra_decay!r}")
     if t1 <= t0:
         return 0.0, 0.0, 0.0
-    inner = {x for x in base.node_tenors + curve._breakpoints() if t0 < x < t1}
-    grid = [t0, *sorted(inner), t1]
+    grid = [t0, *sorted({x for x in base.node_tenors + curve._breakpoints() if t0 < x < t1}), t1]
+    return _cut_integrals(base, curve, grid, [base.df(a) for a in grid[:-1]], extra_decay)
+
+
+def _cut_integrals(base: BaseCurve, curve: SurvivalCurve, cuts: Sequence[float],
+                   zs: Sequence[float], extra_decay: float) -> tuple[float, float, float]:
+    """The one statement of the per-cut integral: Z*Q, h*Z*Q and f*Z*Q times
+    exp(-extra_decay*u), summed over the cuts [a, b] between consecutive ``cuts``
+    (no base node or curve breakpoint inside), given Z(a) for each cut in ``zs``."""
     i_zq = i_hzq = i_fzq = 0.0
-    for a, b in zip(grid, grid[1:]):
+    for a, b, z in zip(cuts, cuts[1:], zs):
         f = base.fwd_rate(a)
-        scale = base.df(a) * math.exp(-extra_decay * a)
+        scale = z * math.exp(-extra_decay * a)
         for coef, decay in curve._exp_terms(a, b):
             piece = scale * coef * _int_exp(f + decay + extra_decay, b - a)
             i_zq += piece
@@ -311,23 +327,29 @@ def continuous_prices(bond: BondSpec, base: BaseCurve, curve: SurvivalCurve, rec
     (``check_dates``), every leg divided by Z(t) Q(t) exp(-das t); P(T, T) = 1.
 
     One backward walk from T: the integrals from t_i to T are the piece over
-    [t_i, t_{i+1}] plus the sums already held for t_{i+1}.  The -C/2q * (1 - E)
-    term and the ``frp_coefficients`` load 1 + C/2q correct the naive integral formula for
-    the expected accrued coupon lost at default and for the early-discount bias of
-    spreading coupons over the period.
+    [t_i, t_{i+1}] plus the sums already held for t_{i+1}.  The dates, T, base nodes
+    and curve breakpoints are merged into one list of cuts, each discounted once.
+    The -C/2q * (1 - E) term and the ``frp_coefficients`` load 1 + C/2q correct the
+    naive integral formula for the expected accrued coupon lost at default and for
+    the early-discount bias of spreading coupons over the period.
     """
     R = check_recovery(recovery)
     if not math.isfinite(das):
         raise ValueError(f"das must be finite, got {das!r}")
     C, q, T = bond.coupon, bond.freq, bond.maturity
     load = frp_coefficients(C, q)[1]
-    end_zq = base.df(T) * curve.survival(T) * math.exp(-das * T)
+    times = check_dates(dates, T)
+    cuts = sorted({*times, T,
+                   *(x for x in base.node_tenors + curve._breakpoints() if times[0] < x < T)})
+    zs = [base.df(x) for x in cuts]
+    end_zq = zs[-1] * curve.survival(T) * math.exp(-das * T)
     i_zq = i_hzq = 0.0
-    end, prices = T, []
-    for t in reversed(check_dates(dates, T)):
-        p_zq, p_hzq, _ = survival_discount_integrals(base, curve, t, end, extra_decay=das)
-        i_zq, i_hzq, end = i_zq + p_zq, i_hzq + p_hzq, t
-        scale = base.df(t) * curve.survival(t) * math.exp(-das * t)
+    hi, prices = len(cuts) - 1, []
+    for t, qt in zip(reversed(times), reversed(curve.survivals(times))):
+        lo = bisect_left(cuts, t, 0, hi)
+        p_zq, p_hzq, _ = _cut_integrals(base, curve, cuts[lo:hi + 1], zs[lo:hi], das)
+        i_zq, i_hzq, hi = i_zq + p_zq, i_hzq + p_hzq, lo
+        scale = zs[lo] * qt * math.exp(-das * t)
         survived = end_zq / scale
         prices.append(C * i_zq / scale + survived - C / (2.0 * q) * (1.0 - survived)
                       + R * load * i_hzq / scale)

@@ -10,6 +10,8 @@ Two representations are supported:
 A spline curve stores, once, Q on each knot segment [a, b] as a cubic in
 y = exp(-eta (u - a)): beta times ``SplineBasis.coefficients(a)``.  Its
 survival, hazard, monotonicity check and ``_exp_terms`` read those cubics.
+``survivals`` is ``survival`` over a whole schedule, bit for bit, in one pass:
+the form every schedule walk reads.
 
 Invariants enforced at construction: Q(0) = 1, Q non-increasing (checked
 exactly, in closed form) and Q positive at the curve horizon.  Past the
@@ -41,6 +43,12 @@ class SurvivalCurve:
 
     def hazard(self, t: float) -> float:
         raise NotImplementedError
+
+    def survivals(self, times: Sequence[float]) -> list[float]:
+        """``survival`` at every date of a schedule, bit for bit; the concrete curves
+        read the dates in one pass, searching for a segment only when a date is earlier
+        than the one before."""
+        return [self.survival(t) for t in times]
 
     def default_prob(self, t1: float, t2: float) -> float:
         """Probability of default inside [t1, t2]: Q(t1) - Q(t2)."""
@@ -139,9 +147,26 @@ class SplineSurvivalCurve(SurvivalCurve):
             raise ValueError(f"t must be finite and >= 0, got {t!r}")
         if t > self.horizon:
             return self._q_horizon * math.exp(-self._tail_hazard * (t - self.horizon))
-        i = bisect_left(self._starts, t, 1) - 1  # ``_cubic`` inline: read once per payment date
-        (p0, p1, p2, p3), y = self._cubics[i], math.exp(-self.basis.eta * (t - self._starts[i]))
+        (p0, p1, p2, p3), y = self._cubic(t)
         return ((p3 * y + p2) * y + p1) * y + p0
+
+    def survivals(self, times: Sequence[float]) -> list[float]:
+        starts, cubics, eta, horizon = self._starts, self._cubics, self.basis.eta, self.horizon
+        out, i, last, top = [], 0, math.inf, len(starts) - 1
+        for t in times:
+            if not 0.0 <= t < math.inf:
+                raise ValueError(f"t must be finite and >= 0, got {t!r}")
+            if t > horizon:
+                out.append(self._q_horizon * math.exp(-self._tail_hazard * (t - horizon)))
+                continue
+            if t < last:  # the segment (a, next start] holding t, as in ``survival``
+                i = bisect_left(starts, t, 1) - 1
+            while i < top and starts[i + 1] < t:
+                i += 1
+            last = t
+            (p0, p1, p2, p3), y = cubics[i], math.exp(-eta * (t - starts[i]))
+            out.append(((p3 * y + p2) * y + p1) * y + p0)
+        return out
 
     def hazard(self, t: float) -> float:
         if not 0.0 <= t < math.inf:
@@ -191,6 +216,10 @@ class PiecewiseHazardCurve(SurvivalCurve):
             prev = t
         self.segments, self.horizon, self._cum = segs, segs[-1][0], tuple(cum)
         self._tenors = tuple(t for t, _ in segs)
+        # Segment i of len(tenors) + 1 starts at _starts[i] with hazard _rates[i]; the last
+        # one is the tail past the horizon, at the terminal rate.
+        self._starts = (0.0,) + self._tenors
+        self._rates = tuple(h for _, h in segs) + (segs[-1][1],)
 
     @classmethod
     def flat(cls, hazard: float, tenor: float = 1.0) -> "PiecewiseHazardCurve":
@@ -204,10 +233,21 @@ class PiecewiseHazardCurve(SurvivalCurve):
         if not 0.0 <= t < math.inf:
             raise ValueError(f"t must be finite and >= 0, got {t!r}")
         i = bisect_left(self._tenors, t)  # the segment (tenor_{i-1}, tenor_i] holding t
-        if i == len(self._tenors):
-            return math.exp(-(self._cum[-1] + self.segments[-1][1] * (t - self.horizon)))
-        prev = self._tenors[i - 1] if i else 0.0
-        return math.exp(-(self._cum[i] + self.segments[i][1] * (t - prev)))
+        return math.exp(-(self._cum[i] + self._rates[i] * (t - self._starts[i])))
+
+    def survivals(self, times: Sequence[float]) -> list[float]:
+        tenors, cum, rates, starts = self._tenors, self._cum, self._rates, self._starts
+        out, i, last, top = [], 0, math.inf, len(tenors)
+        for t in times:
+            if not 0.0 <= t < math.inf:
+                raise ValueError(f"t must be finite and >= 0, got {t!r}")
+            if t < last:
+                i = bisect_left(tenors, t)
+            while i < top and tenors[i] < t:
+                i += 1
+            last = t
+            out.append(math.exp(-(cum[i] + rates[i] * (t - starts[i]))))
+        return out
 
     def hazard(self, t: float) -> float:
         """Right-continuous hazard rate; terminal rate past the last tenor."""

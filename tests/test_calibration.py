@@ -286,6 +286,25 @@ class TestCdsBootstrap:
             reproduced = pricing.cds_par_spread(maturity, 4, base_curve, curve, 0.40)
             assert abs(reproduced - spread) < 1e-8
 
+    @pytest.mark.parametrize("quotes", [
+        [(1.0, 0.0080), (3.0, 0.0120), (5.0, 0.0150), (7.0, 0.0160)],
+        [(1.0, 0.9), (2.0, 0.9)],  # hazards past 1: the bracket end doubles
+    ], ids=["hazards below 1", "hazards past 1"])
+    def test_each_trial_hazard_is_priced_once(self, monkeypatch, base_curve, quotes):
+        trials, price = [], pricing.cds_par_spread
+
+        def spy(maturity, freq, base, curve, recovery):
+            trials.append(curve.segments)
+            return price(maturity, freq, base, curve, recovery)
+
+        monkeypatch.setattr(pricing, "cds_par_spread", spy)
+        curve = calibrate_from_cds(quotes, base_curve, 0.40)
+        assert len(trials) == len(set(trials))
+        # Each segment's search starts from h = 0 and the bracket end, priced before it.
+        for k in range(len(quotes)):
+            tried = [s[k][1] for s in trials if len(s) == k + 1]
+            assert tried[:2] == [0.0, 1.0] and curve.hazard_rates[k] in tried
+
     def test_arbitrage_error_names_maturity(self, base_curve):
         with pytest.raises(ArbitrageError, match="3.0"):
             calibrate_from_cds([(1.0, 0.0200), (3.0, 0.0001)], base_curve, 0.40)

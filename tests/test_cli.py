@@ -412,6 +412,15 @@ class TestBadInputRows:
         assert f"error: {bonds}: row 3: missing cell for column 'id'" in capsys.readouterr().err
         assert not (pipeline_dir / "out").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "price"])
+    def test_a_bond_row_with_a_blank_id_cell_exits_2(self, pipeline_dir, capsys, command):
+        bonds = pipeline_dir / "bonds.csv"
+        bonds.write_text("id,coupon,freq,maturity_years,accrued_years,clean_price\n"
+                         "a,0.05,2,5.0,0.0,0.97\n,0.05,2,7.0,0.0,0.99\n")
+        assert run(full_argv(pipeline_dir, command)) == 2
+        assert f"error: {bonds}: row 3: missing cell for column 'id'" in capsys.readouterr().err
+        assert not (pipeline_dir / "out").exists()
+
     @pytest.mark.parametrize("command, flag", [("price", "--bonds"), ("hedge", "--cds"),
                                                ("report", "--base")])
     def test_a_directory_as_input_exits_4(self, pipeline_dir, capsys, command, flag):

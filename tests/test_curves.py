@@ -224,6 +224,21 @@ def test_a_row_without_a_required_cell_names_file_row_and_column(tmp_path, kind,
         load(str(path))
 
 
+@pytest.mark.parametrize("kind, row, column", [
+    ("curve", "2.0,", "zero_rate"),
+    ("bonds", ",0.05,2,7.0,0.0,0.99", "id"),
+    ("bonds", "b, ,2,7.0,0.0,0.99", "coupon"),
+    ("cds", "2.0,  ", "par_spread_bp"),
+], ids=["curve zero_rate", "bonds id", "bonds coupon", "cds par_spread_bp"])
+def test_a_blank_required_cell_names_file_row_and_column(tmp_path, kind, row, column):
+    load, header, good = CSV_LOADERS[kind][:3]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(f"{header}\n{good}\n{row}\n")
+    message = f"{path}: row 3: missing cell for column '{column}'"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load(str(path))
+
+
 @pytest.mark.parametrize("lines", [
     ["id,coupon,freq,maturity_years,accrued_years,clean_price", "a,0.05,2,5.0,0.0,0.97"],
     ["id,coupon,freq,maturity_years,accrued_years,clean_price,spread_duration",

@@ -286,6 +286,17 @@ class TestBondSpecificMeasures:
             )
         )
 
+    @pytest.mark.parametrize("coupon, freq, maturity, accrued_time", [
+        (0.07, 2, 6.0, 0.0), (0.05, 4, 9.8, 0.2), (0.0, 1, 3.5, 0.5)])
+    def test_excess_spread_is_fitted_p_spread_plus_das_bit_for_bit(
+            self, base_curve, true_spline_curve, coupon, freq, maturity, accrued_time):
+        bond = BondSpec(coupon=coupon, freq=freq, maturity=maturity, accrued_time=accrued_time)
+        for curve in (true_spline_curve, PiecewiseHazardCurve([(2.0, 0.01), (7.0, 0.03)])):
+            for price in (0.85, 1.0, 1.1):
+                assert measures.excess_spread(bond, price, base_curve, curve, 0.4) == (
+                    measures.fitted_p_spread(bond, base_curve, curve, 0.4)
+                    + measures.das(bond, price, base_curve, curve, 0.4))
+
     def test_excess_spread_riskless_bond_is_zero(self, base_curve):
         for t_acc in (0.0, 0.25):
             bond = BondSpec(coupon=0.06, freq=2, maturity=5.0 - t_acc, accrued_time=t_acc)

@@ -1,6 +1,7 @@
 import math
 import pickle
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -167,16 +168,17 @@ class TestLegTable:
     def test_one_table_per_schedule(self, monkeypatch, base_curve, true_spline_curve,
                                     hedge_market, hedge_bonds):
         walked = []
-        init = pricing.LegTable.__init__
+        walk = pricing.LegTable.walk.__func__
 
-        def counting(self, times, *args):
+        def counting(cls, times, *args):
             walked.append(len(times))
-            init(self, times, *args)
+            return walk(cls, times, *args)
 
-        monkeypatch.setattr(pricing.LegTable, "__init__", counting)
+        monkeypatch.setattr(pricing.LegTable, "walk", classmethod(counting))
         measures.term_structure_report(base_curve, true_spline_curve, 0.4, (0.05, 0.07))
-        # The semiannual table, its riskless twin and the quarterly table, each to 30y.
-        assert walked == [60, 60, 120]
+        # The semiannual and the quarterly table, each to 30y; the riskless twin of the
+        # semiannual table reuses its discount factors and walks nothing.
+        assert walked == [60, 120]
         base, curve = hedge_market
         bond = hedge_bonds["premium"]
         # Each hedge walks the 5y quarterly grid once; a 2y-7y forward spread the 7y grid.
@@ -200,7 +202,7 @@ class TestLegTable:
 
         base = CountingBase((t, base_curve.df(t)) for t in base_curve.node_tenors)
         measures.term_structure_report(base, true_spline_curve, 0.4)
-        assert base.calls <= 60 + 60 + 120
+        assert base.calls <= 60 + 120
 
     @pytest.mark.parametrize("freq", [1, 2, 4])
     @pytest.mark.parametrize("kind", ["spline", "piecewise"])
@@ -225,7 +227,7 @@ class TestLegTable:
            coupon=st.floats(0.0, 0.2), recovery=st.floats(0.0, 0.9))
     def test_price_is_the_unseasoned_bond_pv_and_par_coupon_its_inverse(
             self, base, curve, freq, periods, coupon, recovery):
-        legs = pricing.LegTable(grid_times(40 / freq, freq), freq, base, curve)
+        legs = pricing.LegTable.walk(grid_times(40 / freq, freq), freq, base, curve)
         bond = BondSpec(coupon=coupon, freq=freq, maturity=periods / freq)
         assert legs.price(periods, coupon, recovery) == pytest.approx(
             pricing.bond_pv_frp(bond, base, curve, recovery), rel=1e-14, abs=0)
@@ -274,7 +276,8 @@ class _CountingBase(BaseCurve):
 
 
 class _CountingHazard(PiecewiseHazardCurve):
-    """Hazard curve that records every time it is asked for a survival."""
+    """Hazard curve that records every date it is asked for a survival at, one date
+    at a time or a schedule at once."""
 
     def __init__(self, segments):
         super().__init__(segments)
@@ -283,6 +286,10 @@ class _CountingHazard(PiecewiseHazardCurve):
     def survival(self, t):
         self.times.append(t)
         return super().survival(t)
+
+    def survivals(self, times):
+        self.times.extend(times)
+        return super().survivals(times)
 
 
 _PRICE_BOND = BondSpec(coupon=0.05, freq=2, maturity=4.75, accrued_time=0.25)
@@ -363,7 +370,10 @@ class TestOneWalkPerBond:
         lambda bond, base, curve: pricing.bond_pv_frp(bond, base, curve, 0.4, das=0.01),
         lambda bond, base, curve: pricing.frp_cash_flows(bond, base, curve, 0.4),
         lambda bond, base, curve: measures.das(bond, 0.93, base, curve, 0.4),
-    ], ids=["fitted_price", "bond_pv_frp", "frp_cash_flows", "das"])
+        lambda bond, base, curve: measures.fitted_p_spread(bond, base, curve, 0.4),
+        lambda bond, base, curve: measures.excess_spread(bond, 0.93, base, curve, 0.4),
+    ], ids=["fitted_price", "bond_pv_frp", "frp_cash_flows", "das", "fitted_p_spread",
+            "excess_spread"])
     def test_each_curve_once_per_payment_date_and_one_schedule_read(self, monkeypatch, walk):
         base = _CountingBase([(2.0, 0.95), (10.0, 0.7)])
         curve = _CountingHazard([(3.0, 0.02), (10.0, 0.03)])
@@ -380,7 +390,7 @@ class TestOneWalkPerBond:
         flows = pricing.frp_flows(self.BOND.coupon, self.BOND.freq, 0.4, zs, qs)
         assert pricing.frp_walk(self.BOND, base, curve, 0.4) == (times, flows)
         # Its legs are the table's, bit for bit.
-        legs = pricing.LegTable(times, self.BOND.freq, base, curve)
+        legs = pricing.LegTable.walk(times, self.BOND.freq, base, curve)
         cpn, load = pricing.frp_coefficients(self.BOND.coupon, self.BOND.freq)
         assert flows[:-1] == [cpn * a + 0.4 * load * p for a, p in zip(legs.zq, legs.zdq)][:-1]
         assert flows[-1] == cpn * legs.zq[-1] + 0.4 * load * legs.zdq[-1] + legs.zq[-1]
@@ -915,6 +925,38 @@ class TestContinuousPrices:
             # 1e-13 on prices of order 1; on STEEP_KNOTTED, Q(t) ~ 1e-71 before its knot and
             # ~ 1e-14 after it, so a price given survival to t can reach 1e56.
             assert price == pytest.approx(expected, rel=0, abs=1e-13 * max(1.0, abs(expected)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(base=base_curves,
+           curve=st.one_of(hazard_curves, spline_curves, st.sampled_from([KNOTTED_CURVE])),
+           periods=st.integers(1, 70), fractions=st.lists(st.floats(0.0, 1.0), min_size=1,
+                                                          max_size=8))
+    def test_each_interval_integrates_its_own_cuts(self, base, curve, periods, fractions):
+        bond = BondSpec(coupon=0.05, freq=2, maturity=periods / 2)
+        T, dates = bond.maturity, sorted({u * bond.maturity for u in fractions})
+        seen, cut_integrals = [], pricing._cut_integrals
+
+        def spy(base_, curve_, cuts, zs, extra_decay):
+            seen.append((list(cuts), list(zs)))
+            return cut_integrals(base_, curve_, cuts, zs, extra_decay)
+
+        with mock.patch.object(pricing, "_cut_integrals", spy):
+            pricing.continuous_prices(bond, base, curve, 0.4, dates)
+        nodes = base.node_tenors + curve._breakpoints()
+        expected = []
+        for t, end in reversed(list(zip(dates, dates[1:] + [T]))):
+            # [t, the nodes strictly inside (t, end), end], as survival_discount_integrals cuts
+            cuts = [t, *sorted({x for x in nodes if t < x < end}), end] if t < end else [t]
+            expected.append((cuts, [base.df(a) for a in cuts[:-1]]))
+        assert seen == expected
+
+    def test_the_walk_discounts_each_cut_once(self):
+        base = _CountingBase([(2.0, 0.95), (10.0, 0.7)])
+        curve = PiecewiseHazardCurve([(1.0, 0.01), (3.0, 0.02), (7.5, 0.04)])
+        bond = BondSpec(coupon=0.06, freq=2, maturity=9.5)
+        dates = [0.0, 1.0, 2.5, 2.75, 7.0, 9.5]
+        pricing.continuous_prices(bond, base, curve, 0.4, dates)
+        assert base.times == [0.0, 1.0, 2.0, 2.5, 2.75, 3.0, 7.0, 7.5, 9.5]
 
     def test_a_date_just_below_a_node_integrates_the_next_segment_at_its_rates(self):
         # The hazard jumps 0.01 -> 0.10 at 5: a start 5e-13 below it must not carry 0.01 on.

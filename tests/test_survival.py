@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -271,3 +272,58 @@ def test_load_rejects_malformed_record_naming_path(tmp_path, text, message):
         load_survival_curve(str(path))
     assert str(info.value).startswith(f"{path}: ")
     assert message in str(info.value)
+
+
+# Valid: Q rises above the knot by less than 1e-13 / 3, within the curve's tolerance.
+STEEP_KNOTTED = SplineSurvivalCurve(SplineBasis(eta=10.0, size=4, knots=((4, 24.0),)),
+                                    (1.0 - 1e-13, 0.0, 0.0, 1e-13), horizon=30.0)
+SCHEDULE_CURVES = (
+    SplineSurvivalCurve(SplineBasis(eta=0.12, size=5, knots=((4, 3.0), (5, 8.0))),
+                        (0.55, 0.30, 0.15, 0.05, -0.05), horizon=20.0),
+    STEEP_KNOTTED,
+    PiecewiseHazardCurve.flat(0.02),
+    PiecewiseHazardCurve([(1.0, 0.01), (3.0, 0.0), (7.5, 0.04), (10.0, 0.025)]),
+)
+schedule_curves = st.one_of(
+    st.sampled_from(SCHEDULE_CURVES),
+    st.builds(lambda eta, w2, w3: SplineSurvivalCurve(SplineBasis(eta=eta),
+                                                      (1.0 - w2 - w3, w2, w3), 25.0),
+              st.floats(0.01, 0.1), st.floats(0.0, 0.5), st.floats(0.0, 0.5)),
+    st.lists(st.floats(0.0, 0.3), min_size=1, max_size=5).map(
+        lambda hs: PiecewiseHazardCurve([(1.5 * (i + 1), h) for i, h in enumerate(hs)])),
+)
+
+
+@st.composite
+def schedules(draw):
+    """A curve and dates on it: 0, its knots or tenors and horizon, their float
+    neighbours, any date up to 10y past the horizon; in any order, with repeats."""
+    curve = draw(schedule_curves)
+    marks = [0.0, *curve._breakpoints(), curve.horizon]
+    date = st.one_of(
+        st.sampled_from(marks),
+        st.sampled_from(marks).map(lambda t: math.nextafter(t, math.inf)),
+        st.sampled_from(marks[1:]).map(lambda t: math.nextafter(t, 0.0)),
+        st.floats(0.0, curve.horizon + 10.0))
+    times = draw(st.lists(date, max_size=40))
+    order = draw(st.sampled_from(["as drawn", "increasing", "decreasing"]))
+    return curve, {"as drawn": times, "increasing": sorted(times),
+                   "decreasing": sorted(times, reverse=True)}[order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(schedules())
+def test_survivals_is_survival_at_each_date_bit_for_bit(case):
+    curve, times = case
+    assert [q.hex() for q in curve.survivals(times)] == [curve.survival(t).hex() for t in times]
+
+
+@pytest.mark.parametrize("bad", [-1e-300, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("curve", SCHEDULE_CURVES, ids=["knotted", "steep knotted", "flat",
+                                                        "piecewise"])
+def test_survivals_rejects_a_bad_date_as_survival_does(curve, bad):
+    with pytest.raises(ValueError) as scalar:
+        curve.survival(bad)
+    for times in ([bad], [0.5, 2.0, bad, 4.0], [5.0, bad]):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
+            curve.survivals(times)
