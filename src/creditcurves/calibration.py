@@ -32,7 +32,11 @@ count with them (sum of C(m, s) for s < K), so they need a cap on the set
 count or an iterative active-set solve.
 
 ``calibrate_from_cds`` bootstraps a piecewise-constant hazard curve from
-par CDS quotes instead.
+par CDS quotes instead, one segment a quote (O'Kane & Turnbull 2003).  It
+reads the quarterly schedule once; a trial hazard walks only its own
+segment's dates, continuing the solved segments' running sums, so the
+hazards are those of a walk from t = 0 bit for bit.  A fixed-point gate
+reprices every quote on the returned curve before it is handed back.
 
 Only the regression needs arrays, so numpy is imported inside the fit's own
 functions: the quote types, the loaders and the CDS bootstrap are scalar code,
@@ -45,6 +49,7 @@ import itertools
 import math
 import numbers
 import warnings
+from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -451,25 +456,45 @@ def calibrate_from_cds(
     Quotes are (maturity, par spread in decimal), strictly increasing in
     maturity; each segment hazard is solved so the par spread of the
     partial curve (``pricing.CDS_FREQ`` payments a year) reproduces the quote.
+
+    The schedule is read once, one ``base.df`` a date.  The legs on the dates up
+    to the last solved maturity do not depend on the hazard being solved, so a
+    trial hazard reads Q only on the later dates (the trial curve's ``survivals``)
+    and continues the solved dates' last Q and running sums there
+    (``pricing.LegTable``'s ``before``): each par spread is the float a walk from
+    t = 0 gives.  A fixed-point gate then reprices every quote on the returned
+    curve with ``pricing.cds_par_spread``; a miss beyond ``PRICE_TOL`` is a
+    ``ConvergenceError`` naming the quote.
     """
     if not quotes:
         raise InsufficientDataError("no CDS quotes")
     maturities = [m for m, _ in quotes]
-    if any(b <= a for a, b in zip(maturities, maturities[1:])) or maturities[0] <= 0.0:
-        raise ValueError("CDS maturities must be strictly increasing and > 0")
+    if not (0.0 < maturities[0] and maturities[-1] < math.inf
+            and all(a < b for a, b in zip(maturities, maturities[1:]))):
+        raise ValueError("CDS maturities must be finite, strictly increasing and > 0")
     if not all(0.0 < s < math.inf for _, s in quotes):
         raise ValueError(f"CDS spreads must be finite and > 0, got {[s for _, s in quotes]!r}")
+    rs_rate = pricing.check_recovery(rs_rate, "rs_rate")
 
-    segments: list[tuple[float, float]] = []
+    freq, segments = pricing.CDS_FREQ, []
+    times, zs = [], []  # the schedule to the latest quote, and one base.df a date
+    first, before, solved = 0, None, None  # dates a trial reuses, their carried sums, last table
     for maturity, spread in quotes:
-        gaps: dict[float, float] = {}  # each trial hazard priced once, bracket ends included
+        n = grid_periods(maturity, freq)
+        times += [i / freq for i in range(len(times) + 1, n + 1)]
+        zs += [base.df(t) for t in times[len(zs):]]
+        if segments:  # reuse the dates to the last solved maturity, walking at least one
+            reuse = min(bisect_right(times, segments[-1][0]), n - 1)
+            if reuse > first:
+                before, first = solved.carried(reuse - first), reuse
+        dates, dfs = times[first:n], zs[first:n]
+        trials: dict[float, pricing.LegTable] = {}  # each trial hazard walked once
 
         def spread_gap(h: float) -> float:
-            if h not in gaps:
-                candidate = PiecewiseHazardCurve(segments + [(maturity, h)])
-                par = pricing.cds_par_spread(maturity, pricing.CDS_FREQ, base, candidate, rs_rate)
-                gaps[h] = par - spread
-            return gaps[h]
+            if h not in trials:
+                qs = PiecewiseHazardCurve(segments + [(maturity, h)]).survivals(dates)
+                trials[h] = pricing.LegTable(dfs, qs, freq, before)
+            return trials[h].par_spread(len(dates), rs_rate) - spread
 
         if spread_gap(0.0) > 0.0:
             raise ArbitrageError(
@@ -482,7 +507,15 @@ def calibrate_from_cds(
             hi *= 2.0
         h = solve_bracketed(spread_gap, 0.0, hi)
         segments.append((maturity, h))
-    return PiecewiseHazardCurve(segments)
+        solved = trials[h]
+
+    curve = PiecewiseHazardCurve(segments)
+    for maturity, spread in quotes:
+        miss = pricing.cds_par_spread(maturity, freq, base, curve, rs_rate) - spread
+        if not abs(miss) <= PRICE_TOL:
+            raise ConvergenceError(f"the bootstrapped curve misses the {maturity}y quote by "
+                                   f"{miss:.3g}, beyond {PRICE_TOL:g}")
+    return curve
 
 
 def implied_recovery(

@@ -112,9 +112,10 @@ class TriangleQuotes:
             check_recovery(getattr(self, name), name)
 
 
-def _legs(zs: list[float], qs: list[float]) -> tuple[list[float], list[float]]:
-    """Per-date Z*Q and Z*(Q_prev - Q), Q_prev = 1 before the first date."""
-    return [z * q for z, q in zip(zs, qs)], [z * (p - q) for z, p, q in zip(zs, [1.0] + qs, qs)]
+def _legs(zs: list[float], qs: list[float],
+          q_prev: float = 1.0) -> tuple[list[float], list[float]]:
+    """Per-date Z*Q and Z*(Q_prev - Q), Q_prev = ``q_prev`` before the first date."""
+    return [z * q for z, q in zip(zs, qs)], [z * (p - q) for z, p, q in zip(zs, [q_prev] + qs, qs)]
 
 
 class LegTable:
@@ -122,14 +123,28 @@ class LegTable:
     par spread, rpv01, bond price and par coupon to date n, 1..len(zq).  ``walk`` reads
     each curve once a date; a table on the same dates and another curve (the riskless
     twin, Q = 1) reuses its ``zs``.  A bond's per-date flows are ``frp_flows``, which
-    reads the same legs and no running sum."""
+    reads the same legs and no running sum.
 
-    def __init__(self, zs: list[float], qs: list[float], freq: int) -> None:
+    ``before``, if given, is ``carried(n)`` of a table on the earlier dates of the same
+    schedule: this table then holds only the later dates, numbered from 1 again; its first
+    leg takes that Q as Q_prev and its running sums continue that table's, so each is the
+    float one walk over all the dates gives."""
+
+    def __init__(self, zs: list[float], qs: list[float], freq: int,
+                 before: tuple[float, float, float] | None = None) -> None:
         if not zs:
             raise ValueError("empty payment schedule")
         self.zs, self.qs, self.freq = zs, qs, freq
-        self.zq, self.zdq = _legs(zs, qs)
-        self.annuity, self.protection = list(accumulate(self.zq)), list(accumulate(self.zdq))
+        q_prev, annuity, protection = before or (1.0, None, None)
+        self.zq, self.zdq = _legs(zs, qs, q_prev)
+        self.annuity = list(accumulate(self.zq, initial=annuity))
+        self.protection = list(accumulate(self.zdq, initial=protection))
+        if before:  # the carried sums are no date of this table
+            del self.annuity[0], self.protection[0]
+
+    def carried(self, n: int) -> tuple[float, float, float]:
+        """(Q, annuity, protection) at date n: the ``before`` of a table on the dates after n."""
+        return self.qs[n - 1], self.annuity[n - 1], self.protection[n - 1]
 
     @classmethod
     def walk(cls, times: Sequence[float], freq: int, base: BaseCurve,

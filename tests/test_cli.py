@@ -436,6 +436,14 @@ class TestBadInputRows:
         assert "reproduces the 1.0y quote" in capsys.readouterr().err
         assert not (pipeline_dir / "out").exists()
 
+    @pytest.mark.parametrize("command", ["hedge", "basis"])
+    def test_cds_quote_no_non_negative_hazard_reproduces_exits_5_naming_it(
+            self, pipeline_dir, capsys, command):
+        (pipeline_dir / "cds.csv").write_text("maturity_years,par_spread_bp\n1.0,200\n3.0,1\n")
+        assert run(full_argv(pipeline_dir, command)) == 5
+        assert "no non-negative hazard reproduces the 3.0y quote" in capsys.readouterr().err
+        assert not (pipeline_dir / "out").exists()
+
     @pytest.mark.parametrize("text", [
         '{"type": "spline", "beta": [1.0]}',
         '{"type": "spline", "eta": 0.05,',

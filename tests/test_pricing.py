@@ -521,6 +521,7 @@ _RECOVERY_INPUTS = {
     "dds_spread_from_cds dds": ("dds_recovery",
                                 lambda x: pricing.dds_spread_from_cds(0.01, x, 0.4)),
     "credit_triangle_hazard": ("rs_rate", lambda x: pricing.credit_triangle_hazard(0.01, x)),
+    "calibrate_from_cds": ("rs_rate", lambda x: calibrate_from_cds([(1.0, 0.01)], _FLAT[0], x)),
     "CdsSpec": ("recovery", lambda x: CdsSpec(contractual_coupon=0.01, maturity=5.0, recovery=x)),
     "TriangleQuotes rs": ("rs_rate", lambda x: TriangleQuotes(0.01, 0.02, 0.2, x)),
     "TriangleQuotes dds": ("dds_recovery", lambda x: TriangleQuotes(0.01, 0.02, x, 0.4)),
