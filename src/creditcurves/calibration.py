@@ -32,11 +32,10 @@ count with them (sum of C(m, s) for s < K), so they need a cap on the set
 count or an iterative active-set solve.
 
 ``calibrate_from_cds`` bootstraps a piecewise-constant hazard curve from
-par CDS quotes instead, one segment a quote (O'Kane & Turnbull 2003).  It
-reads the quarterly schedule once; a trial hazard walks only its own
-segment's dates, continuing the solved segments' running sums, so the
-hazards are those of a walk from t = 0 bit for bit.  A fixed-point gate
-reprices every quote on the returned curve before it is handed back.
+par CDS quotes instead, one segment a quote (O'Kane & Turnbull 2003), each
+quote first passing ``pricing.check_cds_quote``.  A trial hazard walks only
+its own segment's dates, bit for bit a walk from t = 0, and a fixed-point
+gate reprices every quote on the returned curve.
 
 Only the regression needs arrays, so numpy is imported inside the fit's own
 functions: the quote types, the loaders and the CDS bootstrap are scalar code,
@@ -56,7 +55,7 @@ from typing import TYPE_CHECKING
 
 from . import pricing
 from .conventional import BondSpec
-from .curves import BaseCurve, grid_periods, read_csv_rows
+from .curves import BaseCurve, grid_times, read_csv_rows
 from .errors import ArbitrageError, ConvergenceError, FitError, InsufficientDataError
 from .rootfind import PRICE_TOL, check_price, solve_bracketed, solve_spread, spread_duration
 from .splines import SplineBasis
@@ -446,47 +445,33 @@ def fit_survival(
     return _fit_core(prepared, [config.recovery])[1](0)
 
 
-def calibrate_from_cds(
-    quotes: list[tuple[float, float]],
-    base: BaseCurve,
-    rs_rate: float,
-) -> PiecewiseHazardCurve:
+def calibrate_from_cds(quotes: list[tuple[float, float]], base: BaseCurve,
+                       rs_rate: float) -> PiecewiseHazardCurve:
     """Bootstrap a piecewise-constant hazard curve from par CDS quotes.
 
-    Quotes are (maturity, par spread in decimal), strictly increasing in
-    maturity; each segment hazard is solved so the par spread of the
-    partial curve (``pricing.CDS_FREQ`` payments a year) reproduces the quote.
+    Quotes are (maturity, par spread in decimal), each checked up front by
+    ``pricing.check_cds_quote``; each segment hazard is solved so the par spread
+    of the partial curve (``pricing.CDS_FREQ`` payments a year) reproduces it.
 
-    The schedule is read once, one ``base.df`` a date.  The legs on the dates up
-    to the last solved maturity do not depend on the hazard being solved, so a
-    trial hazard reads Q only on the later dates (the trial curve's ``survivals``)
-    and continues the solved dates' last Q and running sums there
-    (``pricing.LegTable``'s ``before``): each par spread is the float a walk from
-    t = 0 gives.  A fixed-point gate then reprices every quote on the returned
-    curve with ``pricing.cds_par_spread``; a miss beyond ``PRICE_TOL`` is a
-    ``ConvergenceError`` naming the quote.
+    The schedule is read once, one ``base.df`` a date.  A trial hazard reads Q only
+    on the dates past the last solved maturity (the trial curve's ``survivals``) and
+    continues the solved dates' last Q and running sums there (``pricing.LegTable``'s
+    ``before``): each par spread is the float a walk from t = 0 gives.  A fixed-point
+    gate then reprices every quote on the returned curve with ``pricing.cds_par_spread``;
+    a miss beyond ``PRICE_TOL`` is a ``ConvergenceError`` naming the quote.
     """
     if not quotes:
         raise InsufficientDataError("no CDS quotes")
-    maturities = [m for m, _ in quotes]
-    if not (0.0 < maturities[0] and maturities[-1] < math.inf
-            and all(a < b for a, b in zip(maturities, maturities[1:]))):
-        raise ValueError("CDS maturities must be finite, strictly increasing and > 0")
-    if not all(0.0 < s < math.inf for _, s in quotes):
-        raise ValueError(f"CDS spreads must be finite and > 0, got {[s for _, s in quotes]!r}")
+    counts = [0]  # each quote's date count, 0 before the first
+    for maturity, spread in quotes:
+        counts.append(pricing.check_cds_quote(maturity, spread, counts[-1]))
     rs_rate = pricing.check_recovery(rs_rate, "rs_rate")
 
     freq, segments = pricing.CDS_FREQ, []
-    times, zs = [], []  # the schedule to the latest quote, and one base.df a date
-    first, before, solved = 0, None, None  # dates a trial reuses, their carried sums, last table
-    for maturity, spread in quotes:
-        n = grid_periods(maturity, freq)
-        times += [i / freq for i in range(len(times) + 1, n + 1)]
-        zs += [base.df(t) for t in times[len(zs):]]
-        if segments:  # reuse the dates to the last solved maturity, walking at least one
-            reuse = min(bisect_right(times, segments[-1][0]), n - 1)
-            if reuse > first:
-                before, first = solved.carried(reuse - first), reuse
+    times = grid_times(quotes[-1][0], freq)  # the schedule to the last quote, one base.df a date
+    zs = [base.df(t) for t in times]
+    first, before = 0, None  # dates up to the last solved maturity, and their carried sums
+    for (maturity, spread), n in zip(quotes, counts[1:]):
         dates, dfs = times[first:n], zs[first:n]
         trials: dict[float, pricing.LegTable] = {}  # each trial hazard walked once
 
@@ -497,9 +482,7 @@ def calibrate_from_cds(
             return trials[h].par_spread(len(dates), rs_rate) - spread
 
         if spread_gap(0.0) > 0.0:
-            raise ArbitrageError(
-                f"no non-negative hazard reproduces the {maturity}y quote"
-            )
+            raise ArbitrageError(f"no non-negative hazard reproduces the {maturity}y quote")
         hi = 1.0
         while spread_gap(hi) < 0.0:
             if hi >= 64.0:
@@ -507,7 +490,9 @@ def calibrate_from_cds(
             hi *= 2.0
         h = solve_bracketed(spread_gap, 0.0, hi)
         segments.append((maturity, h))
-        solved = trials[h]
+        reach = bisect_right(times, maturity)  # a maturity a hair below its date leaves it out
+        if reach > first:
+            before, first = trials[h].carried(reach - first), reach
 
     curve = PiecewiseHazardCurve(segments)
     for maturity, spread in quotes:
@@ -591,25 +576,14 @@ def load_bond_quotes(path: str) -> list[BondQuote]:
 
 
 def load_cds_quotes(path: str) -> list[tuple[float, float]]:
-    """Read CDS quotes CSV with header ``maturity_years,par_spread_bp``, each row a
-    finite spread > 0 and a maturity on the CDS grid above the previous row's;
-    spreads are returned in decimals."""
-    previous = 0.0
+    """Read CDS quotes CSV with header ``maturity_years,par_spread_bp``, each row a quote
+    of ``pricing.check_cds_quote``; spreads are returned in decimals."""
+    counts = [0]
 
     def parse(row: dict, _: int) -> tuple[float, float]:
-        nonlocal previous
-        maturity = float(row["maturity_years"])
-        spread_bp = float(row["par_spread_bp"])
-        if not math.isfinite(spread_bp):
-            raise ValueError(f"par_spread_bp must be finite, got {spread_bp!r}")
-        if not spread_bp > 0.0:
-            raise ValueError(f"par_spread_bp must be > 0, got {spread_bp!r}")
-        grid_periods(maturity, pricing.CDS_FREQ)
-        if not maturity > previous:  # the first row's grid check has made it > 0
-            raise ValueError(f"maturity_years {maturity!r} is not above the "
-                             f"previous row's {previous!r}")
-        previous = maturity
-        return maturity, spread_bp / 1e4
+        maturity, spread = float(row["maturity_years"]), float(row["par_spread_bp"]) / 1e4
+        counts.append(pricing.check_cds_quote(maturity, spread, counts[-1]))
+        return maturity, spread
 
     return read_csv_rows(
         path, lambda fields: "" if {"maturity_years", "par_spread_bp"} <= set(fields)

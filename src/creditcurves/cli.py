@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 from . import calibration, hedging, measures
@@ -127,17 +128,26 @@ def _run_price(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _naming(bond_id: str):
+    """Re-raise a failure in the block as its own type, the bond's id in front."""
+    try:
+        yield
+    except (CreditCurveError, ValueError) as exc:
+        raise type(exc)(f"{bond_id}: {exc}") from exc
+
+
 def _cds_hedges(args: argparse.Namespace):
     """Inputs, CDS-bootstrapped curve and coarse hedge plans of basis and hedge."""
     base = load_base_curve(_require(args.base, "base curve"))
     quotes = load_bond_quotes(_require(args.bonds, "bond quotes"))
     cds_quotes = load_cds_quotes(_require(args.cds, "CDS quotes"))
     curve_cds = calibration.calibrate_from_cds(cds_quotes, base, args.recovery)
-    maturities = [m for m, _ in cds_quotes]
     plans = {}
     for q in quotes:
-        candidates = sorted({m for m in maturities if m < q.spec.maturity} | {q.spec.maturity})
-        plans[q.id] = hedging.coarse_hedge(q.spec, base, curve_cds, args.recovery, candidates)
+        candidates = sorted({m for m, _ in cds_quotes if m < q.spec.maturity} | {q.spec.maturity})
+        with _naming(q.id):
+            plans[q.id] = hedging.coarse_hedge(q.spec, base, curve_cds, args.recovery, candidates)
     return base, quotes, curve_cds, plans
 
 
@@ -146,9 +156,10 @@ def _run_basis(args: argparse.Namespace) -> int:
     fit = calibration.fit_survival(quotes, base, _fit_config(args))
     rows = []
     for q in quotes:
-        bs = hedging.basis_spread(q.spec, q.clean_price, base, curve_cds, args.recovery)
-        ab = hedging.approx_basis(q.spec, q.clean_price, base, fit.curve, curve_cds,
-                                  args.recovery, plans[q.id])
+        with _naming(q.id):
+            bs = hedging.basis_spread(q.spec, q.clean_price, base, curve_cds, args.recovery)
+            ab = hedging.approx_basis(q.spec, q.clean_price, base, fit.curve, curve_cds,
+                                      args.recovery, plans[q.id])
         rows.append([q.id, bs * 1e4, ab * 1e4])
     os.makedirs(args.out, exist_ok=True)
     _write_table(args, "basis", ["id", "basis_spread_bp", "approx_basis_bp"], rows)

@@ -17,6 +17,7 @@ basis is ``measures.das`` (one ``rootfind.solve_spread``) on the CDS-implied cur
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import measures, pricing
@@ -49,8 +50,9 @@ class HedgePlan:
             raise ValueError("legs must be sorted by maturity, without duplicates")
 
     def protection_notional(self, t: float) -> float:
-        """Total live protection for a default just after time t."""
-        return sum(leg.notional for leg in self.legs if leg.maturity > t)
+        """Total live protection for a default just after time t: the legs maturing after t."""
+        live = self.legs[bisect_right(self.legs, t, key=lambda leg: leg.maturity):]
+        return sum(leg.notional for leg in live)
 
     def to_dict(self) -> dict:
         return {

@@ -17,9 +17,9 @@ them to the per-date legs, giving a bond's discounted expected cash flows w_i,
 priced at spread s as sum w_i * exp(-s * t_i), the form ``rootfind.solve_spread``
 solves.  It serves ``frp_walk`` (one schedule read, one walk per curve; behind
 ``frp_cash_flows``, ``bond_pv_frp`` and ``measures.das``) and the fit's DAS pass,
-on the fit's own discount factors.  ``check_recovery``, ``check_dates`` and
-``curves.grid_periods`` are the single homes of the recovery-range, date-list
-and payment-grid rules.
+on the fit's own discount factors.  ``check_recovery``, ``check_dates``,
+``check_cds_quote`` and ``curves.grid_periods`` are the single homes of the
+recovery-range, date-list, CDS-quote and payment-grid rules.
 
 The continuous-time forms evaluate the survival-weighted discount
 integrals in closed form (``_cut_integrals``, behind ``survival_discount_integrals``):
@@ -63,6 +63,18 @@ def check_dates(dates: Sequence[float], maturity: float, name: str = "dates") ->
         raise ValueError(f"{name} must be non-empty, finite, strictly increasing and "
                          f"within [0, {maturity!r}], got {times!r}")
     return times
+
+
+def check_cds_quote(maturity: float, spread: float, previous: int) -> int:
+    """The one CDS quote rule: a finite ``spread`` > 0 (decimal) and a ``maturity`` whose date
+    count on the ``CDS_FREQ`` grid (``grid_periods``) exceeds ``previous``; returns the count."""
+    if not 0.0 < spread < math.inf:
+        raise ValueError(f"the {maturity}y quote's spread must be finite and > 0, got {spread}")
+    n = grid_periods(maturity, CDS_FREQ)
+    if n <= previous:
+        raise ValueError(f"the {maturity}y quote ends on or before the previous quote's "
+                         f"last quarterly date {previous / CDS_FREQ}")
+    return n
 
 
 class RecoveryAssumption(float):

@@ -283,9 +283,12 @@ def inside(stack, call, calls=None):
 
 
 def full_walk_bootstrap(quotes, base, rs_rate):
-    """The reference bootstrap, input checks left out: every trial hazard prices a fresh
-    curve by ``pricing.cds_par_spread``, a walk of the whole schedule from t = 0, with
-    the bracket, solver and errors of ``calibrate_from_cds``."""
+    """The reference bootstrap: the quote rule up front, then every trial hazard prices a
+    fresh curve by ``pricing.cds_par_spread``, a walk of the whole schedule from t = 0,
+    with the bracket, solver and errors of ``calibrate_from_cds``."""
+    count = 0
+    for maturity, spread in quotes:
+        count = pricing.check_cds_quote(maturity, spread, count)
     segments = []
     for maturity, spread in quotes:
         gaps = {}
@@ -312,7 +315,7 @@ def bootstrap_outcome(bootstrap, quotes, base, rs_rate):
     """The hazards as hex floats, or the error's type and message."""
     try:
         return [h.hex() for h in bootstrap(quotes, base, rs_rate).hazard_rates]
-    except (ArbitrageError, ConvergenceError, ScheduleError) as exc:
+    except (ArbitrageError, ConvergenceError, ScheduleError, ValueError) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -328,6 +331,7 @@ BOOTSTRAP_CASES = {
     "arbitrage": ([(1.0, 0.0200), (3.0, 0.0001)], "flat 3%", ArbitrageError),
     "bracket exhausted": ([(1.0, 0.01), (2.0, 50.0)], "flat 0", ConvergenceError),
     "off grid": ([(1.0, 0.01), (2.1, 0.02)], "steep", ScheduleError),
+    "shared quarter": ([(1.0, 0.01), (1.000000001, 0.0101)], "steep", ValueError),
 }
 
 
@@ -341,7 +345,8 @@ def case_example(name):
 def cds_quote_lists(draw):
     """1-6 quotes on the quarterly grid to 10y, spreads about a level from 1bp to 4
     (hazards past 1 and an exhausted bracket included) and a falling quote now and then
-    (no non-negative hazard), one maturity pushed off the grid now and then."""
+    (no non-negative hazard), one maturity pushed off the grid now and then (the quote
+    rule rejects the list before any solve)."""
     periods = sorted(draw(st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True)))
     maturities = [p / 4 for p in periods]
     if draw(st.integers(0, 5)) == 5:
@@ -447,10 +452,10 @@ class TestCdsBootstrap:
     @case_example("arbitrage")
     @case_example("bracket exhausted")
     @case_example("off grid")
-    # Maturities within grid_periods' 1e-8 of a quarter: a date past the first maturity
-    # on its walk, and two maturities with one last date (the trial walks it again).
+    @case_example("shared quarter")  # two maturities with one last date: the rule's ValueError
+    # A maturity within grid_periods' 1e-8 below a quarter: that date is past the first
+    # maturity, so the second segment's walk reads it again.
     @example(quotes=[(0.9999999999, 0.01), (2.0, 0.012)], base="steep", rs_rate=0.4)
-    @example(quotes=[(1.0, 0.01), (1.000000001, 0.0101)], base="steep", rs_rate=0.4)
     def test_hazards_are_those_of_a_full_walk_bootstrap(self, quotes, base, rs_rate):
         curve = BOOTSTRAP_BASES[base]
         assert (bootstrap_outcome(calibrate_from_cds, quotes, curve, rs_rate)
@@ -473,8 +478,65 @@ class TestCdsBootstrap:
         with pytest.raises(ValueError):
             calibrate_from_cds([(1.0, -0.01)], base_curve, 0.40)
         for maturity in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="CDS maturities must be finite"):
+            with pytest.raises(ScheduleError, match=f"^span {maturity!r} is not a whole number"):
                 calibrate_from_cds([(1.0, 0.01), (maturity, 0.02)], base_curve, 0.40)
+
+
+@st.composite
+def raw_cds_quote_lists(draw):
+    """1-5 (maturity, spread in bp) rows: quarterly maturities, in order or not (a repeat
+    or an earlier quarter), now and then moved a hair above (a shared quarter) or below
+    its quarter, off the grid or to a non-finite value, and now and then a non-finite or
+    non-positive spread."""
+    periods = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        periods = sorted(set(periods))
+    rows = []
+    for p in periods:
+        shift = draw(st.sampled_from([0.0] * 6 + [1e-9, -1e-10, 0.1, math.nan, math.inf]))
+        bp = draw(st.floats(1.0, 500.0))
+        if draw(st.integers(0, 9)) == 0:
+            bp = draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -100.0]))
+        rows.append((p / 4 + shift, bp))
+    return rows
+
+
+class TestCdsQuoteRule:
+    def test_two_maturities_on_one_quarterly_date_are_bad_input(self, tmp_path):
+        message = ("the 1.000000001y quote ends on or before the previous quote's last "
+                   "quarterly date 1.0")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            calibrate_from_cds([(1.0, 0.01), (1.000000001, 0.01)], BaseCurve.flat(0.03), 0.4)
+        path = tmp_path / "cds.csv"
+        path.write_text("maturity_years,par_spread_bp\n1.0,100\n1.000000001,100\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: row 3: {message}')}$"):
+            load_cds_quotes(str(path))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=raw_cds_quote_lists())
+    @example(rows=[(1.0, 100.0), (1.000000001, 100.0)])
+    @example(rows=[(0.9999999999, 100.0), (2.0, 120.0)])
+    def test_the_loader_and_the_bootstrap_accept_the_same_lists(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("cds") / "cds.csv"
+        path.write_text("maturity_years,par_spread_bp\n"
+                        + "".join(f"{m!r},{bp!r}\n" for m, bp in rows))
+        quotes = [(m, bp / 1e4) for m, bp in rows]
+        try:
+            loaded = load_cds_quotes(str(path))
+        except ParseError as exc:
+            prefix = re.match(rf"{re.escape(str(path))}: row (\d+): ", str(exc))
+            assert prefix and int(prefix[1]) >= 2
+            kind = type(exc.__cause__)
+            assert kind in (ValueError, ScheduleError)
+            with pytest.raises(kind) as info:
+                calibrate_from_cds(quotes, BaseCurve.flat(0.03), 0.4)
+            assert str(info.value) == str(exc)[prefix.end():]
+            return
+        assert loaded == quotes
+        try:  # past the rule, only a numerical outcome is left
+            calibrate_from_cds(quotes, BaseCurve.flat(0.03), 0.4)
+        except (ArbitrageError, ConvergenceError):
+            pass
 
 
 def synthetic_quotes(base, hazard, recovery, sigma=0.0, count=8, seed=20240501):
@@ -1317,16 +1379,18 @@ class TestLoaders:
             load_bond_quotes(str(path))
 
     @pytest.mark.parametrize("row, message", [
-        ("3,nan", "par_spread_bp must be finite, got nan"),
-        ("3,-inf", "par_spread_bp must be finite, got -inf"),
+        ("3,nan", "the 3.0y quote's spread must be finite and > 0, got nan"),
+        ("3,-inf", "the 3.0y quote's spread must be finite and > 0, got -inf"),
         ("inf,100", "span inf "),
         ("nan,100", "span nan "),
         ("5.1,100", "span 5.1 is not a whole number >= 1 of 1/4 periods"),
         ("0.1,100", "span 0.1 "),
-        ("0.5,100", "maturity_years 0.5 is not above the previous row's 1.0"),
-        ("1.0,100", "maturity_years 1.0 is not above the previous row's 1.0"),
-        ("3,-100", "par_spread_bp must be > 0, got -100.0"),
-        ("3,0", "par_spread_bp must be > 0, got 0.0"),
+        ("0.5,100", "the 0.5y quote ends on or before the previous quote's last quarterly "
+                    "date 1.0"),
+        ("1.0,100", "the 1.0y quote ends on or before the previous quote's last quarterly "
+                    "date 1.0"),
+        ("3,-100", "the 3.0y quote's spread must be finite and > 0, got -0.01"),
+        ("3,0", "the 3.0y quote's spread must be finite and > 0, got 0.0"),
     ])
     def test_cds_quotes_csv_rejects_bad_row(self, tmp_path, row, message):
         path = tmp_path / "cds.csv"

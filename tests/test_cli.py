@@ -9,11 +9,12 @@ import sys
 import pytest
 
 import creditcurves
-from creditcurves import measures, pricing
+from creditcurves import hedging, measures, pricing
 from creditcurves.calibration import calibrate_from_cds
 from creditcurves.cli import build_parser, main
 from creditcurves.conventional import BondSpec
 from creditcurves.curves import BaseCurve
+from creditcurves.errors import InsufficientDataError
 from creditcurves.splines import SplineBasis
 from creditcurves.survival import PiecewiseHazardCurve, SplineSurvivalCurve, load_survival_curve
 
@@ -442,6 +443,41 @@ class TestBadInputRows:
         (pipeline_dir / "cds.csv").write_text("maturity_years,par_spread_bp\n1.0,200\n3.0,1\n")
         assert run(full_argv(pipeline_dir, command)) == 5
         assert "no non-negative hazard reproduces the 3.0y quote" in capsys.readouterr().err
+        assert not (pipeline_dir / "out").exists()
+
+    @pytest.mark.parametrize("command", ["hedge", "basis"])
+    def test_two_cds_maturities_on_one_quarterly_date_exit_2_naming_both(
+            self, pipeline_dir, capsys, command):
+        cds = pipeline_dir / "cds.csv"
+        cds.write_text("maturity_years,par_spread_bp\n1.0,100\n1.000000001,100\n")
+        assert run(full_argv(pipeline_dir, command)) == 2
+        assert (f"error: {cds}: row 3: the 1.000000001y quote ends on or before the previous "
+                "quote's last quarterly date 1.0\n") == capsys.readouterr().err
+        assert not (pipeline_dir / "out").exists()
+
+    @pytest.mark.parametrize("command", ["hedge", "basis"])
+    def test_a_seasoned_bond_off_the_cds_grid_exits_5_naming_it(
+            self, pipeline_dir, capsys, command):
+        (pipeline_dir / "bonds.csv").write_text(
+            "id,coupon,freq,maturity_years,accrued_years,clean_price\n"
+            "B0,0.05,2,3.0,0.0,0.99\nB1,0.05,2,4.9,0.1,0.97\n")
+        assert run(full_argv(pipeline_dir, command)) == 5
+        assert capsys.readouterr().err == (
+            "error: B1: span 4.9 is not a whole number >= 1 of 1/4 periods\n")
+        assert not (pipeline_dir / "out").exists()
+
+    def test_a_basis_failure_names_the_bond_and_keeps_its_type(
+            self, pipeline_dir, capsys, monkeypatch):
+        approx_basis = hedging.approx_basis
+
+        def failing(bond, *rest):
+            if bond.maturity == 3.0:
+                raise InsufficientDataError("no basis")
+            return approx_basis(bond, *rest)
+
+        monkeypatch.setattr(hedging, "approx_basis", failing)
+        assert run(full_argv(pipeline_dir, "basis")) == 3  # the exit code of its type
+        assert capsys.readouterr().err == "error: B2: no basis\n"
         assert not (pipeline_dir / "out").exists()
 
     @pytest.mark.parametrize("text", [

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from creditcurves import hedging, measures, pricing
@@ -245,6 +246,31 @@ class TestSpotHedge:
         for grid in ([0.0, math.nan, 5.0], [math.nan], [0.0, T + 1e-13], [0.0, 2.5, math.inf]):
             with pytest.raises(ValueError, match="grid"):
                 hedging.spot_hedge_notionals(bond, base, curve, 0.5, grid)
+
+
+@st.composite
+def plans_and_dates(draw):
+    """A plan of 1-12 legs on distinct maturities, and dates before, on, between and
+    after its maturities."""
+    maturities = sorted(draw(st.lists(st.floats(0.01, 30.0), min_size=1, max_size=12,
+                                      unique=True)))
+    notionals = draw(st.lists(st.floats(-5.0, 5.0), min_size=len(maturities),
+                              max_size=len(maturities)))
+    legs = tuple(HedgeLeg(m, n, 0.01) for m, n in zip(maturities, notionals))
+    dates = draw(st.lists(st.one_of(st.floats(0.0, 31.0), st.sampled_from(maturities)),
+                          min_size=1, max_size=10))
+    return HedgePlan(legs=legs, cost=0.01, residual_npv=0.0), dates
+
+
+class TestProtectionNotional:
+    @settings(max_examples=200, deadline=None)
+    @given(case=plans_and_dates())
+    def test_equals_the_sum_over_every_live_leg(self, case):
+        plan, dates = case
+        for t in dates:  # oracle: every leg maturing after t, in plan order (0 if none)
+            oracle = sum(leg.notional for leg in plan.legs if leg.maturity > t)
+            got = plan.protection_notional(t)
+            assert (type(got), float(got).hex()) == (type(oracle), float(oracle).hex())
 
 
 class TestOneWalkPerHedge:
