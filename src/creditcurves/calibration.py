@@ -50,13 +50,15 @@ import numbers
 import warnings
 from bisect import bisect_right
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import pricing
 from .conventional import BondSpec
 from .curves import BaseCurve, grid_times, read_csv_rows
-from .errors import ArbitrageError, ConvergenceError, FitError, InsufficientDataError
+from .errors import (ArbitrageError, ConvergenceError, CreditCurveError, FitError,
+                     InsufficientDataError)
 from .rootfind import PRICE_TOL, check_price, solve_bracketed, solve_spread, spread_duration
 from .splines import SplineBasis
 from .survival import PiecewiseHazardCurve, SplineSurvivalCurve
@@ -97,6 +99,14 @@ class BondQuote:
         sd = self.spread_duration
         if sd is not None and not 0.0 < sd < math.inf:
             raise ValueError(f"{self.id}: spread_duration must be finite and > 0, got {sd!r}")
+
+    @contextmanager
+    def _naming(self):
+        """Re-raise a failure in the block as its own type, this bond's id in front."""
+        try:
+            yield
+        except (CreditCurveError, ValueError) as exc:
+            raise type(exc)(f"{self.id}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -161,7 +171,7 @@ class _QuoteSet:
 
     A bond's FRP price is sum_i (a_i - R b_i) Q(t_i) + R v1, with z_i the
     discount factors at its payment times t_i, a_i = CF_i z_i (its Z-spread
-    flows, CF_i from ``pricing.frp_coefficients``), b_i = g (z_i - z_{i+1}), z_{N+1} = 0,
+    flows, ``BondSpec._z_flows``), b_i = g (z_i - z_{i+1}), z_{N+1} = 0,
     and v1 = g z_1, for the recovery load g = 1 + C/2q.  So its design row is sum_i (a_i -
     R b_i) Phi(t_i) and its target v0 - R v1, v0 the dirty price.  Each schedule is read
     once; ``zs`` keeps the z_i for the fit's DAS pass.  A fit passes its config, which adds
@@ -184,11 +194,11 @@ class _QuoteSet:
         for q in quotes:
             times = q.spec.payment_times
             z = [base.df(t) for t in times]
-            cpn, g = pricing.frp_coefficients(q.spec.coupon, q.spec.freq)
+            g = pricing.frp_coefficients(q.spec.coupon, q.spec.freq)[1]
             self.spans.append((len(self.times), len(self.times) + len(z)))
             self.times += times
             self.zs += z
-            self.cf_z += [cpn * zi for zi in z[:-1]] + [(cpn + 1.0) * z[-1]]
+            self.cf_z += q.spec._z_flows(z)
             b += [g * (zi - z_next) for zi, z_next in zip(z, z[1:] + [0.0])]
             v1.append(g * z[0])
         self.a, self.b, self.v1 = np.array(self.cf_z), np.array(b), np.array(v1)
@@ -196,11 +206,12 @@ class _QuoteSet:
         self.v0 = np.array(self.dirty)
         self.horizon = 0.5 * round((max(q.spec.maturity for q in quotes) + 5.0) / 0.5)
         if config is not None:
-            sd = np.array([
-                spread_duration(self.times[lo:hi], self.cf_z[lo:hi], dirty)
-                if q.spread_duration is None else q.spread_duration
-                for q, (lo, hi), dirty in zip(quotes, self.spans, self.dirty)
-            ])
+            sd = []
+            for q, (lo, hi), dirty in zip(quotes, self.spans, self.dirty):
+                with q._naming():
+                    sd.append(spread_duration(self.times[lo:hi], self.cf_z[lo:hi], dirty)
+                              if q.spread_duration is None else q.spread_duration)
+            sd = np.array(sd)
             self.base_w = 1.0 / np.sqrt(sd) if config.weight_scheme == "formula" else 1.0 / sd**2
 
     def design_grid(self, bases: list[SplineBasis]) -> tuple:
@@ -419,11 +430,14 @@ def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> tuple[np.ndarray,
         win, e = wins[j], wins[j] // count
         curve = SplineSurvivalCurve(bases[e], tuple(betas[win]), horizon=prepared.horizon)
         times, zs, qs = prepared.times, prepared.zs, curve.survivals(prepared.times)
+        das = []
+        for q, (lo, hi), dirty in zip(quotes, prepared.spans, prepared.dirty):
+            with q._naming():  # as measures.das
+                das.append(solve_spread(times[lo:hi], pricing.frp_flows(
+                    q.spec.coupon, q.spec.freq, recoveries[j], zs[lo:hi], qs[lo:hi]), dirty))
         return FitResult(
             curve=curve, ids=tuple(q.id for q in quotes), residuals=eps[win].copy(),
-            das=np.array([solve_spread(times[lo:hi], pricing.frp_flows(  # as measures.das
-                q.spec.coupon, q.spec.freq, recoveries[j], zs[lo:hi], qs[lo:hi]), dirty)
-                for q, (lo, hi), dirty in zip(quotes, prepared.spans, prepared.dirty)]),
+            das=np.array(das),
             outlier_weights=w_out[win].copy(), weighted_error=float(errors[j]),
             eta=config.eta_grid[e],
             active_constraints=tuple(itertools.compress(labels, active[win])),

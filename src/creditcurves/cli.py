@@ -16,7 +16,6 @@ import csv
 import json
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 
 from . import calibration, hedging, measures
@@ -120,21 +119,13 @@ def _run_price(args: argparse.Namespace) -> int:
     quotes = load_bond_quotes(_require(args.bonds, "bond quotes"))
     rows = []
     for q in quotes:
-        fitted = measures.fitted_price(q.spec, base, curve, args.recovery)
-        das = measures.das(q.spec, q.clean_price, base, curve, args.recovery)
+        with q._naming():
+            fitted = measures.fitted_price(q.spec, base, curve, args.recovery)
+            das = measures.das(q.spec, q.clean_price, base, curve, args.recovery)
         rows.append([q.id, q.clean_price, fitted, q.clean_price - fitted, das * 1e4])
     os.makedirs(args.out, exist_ok=True)
     _write_table(args, "prices", ["id", "market", "fitted", "residual", "das_bp"], rows)
     return EXIT_OK
-
-
-@contextmanager
-def _naming(bond_id: str):
-    """Re-raise a failure in the block as its own type, the bond's id in front."""
-    try:
-        yield
-    except (CreditCurveError, ValueError) as exc:
-        raise type(exc)(f"{bond_id}: {exc}") from exc
 
 
 def _cds_hedges(args: argparse.Namespace):
@@ -146,7 +137,7 @@ def _cds_hedges(args: argparse.Namespace):
     plans = {}
     for q in quotes:
         candidates = sorted({m for m, _ in cds_quotes if m < q.spec.maturity} | {q.spec.maturity})
-        with _naming(q.id):
+        with q._naming():
             plans[q.id] = hedging.coarse_hedge(q.spec, base, curve_cds, args.recovery, candidates)
     return base, quotes, curve_cds, plans
 
@@ -156,7 +147,7 @@ def _run_basis(args: argparse.Namespace) -> int:
     fit = calibration.fit_survival(quotes, base, _fit_config(args))
     rows = []
     for q in quotes:
-        with _naming(q.id):
+        with q._naming():
             bs = hedging.basis_spread(q.spec, q.clean_price, base, curve_cds, args.recovery)
             ab = hedging.approx_basis(q.spec, q.clean_price, base, fit.curve, curve_cds,
                                       args.recovery, plans[q.id])

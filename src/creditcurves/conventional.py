@@ -59,12 +59,15 @@ class BondSpec:
         return self.coupon * self.accrued_time
 
     def cash_flows(self) -> tuple[tuple[float, float], ...]:
-        """(time, amount) pairs; the final payment includes the principal."""
+        """(time, amount) pairs; the final payment includes the principal: ``_z_flows`` at z = 1."""
         times = self.payment_times
+        return tuple(zip(times, self._z_flows([1.0] * len(times))))
+
+    def _z_flows(self, zs: list[float]) -> list[float]:
+        """The bond's cash-flow rule: CF * z on each payment date, z its discount factor, CF the
+        coupon C/q plus the principal on the last date; the Z-spread flows and the fit's design."""
         cpn = self.coupon / self.freq
-        flows = [(t, cpn) for t in times[:-1]]
-        flows.append((times[-1], cpn + 1.0))
-        return tuple(flows)
+        return [cpn * z for z in zs[:-1]] + [(cpn + 1.0) * zs[-1]]
 
 
 @dataclass(frozen=True)
@@ -132,21 +135,18 @@ def i_spread(
     return bond_yield - ((1.0 - w) * y1 + w * y2)
 
 
-def _z_flows(bond: BondSpec, base: BaseCurve) -> list[float]:
-    """CF * Z_base(t) on each payment date, the flows the Z-spread discounts."""
-    return [cf * base.df(t) for t, cf in bond.cash_flows()]
-
-
 def z_spread(bond: BondSpec, clean_price: float, base: BaseCurve) -> float:
     """Constant spread s with dirty = sum CF * Z_base(t) * exp(-s*t)."""
-    dirty = clean_price + bond.accrued_interest
-    return solve_spread(bond.payment_times, _z_flows(bond, base), dirty)
+    times = bond.payment_times
+    flows = bond._z_flows([base.df(t) for t in times])
+    return solve_spread(times, flows, clean_price + bond.accrued_interest)
 
 
 def z_spread_duration(bond: BondSpec, clean_price: float, base: BaseCurve) -> float:
     """Sensitivity -d ln PV / d s at the bond's fitted Z-spread, in years."""
-    dirty = clean_price + bond.accrued_interest
-    return spread_duration(bond.payment_times, _z_flows(bond, base), dirty)
+    times = bond.payment_times
+    flows = bond._z_flows([base.df(t) for t in times])
+    return spread_duration(times, flows, clean_price + bond.accrued_interest)
 
 
 def discount_margin(frn: FrnSpec, price: float, base: BaseCurve | None = None) -> float:

@@ -7,7 +7,7 @@ Conventions used throughout the package:
 - The curve is a set of (tenor, discount factor) nodes with an implicit
   node (0, 1.0).  Interpolation is log-linear in the discount factor, so
   instantaneous forward rates are piecewise constant; extrapolation past
-  the last node keeps the last forward rate flat.
+  the last node keeps the last forward rate flat, as one more segment.
 
 Construction rejects increasing discount factors, i.e. negative forward
 rates, so every curve built here has df(t) non-increasing and fwd >= 0.
@@ -45,11 +45,10 @@ class BaseCurve:
             prev_t, prev_df = t, df
         self._times = (0.0,) + tuple(t for t, _ in pts)
         self._dfs = (1.0,) + tuple(df for _, df in pts)
-        # Constant forward per segment; the last one also drives extrapolation.
-        self._fwds = tuple(
-            math.log(self._dfs[i] / self._dfs[i + 1]) / (self._times[i + 1] - self._times[i])
-            for i in range(len(self._dfs) - 1)
-        )
+        # Constant forward per segment; the tail past the last node is one more, at the last rate.
+        fwds = [math.log(self._dfs[i] / self._dfs[i + 1]) / (self._times[i + 1] - self._times[i])
+                for i in range(len(self._dfs) - 1)]
+        self._fwds = tuple(fwds + fwds[-1:])
 
     @classmethod
     def from_zero_rates(cls, pairs: Iterable[tuple[float, float]]) -> "BaseCurve":
@@ -69,13 +68,8 @@ class BaseCurve:
         """Discount factor Z(t); log-linear between nodes, flat forward beyond."""
         if not 0.0 <= t < math.inf:
             raise ValueError(f"t must be finite and >= 0, got {t!r}")
-        if t == 0.0:
-            return 1.0
-        times = self._times
-        if t >= times[-1]:
-            return self._dfs[-1] * math.exp(-self._fwds[-1] * (t - times[-1]))
-        i = bisect_right(times, t) - 1
-        return self._dfs[i] * math.exp(-self._fwds[i] * (t - times[i]))
+        i = bisect_right(self._times, t) - 1
+        return self._dfs[i] * math.exp(-self._fwds[i] * (t - self._times[i]))
 
     def zero_rate(self, t: float) -> float:
         """Continuously compounded zero rate r(t) = -ln Z(t) / t, t > 0."""
@@ -87,10 +81,7 @@ class BaseCurve:
         """Instantaneous forward rate; right-limit at nodes, flat beyond the end."""
         if not 0.0 <= t < math.inf:
             raise ValueError(f"t must be finite and >= 0, got {t!r}")
-        times = self._times
-        if t >= times[-1]:
-            return self._fwds[-1]
-        return self._fwds[bisect_right(times, t) - 1]
+        return self._fwds[bisect_right(self._times, t) - 1]
 
     def par_yield(self, maturity: float, freq: int) -> float:
         """Coupon rate pricing a riskless bullet bond at par.

@@ -11,7 +11,8 @@ read from one quarterly ``pricing.LegTable`` per hedge, the coarse hedge's cover
 to a candidate maturity included (its protection sum), the forward prices on
 a hedge or RFC grid from one ``pricing.continuous_prices`` walk, and the spot
 hedge's residual weights from one ``survivals`` read of its grid.  The CDS-bond
-basis is ``measures.das`` (one ``rootfind.solve_spread``) on the CDS-implied curve.
+basis is ``measures.das`` (one ``rootfind.solve_spread``) on the CDS-implied curve;
+``approx_basis`` is the excess spread less the plan's own ``cost``, not re-priced.
 """
 
 from __future__ import annotations
@@ -255,10 +256,6 @@ def approx_basis(
     recovery: float,
     plan: HedgePlan,
 ) -> float:
-    """Excess spread over the bond-market curve less the plan's
-    rpv01-weighted aggregate CDS spread."""
-    R = check_recovery(recovery)
-    s_x = measures.excess_spread(bond, market_clean_price, base, curve_bond, R)
-    legs = [(leg.maturity, leg.notional, leg.spread) for leg in plan.legs]
-    table = pricing.LegTable.walk(grid_times(legs[-1][0], CDS_FREQ), CDS_FREQ, base, curve_cds)
-    return s_x - _aggregate_spread(legs, table)
+    """Excess spread over the bond-market curve less the plan's rpv01-weighted aggregate
+    CDS spread, its ``cost``; ``curve_cds`` is the curve the plan was priced on."""
+    return measures.excess_spread(bond, market_clean_price, base, curve_bond, recovery) - plan.cost

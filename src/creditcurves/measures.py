@@ -12,9 +12,8 @@ payment times); DAS is ``rootfind.solve_spread`` on ``pricing.frp_walk``'s flows
 on its discount factors, and reads every row from the three; ``fitted_p_spread``
 and ``excess_spread`` read their par coupons, and the DAS flows, from one walk
 of the bond's schedule.
-``par_coupon``, ``p_spread`` (against ``BaseCurve.par_yield``), ``ccp`` (a fresh
-bond through ``pricing.bond_pv_frp``) and ``bcds`` price one tenor each, on
-their own walks.
+``par_coupon``, ``p_spread`` (through ``_p_spread``'s riskless twin), ``ccp`` and
+``bcds`` price one tenor each on their own walk, each its report column bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 
 from . import pricing
 from .conventional import BondSpec
-from .curves import BaseCurve, grid_times
+from .curves import MAX_PERIODS, BaseCurve, grid_times
 from .pricing import CDS_FREQ
 from .rootfind import solve_spread
 from .survival import PiecewiseHazardCurve, SurvivalCurve
@@ -43,8 +42,9 @@ def par_coupon(
 def p_spread(
     maturity: float, freq: int, base: BaseCurve, curve: SurvivalCurve, recovery: float
 ) -> float:
-    """Par coupon less the risk-free par yield of the same maturity."""
-    return par_coupon(maturity, freq, base, curve, recovery) - base.par_yield(maturity, freq)
+    """Par coupon less the risk-free par coupon of the same maturity (``_p_spread``)."""
+    return _p_spread(pricing.LegTable.walk(grid_times(maturity, freq), freq, base, curve),
+                     recovery)
 
 
 def ccp(
@@ -55,9 +55,10 @@ def ccp(
     curve: SurvivalCurve,
     recovery: float,
 ) -> float:
-    """Constant coupon price: clean fitted price of a coupon-C bond."""
-    bond = BondSpec(coupon=coupon, freq=freq, maturity=maturity)
-    return pricing.bond_pv_frp(bond, base, curve, recovery)
+    """Constant coupon price: clean fitted price of a coupon-C bond (the report's CCP)."""
+    BondSpec(coupon=coupon, freq=freq, maturity=maturity)  # reject the terms BondSpec rejects
+    legs = pricing.LegTable.walk(grid_times(maturity, freq), freq, base, curve)
+    return legs.price(len(legs.zq), coupon, recovery)
 
 
 def bcds(maturity: float, base: BaseCurve, curve: SurvivalCurve, recovery: float) -> float:
@@ -115,15 +116,15 @@ def fitted_p_spread(
     bond: BondSpec, base: BaseCurve, curve: SurvivalCurve, recovery: float
 ) -> float:
     """``fitted_par_coupon`` less ``fitted_base_par_coupon``, from one walk of the schedule."""
-    return _p_spread(bond, pricing.LegTable.walk(bond.payment_times, bond.freq, base, curve),
-                     recovery)
+    return _p_spread(pricing.LegTable.walk(bond.payment_times, bond.freq, base, curve),
+                     recovery, bond.accrued_time)
 
 
-def _p_spread(bond: BondSpec, legs: pricing.LegTable, recovery: float) -> float:
-    """Fitted P-spread on the table of the bond's schedule: its par coupon less that of its
-    riskless twin on the same discount factors (Q = 1, R = 0; exactly the zero-hazard curve)."""
-    n, accrued_time = len(legs.zs), bond.accrued_time
-    riskless = pricing.LegTable(legs.zs, [1.0] * n, bond.freq)
+def _p_spread(legs: pricing.LegTable, recovery: float, accrued_time: float = 0.0) -> float:
+    """P-spread on a whole schedule's table, seasoned by accrued_time: its par coupon less
+    that of its riskless twin on the same discount factors (Q = 1, R = 0; zero hazard)."""
+    n = len(legs.zs)
+    riskless = pricing.LegTable(legs.zs, [1.0] * n, legs.freq)
     return legs.par_coupon(n, recovery, accrued_time) - riskless.par_coupon(n, 0.0, accrued_time)
 
 
@@ -154,7 +155,7 @@ def excess_spread(
     """
     times = bond.payment_times
     legs = pricing.LegTable.walk(times, bond.freq, base, curve)
-    spread = _p_spread(bond, legs, recovery)
+    spread = _p_spread(legs, recovery, bond.accrued_time)
     flows = pricing.frp_flows(bond.coupon, bond.freq, recovery, legs.zs, legs.qs)
     return spread + solve_spread(times, flows, market_clean_price + bond.accrued_interest)
 
@@ -225,9 +226,9 @@ def term_structure_report(
     if grid is None:
         on_grid = set(grid_times(report_grid()[-1], freq))
         grid = [t for t in report_grid() if t in on_grid]
-    tenors = tuple(grid)
-    if not tenors or any(b <= a for a, b in zip(tenors, tenors[1:])) or tenors[0] <= 0.0:
-        raise ValueError("report grid must be non-empty, strictly increasing and > 0")
+    tenors = pricing.check_dates(grid, MAX_PERIODS / CDS_FREQ, "report grid")  # BCDS table
+    if tenors[0] <= 0.0:
+        raise ValueError(f"report grid must be > 0, got {tenors!r}")
     for c in coupons:  # a CCP column is a coupon-c bond: reject the terms BondSpec rejects
         BondSpec(coupon=c, freq=freq, maturity=tenors[-1])
     legs = pricing.LegTable.walk(grid_times(tenors[-1], freq), freq, base, curve)

@@ -147,12 +147,10 @@ class LegTable:
         if not zs:
             raise ValueError("empty payment schedule")
         self.zs, self.qs, self.freq = zs, qs, freq
-        q_prev, annuity, protection = before or (1.0, None, None)
+        q_prev, annuity, protection = before or (1.0, 0.0, 0.0)
         self.zq, self.zdq = _legs(zs, qs, q_prev)
-        self.annuity = list(accumulate(self.zq, initial=annuity))
-        self.protection = list(accumulate(self.zdq, initial=protection))
-        if before:  # the carried sums are no date of this table
-            del self.annuity[0], self.protection[0]
+        self.annuity = list(accumulate(self.zq, initial=annuity))[1:]
+        self.protection = list(accumulate(self.zdq, initial=protection))[1:]
 
     def carried(self, n: int) -> tuple[float, float, float]:
         """(Q, annuity, protection) at date n: the ``before`` of a table on the dates after n."""

@@ -6,8 +6,9 @@ is convex and decreasing, so Newton's method from s = 0 lands left of the root
 after one step and then climbs to it monotonically.  A step out of the bracket,
 a slope not > 0 (flows pushed negative at float noise) or a spent budget falls
 back to ``solve_bracketed``, bisection refined by secant steps, which also
-serves the FRN discount margin and CDS bootstrap solves.  Every solve accepts a
-residual of at most ``PRICE_TOL``; the tolerances are fixed here, not passed by callers.
+serves the FRN discount margin and CDS bootstrap solves; for a spread it reads
+Newton's own PV.  Every solve accepts a residual of at most ``PRICE_TOL``; the
+tolerances are fixed here, not passed by callers.
 """
 
 from __future__ import annotations
@@ -79,21 +80,25 @@ def check_price(price: float, name: str = "dirty price") -> float:
 def _spread_root(times: Sequence[float], flows: Sequence[float],
                  dirty: float) -> tuple[float, float]:
     """(s, sum t w exp(-s t)) at the root of sum w exp(-s t) = dirty: Newton from s = 0,
-    else ``solve_bracketed`` on a step out of RATE_BRACKET, a slope <= 0 or a spent budget."""
-    s, (lo, hi) = 0.0, RATE_BRACKET
-    for _ in range(_MAX_ITER):
+    else ``solve_bracketed`` on a step out of RATE_BRACKET, a slope <= 0 or a spent budget,
+    both on one PV and slope, ``pv_slope``, added term by term."""
+    def pv_slope(s: float) -> tuple[float, float]:
         pv = slope = 0.0
         for t, w in zip(times, flows):
             x = w * math.exp(-s * t)
             pv += x
             slope += t * x
+        return pv, slope
+
+    s, (lo, hi) = 0.0, RATE_BRACKET
+    for _ in range(_MAX_ITER):
+        pv, slope = pv_slope(s)
         if abs(pv - dirty) <= PRICE_TOL:
             return s, slope
         if not (slope > 0.0 and lo <= (s := s + (pv - dirty) / slope) <= hi):
             break
-    s = solve_bracketed(lambda x: sum(w * math.exp(-x * t) for t, w in zip(times, flows)) - dirty,
-                        lo, hi)
-    return s, sum(t * w * math.exp(-s * t) for t, w in zip(times, flows))
+    s = solve_bracketed(lambda x: pv_slope(x)[0] - dirty, lo, hi)
+    return s, pv_slope(s)[1]
 
 
 def solve_spread(times: Sequence[float], flows: Sequence[float], dirty: float) -> float:

@@ -253,7 +253,7 @@ class PiecewiseHazardCurve(SurvivalCurve):
         """Right-continuous hazard rate; terminal rate past the last tenor."""
         if not 0.0 <= t < math.inf:
             raise ValueError(f"t must be finite and >= 0, got {t!r}")
-        return self.segments[min(bisect_right(self._tenors, t), len(self._tenors) - 1)][1]
+        return self._rates[bisect_right(self._tenors, t)]
 
     def _breakpoints(self) -> tuple[float, ...]:
         return self._tenors

@@ -480,6 +480,33 @@ class TestBadInputRows:
         assert capsys.readouterr().err == "error: B2: no basis\n"
         assert not (pipeline_dir / "out").exists()
 
+    def test_a_price_failure_names_the_bond_and_keeps_its_exit_code(self, pipeline_dir, capsys):
+        (pipeline_dir / "curve.json").write_text(
+            '{"type": "piecewise_hazard", "segments": [[10.0, 0.02]]}')
+        (pipeline_dir / "bonds.csv").write_text(
+            "id,coupon,freq,maturity_years,accrued_years,clean_price\n"
+            "B0,0.05,2,2.0,0.0,0.99\nB7,0.05,2,3.0,0.0,0.0001\n")
+        assert run(full_argv(pipeline_dir, "price")) == 5
+        assert capsys.readouterr().err.startswith(
+            "error: B7: no sign change on bracket [-0.5, 5.0]: ")
+        assert not (pipeline_dir / "out").exists()
+
+    # No spread at all prices the 5y bond at 0.0001: without a spread_duration column its
+    # duration solve fails as the fit starts, with one its DAS solve on the fitted curve.
+    @pytest.mark.parametrize("durations", [("",) * 5, ("1", "2", "3", "4", "4.5")],
+                             ids=["duration solve", "DAS solve"])
+    def test_a_fit_failure_names_the_bond_and_keeps_its_exit_code(
+            self, pipeline_dir, capsys, durations):
+        prices = ("1.0", "0.99", "0.98", "0.97", "0.0001")
+        (pipeline_dir / "bonds.csv").write_text(
+            "id,coupon,freq,maturity_years,accrued_years,clean_price,spread_duration\n"
+            + "".join(f"B{m},0.05,2,{m}.0,0.0,{p},{d}\n"
+                      for m, p, d in zip(range(1, 6), prices, durations)))
+        assert run(full_argv(pipeline_dir, "fit")) == 5
+        assert capsys.readouterr().err.startswith(
+            "error: B5: no sign change on bracket [-0.5, 5.0]: ")
+        assert not (pipeline_dir / "out").exists()
+
     @pytest.mark.parametrize("text", [
         '{"type": "spline", "beta": [1.0]}',
         '{"type": "spline", "eta": 0.05,',

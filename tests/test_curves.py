@@ -163,6 +163,17 @@ def test_load_curve_csv_names_bad_row(tmp_path):
         load_base_curve(path)
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("1.0,0.98\n2.0,0.99\n",
+     "discount factors must be non-increasing (negative forward at t=2.0)"),
+    ("2.0,0.95\n1.0,0.98\n", "node tenors must be finite, strictly increasing and > 0"),
+], ids=["rising discount factors", "unsorted tenors"])
+def test_load_curve_csv_names_the_file_of_a_curve_it_rejects(tmp_path, rows, message):
+    path = _write(tmp_path / "c.csv", "tenor_years,discount_factor\n" + rows)
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_base_curve(path)
+
+
 @pytest.mark.parametrize("build", [lambda: BaseCurve.from_zero_rates([(1.0, 0.02), (2.0, -500)]),
                                    lambda: BaseCurve.flat(-1000, 2.0)])
 def test_an_overflowing_zero_rate_names_tenor_and_rate(build):

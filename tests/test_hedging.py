@@ -273,6 +273,16 @@ class TestProtectionNotional:
             assert (type(got), float(got).hex()) == (type(oracle), float(oracle).hex())
 
 
+@pytest.mark.parametrize("legs, message", [
+    ((), "hedge plan needs at least one leg"),
+    ((HedgeLeg(5.0, 1.0, 0.01), HedgeLeg(2.0, 0.5, 0.01)), "legs must be sorted by maturity"),
+    ((HedgeLeg(2.0, 1.0, 0.01), HedgeLeg(2.0, 0.5, 0.01)), "without duplicates"),
+], ids=["no legs", "unsorted", "duplicate"])
+def test_a_plan_needs_legs_sorted_by_maturity(legs, message):
+    with pytest.raises(ValueError, match=message):
+        HedgePlan(legs=legs, cost=0.01, residual_npv=0.0)
+
+
 class TestOneWalkPerHedge:
     """Each hedge integrates every closed-form cut of its grid once, through one
     ``pricing.continuous_prices`` walk, not once per date from that date to maturity."""
@@ -361,6 +371,12 @@ class TestCoarseHedge:
         off_quarter = BondSpec(coupon=0.08, freq=2, maturity=4.9, accrued_time=0.1)
         with pytest.raises(ScheduleError, match="4.9"):
             hedging.coarse_hedge(off_quarter, base, curve, 0.5, [4.9])
+
+    def test_no_default_risk_leaves_no_feasible_candidate(self, base_curve, hedge_bonds):
+        # With Q = 1 no candidate leg covers any protection, so every candidate is skipped.
+        with pytest.raises(ValueError, match="^no feasible candidate maturity$"):
+            hedging.coarse_hedge(hedge_bonds["premium"], base_curve,
+                                 PiecewiseHazardCurve.flat(0.0), 0.5, [1.0, 2.0, 5.0])
 
     @pytest.mark.parametrize("off_grid", [0.1, 1.1])
     def test_off_grid_candidate_raises(self, hedge_market, hedge_bonds, off_grid):

@@ -355,10 +355,14 @@ class TestTermStructureReport:
         with pytest.raises(ValueError, match=r"^survival vanishes at t=19\.0$"):
             measures.term_structure_report(BaseCurve.flat(0.03, 5.0), curve, 0.4)
 
-    @pytest.mark.parametrize("grid", [(), (2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-1.0,)])
+    @pytest.mark.parametrize("grid", [(), (2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-1.0,),
+                                      (1.0, math.nan), (1.0, math.inf), (1.0, 301.0)])
     def test_bad_grid_raises(self, base_curve, true_spline_curve, grid):
-        with pytest.raises(ValueError, match="report grid must be non-empty, strictly "
-                                             "increasing and > 0"):
+        # The BCDS table's quarterly schedule bounds the grid at MAX_PERIODS / 4 = 300y.
+        message = (r"^report grid must be > 0, got \[0\.0, 1\.0\]$" if grid == (0.0, 1.0) else
+                   r"^report grid must be non-empty, finite, strictly increasing and within "
+                   r"\[0, 300\.0\], got ")
+        with pytest.raises(ValueError, match=message):
             measures.term_structure_report(base_curve, true_spline_curve, 0.4, grid=grid)
 
 

@@ -70,6 +70,13 @@ def test_a_price_with_no_root_raises_the_bracket_error():
         spread_duration([2.0], [1.0], 5.0)
 
 
+def test_solve_bracketed_ends_at_a_root_or_a_collapsed_bracket():
+    assert rootfind.solve_bracketed(lambda x: x - 2.0, 0.0, 2.0) == 2.0  # a root at hi
+    # A step has no root: the bracket closes on it with the residual at full size.
+    with pytest.raises(ConvergenceError, match=r"^bracket collapsed at x=0\.3 with residual 1$"):
+        rootfind.solve_bracketed(lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1.0)
+
+
 @pytest.mark.parametrize("price", [0.0, -1.0, math.nan, math.inf])
 def test_a_bad_price_is_rejected_before_any_search(price):
     for solve in (solve_spread, spread_duration):

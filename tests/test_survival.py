@@ -240,7 +240,9 @@ def test_spline_tail_extrapolates_constant_hazard(spline_curve):
 
 
 def test_json_round_trip(tmp_path, spline_curve):
-    for curve in (spline_curve, PiecewiseHazardCurve([(1.0, 0.01), (5.0, 0.04)])):
+    knotted = SplineSurvivalCurve(SplineBasis(eta=0.12, size=5, knots=((4, 3.0), (5, 8.0))),
+                                  (0.55, 0.30, 0.15, 0.05, -0.05), horizon=20.0)
+    for curve in (spline_curve, knotted, PiecewiseHazardCurve([(1.0, 0.01), (5.0, 0.04)])):
         clone = survival_curve_from_dict(curve.to_dict())
         for t in (0.0, 0.5, 3.3, 12.0, 28.0):
             assert clone.survival(t) == pytest.approx(curve.survival(t), rel=1e-15)
@@ -249,6 +251,7 @@ def test_json_round_trip(tmp_path, spline_curve):
         loaded = load_survival_curve(str(path))
         assert loaded.survival(4.0) == pytest.approx(curve.survival(4.0), rel=1e-15)
         assert json.loads(path.read_text())["type"] == curve.to_dict()["type"]
+        assert loaded.to_dict() == curve.to_dict()  # knots included
 
 
 def test_from_dict_rejects_unknown_type():
