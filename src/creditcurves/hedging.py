@@ -1,17 +1,15 @@
 """Forward bond prices, CDS hedge construction and CDS-bond basis.
 
-A credit bond hedged with CDS leaves a residual risk-free-equivalent
-coupon stream; matching the protection notional to the forward price
-profile makes the default payout replicate the bond value at every
-horizon.  The hedge grid and CDS legs pay ``pricing.CDS_FREQ`` times a
-year.  Exposure NPVs are weighted by the default-leg measure
-Z * dQ * (1 - R), since hedge errors only realize in default states.
-Grids come from ``curves.grid_times``; CDS legs and those weights are
-read from one quarterly ``pricing.LegTable`` per hedge, the coarse hedge's cover
-to a candidate maturity included (its protection sum), the forward prices on
-a hedge or RFC grid from one ``pricing.continuous_prices`` walk, and the spot
-hedge's residual weights from one ``survivals`` read of its grid.  The CDS-bond
-basis is ``measures.das`` (one ``rootfind.solve_spread``) on the CDS-implied curve;
+A credit bond hedged with CDS leaves a residual risk-free-equivalent coupon stream;
+protection on the forward notional (P(t,T) - R) / (1 - R) (``_forward_notional``, its one
+statement) makes the default payout replicate the bond value at every horizon.  CDS legs
+pay ``pricing.CDS_FREQ`` times a year.  Both hedges turn their legs into a plan in
+``_hedge_plan``: each leg on its own quarterly date (``LegTable.n``, the
+``curves.grid_periods`` rule), priced from the hedge's one quarterly ``pricing.LegTable``,
+and the residual NPV weighted by the default-leg measure Z * dQ * (1 - R), since hedge
+errors only realize in default states.  Forward prices on a hedge or RFC grid come from
+one ``pricing.continuous_prices`` walk, and every hedge sum adds term by term
+(``_total``).  The CDS-bond basis is ``measures.das`` on the CDS-implied curve;
 ``approx_basis`` is the excess spread less the plan's own ``cost``, not re-priced.
 """
 
@@ -20,6 +18,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
+from typing import Iterable
 
 from . import measures, pricing
 from .conventional import BondSpec
@@ -53,7 +54,7 @@ class HedgePlan:
     def protection_notional(self, t: float) -> float:
         """Total live protection for a default just after time t: the legs maturing after t."""
         live = self.legs[bisect_right(self.legs, t, key=lambda leg: leg.maturity):]
-        return sum(leg.notional for leg in live)
+        return _total(leg.notional for leg in live)
 
     def to_dict(self) -> dict:
         return {
@@ -96,8 +97,13 @@ def fwd_hedge_notional(
     t: float,
 ) -> float:
     """Forward CDS notional (P(t,T) - R) / (1 - R) equating default payouts."""
-    R = check_recovery(recovery)
-    return (fwd_bond_price(bond, base, curve, recovery, t) - R) / (1.0 - R)
+    return _forward_notional(fwd_bond_price(bond, base, curve, recovery, t),
+                             check_recovery(recovery))
+
+
+def _forward_notional(price: float, R: float) -> float:
+    """The one statement of the forward notional (P - R) / (1 - R) at forward price P."""
+    return (price - R) / (1.0 - R)
 
 
 def rfc_stream(
@@ -127,16 +133,31 @@ def rfc_profile(
     return tuple(RfcPoint(t, bond.coupon - curve.hazard(t) * (p - R)) for t, p in zip(pts, prices))
 
 
-def _aggregate_spread(legs: list[tuple[float, float, float]], table: pricing.LegTable) -> float:
-    """rpv01-weighted aggregate spread of (maturity, notional, spread) legs."""
-    num = den = 0.0
-    for maturity, notional, spread in legs:
-        pv01 = table.rpv01(table.n(maturity))
+def _total(terms: Iterable[float]) -> float:
+    """The terms added one by one, as ``sum`` of floats does before Python 3.12 only."""
+    return reduce(add, terms, 0.0)
+
+
+def _hedge_plan(table: pricing.LegTable, R: float, legs: list[tuple[float, float]],
+                buckets: Iterable[tuple[float, float, float]]) -> HedgePlan:
+    """The one plan rule.  Each (maturity, notional) leg, sorted, sits on its own quarterly
+    date of ``table`` (``table.n``) and is priced at that date's par spread; the cost is the
+    legs' rpv01-weighted spread, and the residual NPV adds w * (1 - R) * (target - live)
+    over the caller's (Z * dQ, forward notional, live protection) ``buckets``."""
+    dates = [table.n(m) for m, _ in legs]
+    for (a, _), (b, _), i, j in zip(legs, legs[1:], dates, dates[1:]):
+        if i == j:
+            raise ValueError(f"hedge legs at {a!r} and {b!r} fall on one quarterly CDS date")
+    plan_legs, num, den = [], 0.0, 0.0
+    for (maturity, notional), n in zip(legs, dates):
+        spread, pv01 = table.par_spread(n, R), table.rpv01(n)
+        plan_legs.append(HedgeLeg(maturity, notional, spread))
         num += notional * spread * pv01
         den += notional * pv01
     if den == 0.0:
         raise ValueError("degenerate hedge: zero aggregate rpv01")
-    return num / den
+    residual = _total(w * (1.0 - R) * (target - live) for w, target, live in buckets)
+    return HedgePlan(legs=tuple(plan_legs), cost=num / den, residual_npv=residual)
 
 
 def spot_hedge_notionals(
@@ -158,24 +179,15 @@ def spot_hedge_notionals(
     pts = check_dates(grid, T, "grid")
     prices = pricing.continuous_prices(bond, base, curve, R, pts)
     notionals = {b: (pa - pb) / (1.0 - R) for b, pa, pb in zip(pts[1:], prices, prices[1:])}
-    terminal = (prices[-1] - R) / (1.0 - R)
-    notionals[T] = notionals.get(T, 0.0) + terminal
+    notionals[T] = notionals.get(T, 0.0) + _forward_notional(prices[-1], R)
+    legs = sorted(notionals.items())
+    # Bucket (t_i, t_{i+1}] is covered by the legs maturing after its start, legs[i:], which
+    # telescope to the forward notional there, so the residual vanishes on the plan grid.
+    qs, ends = curve.survivals(pts + [T]), pts[1:] + [T]
+    buckets = ((base.df(b) * (qa - qb), _forward_notional(p, R), _total(n for _, n in legs[i:]))
+               for i, (a, b, p, qa, qb) in enumerate(zip(pts, ends, prices, qs, qs[1:])) if a < b)
     table = pricing.LegTable.walk(grid_times(T, CDS_FREQ), CDS_FREQ, base, curve)
-    legs = [(m, n, table.par_spread(table.n(m), R)) for m, n in sorted(notionals.items()) if m > 0]
-    cost = _aggregate_spread(legs, table)
-    plan_legs = tuple(HedgeLeg(m, n, s) for m, n, s in legs)
-    plan = HedgePlan(legs=plan_legs, cost=cost, residual_npv=0.0)
-    # Residual exposure: each bucket (t_i, t_{i+1}] is covered by the legs
-    # maturing after its start, which telescope to the forward notional at
-    # the bucket start, so the replication error vanishes on the plan grid.
-    residual, qs = 0.0, curve.survivals(pts + [T])
-    for a, b, price, qa, qb in zip(pts, pts[1:] + [T], prices, qs, qs[1:]):
-        if b <= a:
-            continue
-        target = (price - R) / (1.0 - R)
-        weight = base.df(b) * (qa - qb) * (1.0 - R)
-        residual += weight * (target - plan.protection_notional(a))
-    return HedgePlan(legs=plan_legs, cost=cost, residual_npv=residual)
+    return _hedge_plan(table, R, legs, buckets)
 
 
 def coarse_hedge(
@@ -189,49 +201,37 @@ def coarse_hedge(
 
     For each candidate staggered maturity the add-on notional zeroes the
     NPV of residual default exposures on the CDS payment grid; the plan with
-    the lowest rpv01-weighted aggregate spread wins.  The candidate at
-    the bond's final maturity reproduces the single-CDS strategy.
+    the lowest rpv01-weighted aggregate spread wins.  The first candidate on each
+    quarterly date stands for it; one on the bond's last date is the single-CDS strategy.
     """
     R = check_recovery(recovery)
     T = bond.maturity
     if not candidate_maturities:
         raise ValueError("need at least one candidate maturity")
-    candidates = sorted(set(float(m) for m in candidate_maturities))
-    if not all(0.0 < m <= T + 1e-9 for m in candidates):
-        raise ValueError(f"candidate_maturities must lie in (0, maturity], got {candidates!r}")
-    if all(abs(m - T) > 1e-9 for m in candidates):
-        raise ValueError("candidates must include the bond's final maturity")
-
     grid = grid_times(T, CDS_FREQ)
     table = pricing.LegTable.walk(grid, CDS_FREQ, base, curve_cds)
-    spread_T = table.par_spread(len(grid), R)
-    # Forward notionals, and default-leg weights Z * dQ per grid bucket.
-    prices = pricing.continuous_prices(bond, base, curve_cds, R, grid)
-    fwd_n = [(p - R) / (1.0 - R) for p in prices]
-    weights = table.zdq
-    total_gap = sum(w * (n - 1.0) for w, n in zip(weights, fwd_n))
+    candidates = sorted(set(float(m) for m in candidate_maturities))
+    if not all(0.0 < m < math.inf for m in candidates) or table.n(candidates[-1]) > len(grid):
+        raise ValueError(f"candidate_maturities must lie in (0, maturity], got {candidates!r}")
+    by_date = {table.n(m): m for m in reversed(candidates)}  # each date's first candidate
+    if len(grid) not in by_date:
+        raise ValueError("candidates must include the bond's final maturity")
 
-    best: HedgePlan | None = None
-    for m in candidates:
-        k = table.n(m)  # grid dates the staggered leg covers
+    # Forward notionals, and their gap to face weighted by Z * dQ per grid bucket.
+    fwd_n = [_forward_notional(p, R) for p in
+             pricing.continuous_prices(bond, base, curve_cds, R, grid)]
+    total_gap = _total(w * (n - 1.0) for w, n in zip(table.zdq, fwd_n))
+    plans = []
+    for k, m in sorted(by_date.items()):  # k: the buckets the staggered leg covers
         covered = table.protection[k - 1]
-        if covered <= 0.0:
-            continue
-        notional = total_gap / covered
-        # NPV of residual default exposures Z * dQ * (1-R) * (target - hedged).
-        residual = sum(w * (1.0 - R) * (n - (1.0 + (notional if i < k else 0.0)))
-                       for i, (w, n) in enumerate(zip(weights, fwd_n)))
-        if abs(m - T) <= 1e-9:
-            legs = [(T, 1.0 + notional, spread_T)]
-        else:
-            legs = [(m, notional, table.par_spread(k, R)), (T, 1.0, spread_T)]
-        plan = HedgePlan(legs=tuple(HedgeLeg(*leg) for leg in legs),
-                         cost=_aggregate_spread(legs, table), residual_npv=residual)
-        if best is None or plan.cost < best.cost:
-            best = plan
-    if best is None:
+        if covered > 0.0:
+            notional = total_gap / covered
+            legs = [(T, 1.0 + notional)] if k == len(grid) else [(m, notional), (T, 1.0)]
+            live = [1.0 + notional] * k + [1.0] * (len(grid) - k)  # face plus the leg to k
+            plans.append(_hedge_plan(table, R, legs, zip(table.zdq, fwd_n, live)))
+    if not plans:
         raise ValueError("no feasible candidate maturity")
-    return best
+    return min(plans, key=lambda plan: plan.cost)  # the first of equal costs
 
 
 def basis_spread(

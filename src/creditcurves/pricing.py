@@ -40,6 +40,7 @@ from typing import Sequence
 
 from .conventional import BondSpec
 from .curves import BaseCurve, grid_periods, grid_times
+from .rootfind import pv_slope
 from .survival import SurvivalCurve
 
 CDS_FREQ = 4  # CDS premium payments per year: contracts, bootstrap, BCDS and hedges
@@ -233,12 +234,11 @@ def frp_cash_flows(bond: BondSpec, base: BaseCurve, curve: SurvivalCurve,
 def bond_pv_frp(bond: BondSpec, base: BaseCurve, curve: SurvivalCurve, recovery: float,
                 das: float = 0.0) -> float:
     """Dirty present value of a credit bond under fractional recovery of par:
-    sum w_i * exp(-das * t_i) over the ``frp_walk`` flows, so a non-zero
-    ``das`` discounts all three legs by exp(-das * t)."""
+    sum w_i * exp(-das * t_i) over the ``frp_walk`` flows (``rootfind.pv_slope``, the PV
+    every spread solve reads), so a non-zero ``das`` discounts all three legs by exp(-das * t)."""
     if not math.isfinite(das):
         raise ValueError(f"das must be finite, got {das!r}")
-    times, flows = frp_walk(bond, base, curve, recovery)
-    return sum(w * math.exp(-das * t) for t, w in zip(times, flows))
+    return pv_slope(*frp_walk(bond, base, curve, recovery), das)[0]
 
 
 def cds_upfront(cds: CdsSpec, base: BaseCurve, curve: SurvivalCurve) -> float:

@@ -7,8 +7,8 @@ after one step and then climbs to it monotonically.  A step out of the bracket,
 a slope not > 0 (flows pushed negative at float noise) or a spent budget falls
 back to ``solve_bracketed``, bisection refined by secant steps, which also
 serves the FRN discount margin and CDS bootstrap solves; for a spread it reads
-Newton's own PV.  Every solve accepts a residual of at most ``PRICE_TOL``; the
-tolerances are fixed here, not passed by callers.
+Newton's own PV, ``pv_slope`` (also ``pricing.bond_pv_frp``'s).  Every solve accepts a
+residual of at most ``PRICE_TOL``; the tolerances are fixed here, not passed by callers.
 """
 
 from __future__ import annotations
@@ -77,28 +77,30 @@ def check_price(price: float, name: str = "dirty price") -> float:
     return price
 
 
+def pv_slope(times: Sequence[float], flows: Sequence[float], s: float) -> tuple[float, float]:
+    """(sum w exp(-s t), sum t w exp(-s t)) added term by term: the one PV at a spread."""
+    pv = slope = 0.0
+    for t, w in zip(times, flows):
+        x = w * math.exp(-s * t)
+        pv += x
+        slope += t * x
+    return pv, slope
+
+
 def _spread_root(times: Sequence[float], flows: Sequence[float],
                  dirty: float) -> tuple[float, float]:
     """(s, sum t w exp(-s t)) at the root of sum w exp(-s t) = dirty: Newton from s = 0,
     else ``solve_bracketed`` on a step out of RATE_BRACKET, a slope <= 0 or a spent budget,
-    both on one PV and slope, ``pv_slope``, added term by term."""
-    def pv_slope(s: float) -> tuple[float, float]:
-        pv = slope = 0.0
-        for t, w in zip(times, flows):
-            x = w * math.exp(-s * t)
-            pv += x
-            slope += t * x
-        return pv, slope
-
+    both on one PV and slope, ``pv_slope``."""
     s, (lo, hi) = 0.0, RATE_BRACKET
     for _ in range(_MAX_ITER):
-        pv, slope = pv_slope(s)
+        pv, slope = pv_slope(times, flows, s)
         if abs(pv - dirty) <= PRICE_TOL:
             return s, slope
         if not (slope > 0.0 and lo <= (s := s + (pv - dirty) / slope) <= hi):
             break
-    s = solve_bracketed(lambda x: pv_slope(x)[0] - dirty, lo, hi)
-    return s, pv_slope(s)[1]
+    s = solve_bracketed(lambda x: pv_slope(times, flows, x)[0] - dirty, lo, hi)
+    return s, pv_slope(times, flows, s)[1]
 
 
 def solve_spread(times: Sequence[float], flows: Sequence[float], dirty: float) -> float:

@@ -67,6 +67,10 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="factors"):
             FitConfig(factors=factors)
 
+    def test_unknown_weight_scheme(self):
+        with pytest.raises(ValueError, match="^weight_scheme must be 'formula' or 'prose'$"):
+            FitConfig(weight_scheme="x")
+
 
 class TestBuildRegressors:
     def test_zero_recovery_zero_coupon(self, base_curve):

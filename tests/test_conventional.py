@@ -228,3 +228,11 @@ class TestDiscountMargin:
     def test_fixings_length_checked(self):
         with pytest.raises(ValueError):
             FrnSpec(quoted_margin=0.0, freq=4, maturity=2.0, fixings=(0.03,))
+
+    def test_no_payment_frequency(self):
+        with pytest.raises(ValueError, match="^freq must be >= 1$"):
+            FrnSpec(quoted_margin=0.0, freq=0, maturity=2.0)
+
+    def test_fixings_come_from_the_spec_or_a_base_curve(self):
+        with pytest.raises(ValueError, match="^need either explicit fixings or a base curve$"):
+            discount_margin(FrnSpec(quoted_margin=0.0, freq=4, maturity=2.0), 1.0)

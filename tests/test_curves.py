@@ -25,6 +25,10 @@ def test_df_flat_forward_extrapolation():
     assert curve.df(3.0) == pytest.approx(0.90 * (0.90 / 0.95), rel=1e-14)
 
 
+def test_repr_lists_the_nodes():
+    assert repr(BaseCurve([(1.0, 0.95), (2.5, 0.9)])) == "BaseCurve([(1, 0.95), (2.5, 0.9)])"
+
+
 def test_df_rejects_negative_time():
     curve = BaseCurve([(1.0, 0.95)])
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -267,8 +268,11 @@ class TestProtectionNotional:
     @given(case=plans_and_dates())
     def test_equals_the_sum_over_every_live_leg(self, case):
         plan, dates = case
-        for t in dates:  # oracle: every leg maturing after t, in plan order (0 if none)
-            oracle = sum(leg.notional for leg in plan.legs if leg.maturity > t)
+        for t in dates:  # oracle: every leg maturing after t, in plan order, term by term
+            oracle = 0.0
+            for leg in plan.legs:
+                if leg.maturity > t:
+                    oracle += leg.notional
             got = plan.protection_notional(t)
             assert (type(got), float(got).hex()) == (type(oracle), float(oracle).hex())
 
@@ -285,7 +289,36 @@ def test_a_plan_needs_legs_sorted_by_maturity(legs, message):
 
 class TestOneWalkPerHedge:
     """Each hedge integrates every closed-form cut of its grid once, through one
-    ``pricing.continuous_prices`` walk, not once per date from that date to maturity."""
+    ``pricing.continuous_prices`` walk, not once per date from that date to maturity,
+    and reads every leg from one quarterly ``pricing.LegTable``."""
+
+    @pytest.mark.parametrize("hedge", ["spot", "coarse"])
+    def test_one_table_and_one_walk_per_call(self, hedge_market, hedge_bonds, monkeypatch,
+                                             hedge):
+        base, curve = hedge_market
+        bond = hedge_bonds["premium"]
+        tables, walks, priced = [], [], []
+        init, prices = pricing.LegTable.__init__, pricing.continuous_prices
+        par_spread = pricing.LegTable.par_spread
+
+        def counting_init(table, *args, **kwargs):
+            tables.append(table)
+            init(table, *args, **kwargs)
+
+        monkeypatch.setattr(pricing.LegTable, "__init__", counting_init)
+        monkeypatch.setattr(pricing, "continuous_prices",
+                            lambda *args: walks.append(args[4]) or prices(*args))
+        monkeypatch.setattr(pricing.LegTable, "par_spread", lambda table, n, R: (
+            priced.append((table, n)) or par_spread(table, n, R)))
+        if hedge == "spot":
+            hedging.spot_hedge_notionals(bond, base, curve, HEDGE_RECOVERY, quarterly_grid(5.0))
+        else:
+            hedging.coarse_hedge(bond, base, curve, HEDGE_RECOVERY, [1.0, 2.0, 3.0, 4.0, 5.0])
+        assert len(tables) == 1 and len(tables[0].zq) == 20  # the 5y quarterly table
+        assert len(walks) == 1
+        assert {table for table, _ in priced} == {tables[0]}
+        if hedge == "coarse":  # every candidate's quarterly date, on that one table
+            assert {n for _, n in priced} == {4, 8, 12, 16, 20}
 
     @pytest.mark.parametrize("hedge", ["spot", "coarse", "rfc"])
     def test_cut_evaluations_are_linear_in_the_grid(self, base_curve, monkeypatch, hedge):
@@ -390,6 +423,43 @@ class TestCoarseHedge:
         base, curve = hedge_market
         with pytest.raises(ValueError, match="candidate_maturities must lie in"):
             hedging.coarse_hedge(hedge_bonds["premium"], base, curve, 0.5, [bad, 5.0])
+
+
+def date_rule_market():
+    """A 5y bond on a rising base and hazard curve, R = 0.4 for the hedges."""
+    base = BaseCurve.from_zero_rates([(0.5, 0.02), (2, 0.025), (5, 0.03), (10, 0.035)])
+    curve = PiecewiseHazardCurve([(1.0, 0.01), (3.0, 0.02), (5.0, 0.03)])
+    return BondSpec(0.06, 2, 5.0), base, curve
+
+
+def plan_hex(plan):
+    return ([(leg.maturity, leg.notional.hex(), leg.spread.hex()) for leg in plan.legs],
+            plan.cost.hex(), plan.residual_npv.hex())
+
+
+class TestHedgeDates:
+    """Both hedges tell quarterly dates apart by ``curves.grid_periods``, as every other
+    date check does: maturities within its 1e-8 periods of a date are that date."""
+
+    @pytest.mark.parametrize("candidates, same_as", [
+        ([4.999999998, 5.0], [5.0]),
+        ([4.999999998], [5.0]),
+        ([3.0, 3.000000002, 5.0], [3.0, 5.0]),
+    ])
+    def test_coarse_candidates_on_one_date_count_as_one(self, candidates, same_as):
+        bond, base, curve = date_rule_market()
+        plan = hedging.coarse_hedge(bond, base, curve, 0.4, candidates)
+        assert plan_hex(plan) == plan_hex(hedging.coarse_hedge(bond, base, curve, 0.4, same_as))
+
+    @pytest.mark.parametrize("grid, legs", [
+        ([0, 1.0, 1.000000001, 2.0, 5.0], "1.0 and 1.000000001"),
+        ([0, 1, 2, 4.999999999], "4.999999999 and 5.0"),
+    ])
+    def test_spot_legs_on_one_date_raise(self, grid, legs):
+        bond, base, curve = date_rule_market()
+        message = f"hedge legs at {legs} fall on one quarterly CDS date"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            hedging.spot_hedge_notionals(bond, base, curve, 0.4, grid)
 
 
 class TestRfcReplication:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
+from compensated_sum import builtin_sum, compensated_sum
 from conftest import make_round_trip_quotes
 from creditcurves import hedging, measures, pricing
 from creditcurves.calibration import (
@@ -130,31 +131,42 @@ def aggregate_oracle(legs, base, curve):
     return num / den
 
 
-_builtin_sum = sum
-
-
-def compensated_sum(iterable, /, start=0):
-    """``sum`` as from Python 3.12 on, for floats: Neumaier-compensated (Python 3.11's adds
-    term by term).  Any other operands go to the builtin."""
-    items = list(iterable)
-    if type(start) not in (int, float) or not all(type(x) is float for x in items):
-        return _builtin_sum(items, start)
-    total, comp = float(start), 0.0
-    for x in items:
-        t = total + x
-        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
-        total = t
-    return total + comp if math.isfinite(comp) else total
-
-
 def test_compensated_sum_is_the_neumaier_sum():
     assert compensated_sum([0.1] * 10) == 1.0  # Python 3.11's sum() gives 0.9999999999999999
     assert compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
     assert compensated_sum([[1], [2]], []) == [1, 2]
+    assert type(compensated_sum([])) is int  # as 3.12's sum([]) is 0, not 0.0
+
+
+def test_frp_pv_and_hedge_plans_are_the_same_under_either_sum():
+    # A 20-year quarterly bond: its 80 flows and the 80 quarterly hedge buckets are sums
+    # whose compensated and term-by-term totals differ in the last bits.
+    base = BaseCurve.from_zero_rates([(0.5, 0.02), (2, 0.025), (5, 0.03), (10, 0.035),
+                                      (30, 0.04)])
+    curve = PiecewiseHazardCurve([(1.0, 0.01), (3.0, 0.02), (5.0, 0.03), (10.0, 0.035),
+                                  (30.0, 0.04)])
+    bond = BondSpec(coupon=0.05, freq=4, maturity=20.0)
+
+    def results():
+        plans = (hedging.coarse_hedge(bond, base, curve, 0.4, [1.0, 2.0, 3.0, 5.0, 10.0, 20.0]),
+                 hedging.spot_hedge_notionals(bond, base, curve, 0.4,
+                                              [i / 4 for i in range(81)]))
+        return [pricing.bond_pv_frp(bond, base, curve, 0.4).hex()] + [
+            [(leg.maturity, leg.notional.hex(), leg.spread.hex()) for leg in plan.legs]
+            + [plan.cost.hex(), plan.residual_npv.hex()] for plan in plans]
+
+    with mock.patch("builtins.sum", builtin_sum):
+        expected = results()
+    with mock.patch("builtins.sum", compensated_sum):
+        assert results() == expected
 
 
 class TestLegTable:
     """Every maturity read from one table equals its own walk, bit for bit."""
+
+    def test_a_table_needs_a_date(self):
+        with pytest.raises(ValueError, match="^empty payment schedule$"):
+            pricing.LegTable([], [], 4)
 
     @settings(max_examples=30, deadline=None)
     @given(base=base_curves, curve=st.one_of(hazard_curves, spline_curves),
@@ -162,7 +174,7 @@ class TestLegTable:
     def test_report_rows_equal_the_per_tenor_measures(self, base, curve, freq, recovery):
         # Each column and its measure are one formula, so they agree bit for bit whichever
         # float sum() the interpreter has.
-        for summing in (_builtin_sum, compensated_sum):
+        for summing in (builtin_sum, compensated_sum):
             with mock.patch("builtins.sum", summing):
                 report = measures.term_structure_report(base, curve, recovery,
                                                         coupons=(0.0, 0.08), freq=freq)
@@ -525,6 +537,7 @@ _NON_FINITE_INPUTS = {
     "zz_spread tenor": lambda x: _SPLINE.zz_spread(x),
     "default_prob time": lambda x: _SPLINE.default_prob(0.5, x),
     "grid span": lambda x: grid_times(x, 4),
+    "rfc point": lambda x: hedging.RfcPoint(1.0, x),
     "par spread maturity": lambda x: pricing.cds_par_spread(
         x, 4, BaseCurve.flat(0.03), PiecewiseHazardCurve.flat(0.02), 0.4),
 }

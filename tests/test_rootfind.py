@@ -77,6 +77,11 @@ def test_solve_bracketed_ends_at_a_root_or_a_collapsed_bracket():
         rootfind.solve_bracketed(lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1.0)
 
 
+def test_solve_bracketed_needs_lo_below_hi():
+    with pytest.raises(ValueError, match="^bracket must satisfy lo < hi$"):
+        rootfind.solve_bracketed(lambda x: x - 1.0, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("price", [0.0, -1.0, math.nan, math.inf])
 def test_a_bad_price_is_rejected_before_any_search(price):
     for solve in (solve_spread, spread_duration):

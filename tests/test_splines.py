@@ -55,6 +55,10 @@ def test_invalid_configuration():
         SplineBasis(eta=0.05, size=4, knots=((4, -1.0),))  # bad tenor
     with pytest.raises(ValueError):
         SplineBasis(eta=0.05, size=5, knots=((4, 3.0), (5, 2.0)))  # not increasing
+    with pytest.raises(ValueError, match="^need at least one factor$"):
+        SplineBasis(eta=0.1, size=0)
+    with pytest.raises(ValueError, match="^t must be >= 0$"):
+        SplineBasis(eta=0.1).row(-1.0)
 
 
 def numpy_coefficients(basis, a):

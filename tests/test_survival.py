@@ -61,6 +61,16 @@ def test_default_prob_basics():
         curve.default_prob(2.0, 1.0)
 
 
+def test_forward_survival_needs_ordered_dates(spline_curve):
+    with pytest.raises(ValueError, match=r"^need 0 <= t <= T$"):
+        spline_curve.fwd_survival(3.0, 2.0)
+
+
+def test_spline_beta_must_fit_the_basis():
+    with pytest.raises(ValueError, match="^beta length must match basis size$"):
+        SplineSurvivalCurve(SplineBasis(eta=0.05), (0.6, 0.4))
+
+
 def test_default_prob_telescopes(spline_curve):
     grid = [0.5 * i for i in range(0, 41)]
     total = sum(spline_curve.default_prob(a, b) for a, b in zip(grid, grid[1:]))
