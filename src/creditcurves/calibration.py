@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import warnings
 from bisect import bisect_right
 from collections.abc import Callable
@@ -58,7 +57,7 @@ from . import pricing
 from .conventional import BondSpec
 from .curves import BaseCurve, grid_times, read_csv_rows
 from .errors import (ArbitrageError, ConvergenceError, CreditCurveError, FitError,
-                     InsufficientDataError)
+                     InsufficientDataError, check_number)
 from .rootfind import PRICE_TOL, check_price, solve_bracketed, solve_spread, spread_duration
 from .splines import SplineBasis
 from .survival import PiecewiseHazardCurve, SplineSurvivalCurve
@@ -124,12 +123,11 @@ class FitConfig:
     def __post_init__(self) -> None:
         # Knot-free factors only: there is no setting for the knots that
         # factors 4 and up need.
-        if self.factors not in (1, 2, 3):
+        if check_number(self.factors, "factors", whole=True) not in (1, 2, 3):
             raise ValueError(f"factors must be 1, 2 or 3, got {self.factors!r}")
-        grid = tuple(self.eta_grid)  # a bool or a numeric string is no decay rate
-        if not grid or not all(isinstance(e, numbers.Real) and not isinstance(e, bool)
-                               and 0.0 < e < math.inf for e in grid):
-            raise ValueError(f"eta_grid must be non-empty, real, finite and > 0, got {grid!r}")
+        grid = tuple(self.eta_grid)
+        if not grid or not all(0.0 < check_number(e, "eta_grid") < math.inf for e in grid):
+            raise ValueError(f"eta_grid must be non-empty, finite and > 0, got {grid!r}")
         object.__setattr__(self, "eta_grid", tuple(map(float, grid)))
         if self.weight_scheme not in ("formula", "prose"):
             raise ValueError("weight_scheme must be 'formula' or 'prose'")

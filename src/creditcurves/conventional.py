@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .curves import BaseCurve, grid_periods
+from .errors import check_number
 from .rootfind import RATE_BRACKET, check_price, solve_bracketed, solve_spread, spread_duration
 
 
@@ -35,13 +36,13 @@ class BondSpec:
     accrued_time: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.coupon < math.inf:
+        if not 0.0 <= check_number(self.coupon, "coupon") < math.inf:
             raise ValueError(f"coupon must be finite and >= 0, got {self.coupon!r}")
-        if self.freq not in (1, 2, 4):
+        if check_number(self.freq, "freq", whole=True) not in (1, 2, 4):
             raise ValueError("freq must be 1, 2 or 4")
-        if not self.maturity > 0.0:
+        if not check_number(self.maturity, "maturity") > 0.0:
             raise ValueError(f"maturity must be > 0, got {self.maturity!r}")
-        if not 0.0 <= self.accrued_time < 1.0 / self.freq:
+        if not 0.0 <= check_number(self.accrued_time, "accrued_time") < 1.0 / self.freq:
             raise ValueError("accrued_time must lie in [0, 1/freq)")
         grid_periods(self.maturity + self.accrued_time, self.freq)
 

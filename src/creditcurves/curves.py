@@ -89,7 +89,9 @@ class BaseCurve:
         The maturity must be an integer number of coupon periods; coupon
         dates are ``grid_times(maturity, freq)``.
         """
-        annuity = sum(self.df(t) for t in grid_times(maturity, freq))
+        annuity = 0.0  # added term by term, so no result depends on how sum() rounds
+        for t in grid_times(maturity, freq):
+            annuity += self.df(t)
         return freq * (1.0 - self.df(maturity)) / annuity
 
     def __repr__(self) -> str:

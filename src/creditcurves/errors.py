@@ -5,6 +5,8 @@ out-of-range indices).  The classes below mark failures that callers, in
 particular the command line front end, need to tell apart.
 """
 
+import numbers
+
 
 class CreditCurveError(Exception):
     """Base class for package-specific failures."""
@@ -32,3 +34,12 @@ class FitError(CreditCurveError):
 
 class ArbitrageError(CreditCurveError):
     """Market quotes admit no non-negative hazard rate."""
+
+
+def check_number(value, name: str, whole: bool = False):
+    """``value`` if it is a real number (an integer if ``whole``), else a ``ValueError``
+    naming ``name``: a string or a bool is no rate, tenor or count."""
+    kind, noun = (numbers.Integral, "an integer") if whole else (numbers.Real, "a real number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    return value

@@ -141,17 +141,17 @@ def _total(terms: Iterable[float]) -> float:
 def _hedge_plan(table: pricing.LegTable, R: float, legs: list[tuple[float, float]],
                 buckets: Iterable[tuple[float, float, float]]) -> HedgePlan:
     """The one plan rule.  Each (maturity, notional) leg, sorted, sits on its own quarterly
-    date of ``table`` (``table.n``) and is priced at that date's par spread; the cost is the
-    legs' rpv01-weighted spread, and the residual NPV adds w * (1 - R) * (target - live)
-    over the caller's (Z * dQ, forward notional, live protection) ``buckets``."""
+    date n of ``table`` (``table.n``), is reported at n / freq and priced at n's par spread;
+    the cost is the legs' rpv01-weighted spread, and the residual NPV adds w * (1 - R) *
+    (target - live) over the caller's (Z * dQ, forward notional, live protection) ``buckets``."""
     dates = [table.n(m) for m, _ in legs]
     for (a, _), (b, _), i, j in zip(legs, legs[1:], dates, dates[1:]):
         if i == j:
             raise ValueError(f"hedge legs at {a!r} and {b!r} fall on one quarterly CDS date")
     plan_legs, num, den = [], 0.0, 0.0
-    for (maturity, notional), n in zip(legs, dates):
+    for (_, notional), n in zip(legs, dates):
         spread, pv01 = table.par_spread(n, R), table.rpv01(n)
-        plan_legs.append(HedgeLeg(maturity, notional, spread))
+        plan_legs.append(HedgeLeg(n / table.freq, notional, spread))
         num += notional * spread * pv01
         den += notional * pv01
     if den == 0.0:
@@ -201,8 +201,8 @@ def coarse_hedge(
 
     For each candidate staggered maturity the add-on notional zeroes the
     NPV of residual default exposures on the CDS payment grid; the plan with
-    the lowest rpv01-weighted aggregate spread wins.  The first candidate on each
-    quarterly date stands for it; one on the bond's last date is the single-CDS strategy.
+    the lowest rpv01-weighted aggregate spread wins.  Candidates count by their quarterly
+    date; one on the bond's last date is the single-CDS strategy.
     """
     R = check_recovery(recovery)
     T = bond.maturity
@@ -213,8 +213,8 @@ def coarse_hedge(
     candidates = sorted(set(float(m) for m in candidate_maturities))
     if not all(0.0 < m < math.inf for m in candidates) or table.n(candidates[-1]) > len(grid):
         raise ValueError(f"candidate_maturities must lie in (0, maturity], got {candidates!r}")
-    by_date = {table.n(m): m for m in reversed(candidates)}  # each date's first candidate
-    if len(grid) not in by_date:
+    dates = sorted({table.n(m) for m in candidates})
+    if dates[-1] != len(grid):
         raise ValueError("candidates must include the bond's final maturity")
 
     # Forward notionals, and their gap to face weighted by Z * dQ per grid bucket.
@@ -222,11 +222,11 @@ def coarse_hedge(
              pricing.continuous_prices(bond, base, curve_cds, R, grid)]
     total_gap = _total(w * (n - 1.0) for w, n in zip(table.zdq, fwd_n))
     plans = []
-    for k, m in sorted(by_date.items()):  # k: the buckets the staggered leg covers
+    for k in dates:  # k: the buckets the staggered leg covers
         covered = table.protection[k - 1]
         if covered > 0.0:
             notional = total_gap / covered
-            legs = [(T, 1.0 + notional)] if k == len(grid) else [(m, notional), (T, 1.0)]
+            legs = [(T, 1.0 + notional)] if k == len(grid) else [(grid[k - 1], notional), (T, 1.0)]
             live = [1.0 + notional] * k + [1.0] * (len(grid) - k)  # face plus the leg to k
             plans.append(_hedge_plan(table, R, legs, zip(table.zdq, fwd_n, live)))
     if not plans:

@@ -40,6 +40,7 @@ from typing import Sequence
 
 from .conventional import BondSpec
 from .curves import BaseCurve, grid_periods, grid_times
+from .errors import check_number
 from .rootfind import pv_slope
 from .survival import SurvivalCurve
 
@@ -100,12 +101,12 @@ class CdsSpec:
     recovery: float = 0.40
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.contractual_coupon):
+        if not math.isfinite(check_number(self.contractual_coupon, "contractual_coupon")):
             raise ValueError(f"contractual_coupon must be finite, got {self.contractual_coupon!r}")
-        if not self.maturity > 0.0:
+        if not check_number(self.maturity, "maturity") > 0.0:
             raise ValueError(f"maturity must be > 0, got {self.maturity!r}")
         check_recovery(self.recovery)
-        grid_periods(self.maturity, self.freq)
+        grid_periods(self.maturity, check_number(self.freq, "freq", whole=True))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from .errors import check_number
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -30,9 +32,9 @@ class SplineBasis:
     knots: tuple[tuple[int, float], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eta < math.inf:
+        if not 0.0 < check_number(self.eta, "eta") < math.inf:
             raise ValueError(f"eta must be finite and > 0, got {self.eta!r}")
-        if self.size < 1:
+        if check_number(self.size, "size", whole=True) < 1:
             raise ValueError("need at least one factor")
         knots = tuple((int(k), float(t)) for k, t in self.knots)
         object.__setattr__(self, "knots", knots)

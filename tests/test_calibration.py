@@ -195,6 +195,17 @@ class TestFitSurvival:
         with pytest.raises(FitError, match=f"^eta={FIT_CONFIG.eta_grid[0]:g}: .*dup0"):
             fit_survival(quotes, base_curve, FIT_CONFIG)
 
+    def test_rank_deficient_skips_zero_design_rows(self):
+        # At eta = 1000 every factor underflows to 0 by t = 1, so the 1y-3y zeros have
+        # all-zero design rows; only the two 3-month bonds' rows are parallel and named.
+        quotes = [BondQuote(id=i, spec=BondSpec(0.0, 4, 0.25), clean_price=p)
+                  for i, p in (("a", 0.99), ("b", 0.98))]
+        quotes += [BondQuote(id=f"z{m}", spec=BondSpec(0.0, 1, float(m)),
+                             clean_price=math.exp(-0.05 * m)) for m in (1, 2, 3)]
+        config = FitConfig(eta_grid=(1000.0,), recovery=0.0)
+        with pytest.raises(FitError, match="rank-deficient; collinear bonds: a, b$"):
+            fit_survival(quotes, BaseCurve.flat(0.03), config)
+
     def test_matches_closed_form_gls_when_unconstrained(self, base_curve, round_trip_quotes):
         config = replace(FIT_CONFIG, eta_grid=(0.025,))
         fit = fit_survival(round_trip_quotes, base_curve, config)

@@ -5,11 +5,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
 import creditcurves
-from creditcurves import hedging, measures, pricing
+from creditcurves import cli, hedging, measures, pricing
 from creditcurves.calibration import calibrate_from_cds
 from creditcurves.cli import build_parser, main
 from creditcurves.conventional import BondSpec
@@ -277,6 +278,21 @@ class TestBasisAndHedge:
         assert plan["legs"][-1]["notional"] == 1.0
         assert abs(plan["residual_npv"]) < 1e-10
 
+    def test_hedge_plans_write_each_leg_at_its_quarterly_date(self, tmp_path):
+        write_base(tmp_path / "base.csv")
+        quotes = [(3.000000002, 0.0120), (5.0, 0.0150)]
+        write_cds(tmp_path / "cds.csv", quotes)
+        curve = calibrate_from_cds(quotes, base_curve(), RECOVERY)
+        price = pricing.bond_pv_frp(BondSpec(0.09, 2, 5.0), base_curve(), curve, RECOVERY)
+        bonds = tmp_path / "bonds.csv"
+        bonds.write_text("id,coupon,freq,maturity_years,accrued_years,clean_price\n"
+                         f"prem,0.09,2,5.0,0.0,{price!r}\n")
+        out = tmp_path / "out"
+        assert run(["hedge", "--base", tmp_path / "base.csv", "--bonds", bonds,
+                    "--cds", tmp_path / "cds.csv", "--out", out]) == 0
+        plan = json.loads((out / "hedge_plans.json").read_text())["prem"]
+        assert [leg["maturity"] for leg in plan["legs"]] == [3.0, 5.0]
+
     @pytest.mark.parametrize("command", ["hedge", "price"])
     def test_header_only_bond_file_exits_2_and_writes_nothing(self, pipeline_dir, capsys,
                                                               command):
@@ -337,7 +353,7 @@ def subparsers():
 
 
 class _Reads:
-    """Namespace proxy recording every attribute a runner reads."""
+    """Namespace proxy recording every attribute ``main`` and its stages read."""
 
     def __init__(self, namespace):
         self._namespace, self.names = namespace, set()
@@ -355,12 +371,26 @@ class TestFlags:
         assert sum(map(len, accepted.values())) == 29
 
     @pytest.mark.parametrize("command", sorted(FLAGS))
-    def test_runner_reads_every_flag_it_accepts(self, pipeline_dir, command):
-        args = build_parser().parse_args(full_argv(pipeline_dir, command))
-        reads = _Reads(args)
-        assert args.runner(reads) == 0
+    def test_runner_reads_every_flag_it_accepts(self, pipeline_dir, monkeypatch, command):
+        # The whole run reads the parsed flags through the proxy: the load stage, the
+        # runner and the write stage, so a flag none of them reads is caught.
+        argv = full_argv(pipeline_dir, command)
+        reads = _Reads(build_parser().parse_args(argv))
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: types.SimpleNamespace(parse_args=lambda _: reads))
+        assert main(argv) == 0
         options = [a for a in subparsers()[command]._actions if a.option_strings]
-        assert reads.names == {a.dest for a in options} - {"help"}
+        dests = {a.dest for a in options} - {"help"}
+        assert reads.names == dests | {"command"}
+        assert (pipeline_dir / "out").is_dir()
+        # The runner alone reads every flag but the input files and --out, which the load
+        # and write stages consume: ``main``'s own --recovery range check reads none for it.
+        _, runner, flags = cli._COMMANDS[command]
+        args = reads._namespace
+        inputs = cli._load(args, cli._COMMON + flags)
+        runner_reads = _Reads(args)
+        runner(runner_reads, **inputs)
+        assert runner_reads.names == dests - set(inputs) - {"out"}
 
     @pytest.mark.parametrize("command, extra", [
         ("report", ["--format", "json"]),

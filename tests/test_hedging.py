@@ -287,6 +287,15 @@ def test_a_plan_needs_legs_sorted_by_maturity(legs, message):
         HedgePlan(legs=legs, cost=0.01, residual_npv=0.0)
 
 
+def test_a_plan_with_zero_aggregate_rpv01_is_degenerate():
+    # Neither hedge makes sum(notional * rpv01) exactly 0 from float inputs, so the check is
+    # run on the plan rule itself, with one leg of zero notional.
+    bond, base, curve = date_rule_market()
+    table = pricing.LegTable.walk(grid_times(1.0, 4), 4, base, curve)
+    with pytest.raises(ValueError, match="^degenerate hedge: zero aggregate rpv01$"):
+        hedging._hedge_plan(table, 0.4, [(1.0, 0.0)], [])
+
+
 class TestOneWalkPerHedge:
     """Each hedge integrates every closed-form cut of its grid once, through one
     ``pricing.continuous_prices`` walk, not once per date from that date to maturity,
@@ -445,11 +454,21 @@ class TestHedgeDates:
         ([4.999999998, 5.0], [5.0]),
         ([4.999999998], [5.0]),
         ([3.0, 3.000000002, 5.0], [3.0, 5.0]),
+        ([3.000000002, 5.0], [3.0, 5.0]),
     ])
     def test_coarse_candidates_on_one_date_count_as_one(self, candidates, same_as):
         bond, base, curve = date_rule_market()
         plan = hedging.coarse_hedge(bond, base, curve, 0.4, candidates)
         assert plan_hex(plan) == plan_hex(hedging.coarse_hedge(bond, base, curve, 0.4, same_as))
+
+    @pytest.mark.parametrize("hedge, dates, legs", [
+        (hedging.coarse_hedge, [3.000000002, 5.0], [3.0, 5.0]),
+        (hedging.spot_hedge_notionals, [0, 1.0, 2.000000001, 5.0], [1.0, 2.0, 5.0]),
+    ], ids=["coarse", "spot"])
+    def test_legs_are_reported_at_their_quarterly_dates(self, hedge, dates, legs):
+        bond, base, curve = date_rule_market()
+        plan = hedge(bond, base, curve, 0.4, dates)
+        assert [leg.maturity for leg in plan.legs] == legs
 
     @pytest.mark.parametrize("grid, legs", [
         ([0, 1.0, 1.000000001, 2.0, 5.0], "1.0 and 1.000000001"),

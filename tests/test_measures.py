@@ -355,6 +355,12 @@ class TestTermStructureReport:
         with pytest.raises(ValueError, match=r"^survival vanishes at t=19\.0$"):
             measures.term_structure_report(BaseCurve.flat(0.03, 5.0), curve, 0.4)
 
+    def test_a_non_finite_value_raises_naming_the_tenor(self):
+        # Z(0.5) = 5e-309 is subnormal, so the par coupon's 1 / annuity overflows to inf.
+        with pytest.raises(ValueError, match=r"^non-finite report value at tenor 0\.5$"):
+            measures.term_structure_report(BaseCurve([(0.5, 5e-309)]),
+                                           PiecewiseHazardCurve.flat(0.02), 0.4)
+
     @pytest.mark.parametrize("grid", [(), (2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-1.0,),
                                       (1.0, math.nan), (1.0, math.inf), (1.0, 301.0)])
     def test_bad_grid_raises(self, base_curve, true_spline_curve, grid):

@@ -138,9 +138,10 @@ def test_compensated_sum_is_the_neumaier_sum():
     assert type(compensated_sum([])) is int  # as 3.12's sum([]) is 0, not 0.0
 
 
-def test_frp_pv_and_hedge_plans_are_the_same_under_either_sum():
+def test_sum_free_results_are_the_same_under_either_sum():
     # A 20-year quarterly bond: its 80 flows and the 80 quarterly hedge buckets are sums
-    # whose compensated and term-by-term totals differ in the last bits.
+    # whose compensated and term-by-term totals differ in the last bits, as are the
+    # semiannual annuities of the riskless par yield to 1..30 years.
     base = BaseCurve.from_zero_rates([(0.5, 0.02), (2, 0.025), (5, 0.03), (10, 0.035),
                                       (30, 0.04)])
     curve = PiecewiseHazardCurve([(1.0, 0.01), (3.0, 0.02), (5.0, 0.03), (10.0, 0.035),
@@ -153,7 +154,8 @@ def test_frp_pv_and_hedge_plans_are_the_same_under_either_sum():
                                               [i / 4 for i in range(81)]))
         return [pricing.bond_pv_frp(bond, base, curve, 0.4).hex()] + [
             [(leg.maturity, leg.notional.hex(), leg.spread.hex()) for leg in plan.legs]
-            + [plan.cost.hex(), plan.residual_npv.hex()] for plan in plans]
+            + [plan.cost.hex(), plan.residual_npv.hex()] for plan in plans] + [
+            base.par_yield(float(m), 2).hex() for m in range(1, 31)]
 
     with mock.patch("builtins.sum", builtin_sum):
         expected = results()
@@ -550,6 +552,29 @@ def test_non_finite_input_raises_a_typed_error(field, value):
         _NON_FINITE_INPUTS[field](value)
 
 
+# A string or a bool where a number belongs: (field the error names, constructor call).
+_MISTYPED_INPUTS = {
+    "bond coupon string": ("coupon", lambda: BondSpec("0.05", 2, 5.0)),
+    "bond maturity string": ("maturity", lambda: BondSpec(0.05, 2, "5")),
+    "cds coupon string": ("contractual_coupon", lambda: CdsSpec("0.01", 5.0)),
+    "basis eta string": ("eta", lambda: SplineBasis(eta="0.05")),
+    "basis size float": ("size", lambda: SplineBasis(eta=0.05, size=2.0)),
+    "bond coupon bool": ("coupon", lambda: BondSpec(True, 2, 5.0)),
+    "bond freq bool": ("freq", lambda: BondSpec(0.05, True, 5.0)),
+    "cds coupon bool": ("contractual_coupon", lambda: CdsSpec(True, 5.0)),
+    "basis eta bool": ("eta", lambda: SplineBasis(eta=True)),
+    "fit factors float": ("factors", lambda: FitConfig(factors=2.0)),
+    "fit factors bool": ("factors", lambda: FitConfig(factors=True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISTYPED_INPUTS))
+def test_mistyped_number_raises_naming_its_field(case):
+    field, call = _MISTYPED_INPUTS[case]
+    with pytest.raises(ValueError, match=f"^{field} must be an? (real number|integer), got "):
+        call()
+
+
 _FLAT = (BaseCurve.flat(0.03), PiecewiseHazardCurve.flat(0.02))
 _RECOVERY_INPUTS = {
     "par_coupon": ("recovery", lambda x: measures.par_coupon(5.0, 2, *_FLAT, x)),
@@ -607,6 +632,30 @@ def test_non_finite_argument_raises_naming_it(field, value):
 def test_continuous_par_spread_needs_a_positive_maturity(maturity):
     with pytest.raises(ValueError, match="maturity must be finite and > 0, got"):
         pricing.cds_par_spread_continuous(maturity, 4, *_FLAT, 0.4)
+
+
+@pytest.mark.parametrize("call, message", [
+    # No discounting left: Z = 0 on the only date leaves the premium annuity at 0.
+    (lambda: pricing.LegTable([0.0], [1.0], 4).par_spread(1, 0.4),
+     "degenerate premium annuity"),
+    # A flat rate of 3 > 2 * freq outweighs the annuity in the f/2q discounting correction.
+    (lambda: pricing.cds_par_spread_continuous(5.0, 1, BaseCurve.flat(3.0), _FLAT[1], 0.4),
+     "degenerate premium annuity"),
+    # An annual bond 0.99y into its last period at hazard 50: the accrued 0.99 outweighs
+    # the annuity Z * Q(0.01), Q(0.01) = exp(-0.5).
+    (lambda: measures.fitted_par_coupon(BondSpec(0.05, 1, 0.01, accrued_time=0.99),
+                                        BaseCurve.flat(0.03), PiecewiseHazardCurve.flat(50.0),
+                                        0.4),
+     "non-positive par-coupon denominator"),
+], ids=["leg table par spread", "continuous par spread", "par coupon"])
+def test_a_degenerate_denominator_raises(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("t0, t1", [(1.0, 1.0), (2.0, 1.0)])
+def test_survival_discount_integrals_over_no_interval_are_zero(t0, t1):
+    assert pricing.survival_discount_integrals(*_FLAT, t0, t1) == (0.0, 0.0, 0.0)
 
 
 class TestDomainTypes:

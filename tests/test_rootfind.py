@@ -77,6 +77,18 @@ def test_solve_bracketed_ends_at_a_root_or_a_collapsed_bracket():
         rootfind.solve_bracketed(lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1.0)
 
 
+def test_a_collapsed_bracket_accepts_a_residual_small_against_the_jump():
+    # |f| = 1e-6 at the closing end is above PRICE_TOL but within 1e-9 * (|fa| + |fb|).
+    x = rootfind.solve_bracketed(lambda x: 1e6 if x >= 0.3 else -1e-6, 0.0, 1.0)
+    assert x < 0.3 and x == pytest.approx(0.3, abs=1e-14)
+
+
+def test_solve_bracketed_stops_at_its_iteration_cap():
+    # Halving a bracket 1e300 wide down to _X_TOL takes over 1,000 bisections.
+    with pytest.raises(ConvergenceError, match="^no convergence after 200 iterations$"):
+        rootfind.solve_bracketed(lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1e300)
+
+
 def test_solve_bracketed_needs_lo_below_hi():
     with pytest.raises(ValueError, match="^bracket must satisfy lo < hi$"):
         rootfind.solve_bracketed(lambda x: x - 1.0, 1.0, 1.0)

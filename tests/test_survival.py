@@ -12,6 +12,7 @@ from creditcurves.survival import (
     _Q0_TOL,
     PiecewiseHazardCurve,
     SplineSurvivalCurve,
+    SurvivalCurve,
     load_survival_curve,
     survival_curve_from_dict,
 )
@@ -97,6 +98,33 @@ def test_zz_spread_values(spline_curve):
         assert flat.zz_spread(T) == pytest.approx(0.017, abs=1e-14)
     curve = PiecewiseHazardCurve([(5.0, -math.log(0.9) / 5.0)])
     assert curve.zz_spread(5.0) == pytest.approx(-math.log(0.9) / 5.0, rel=1e-12)
+
+
+class _SurvivalOnly(SurvivalCurve):
+    """A curve implementing only ``survival``: Q(t) = exp(-0.03 t)."""
+
+    def survival(self, t):
+        return math.exp(-0.03 * t)
+
+
+def test_default_survivals_reads_survival_at_each_date():
+    curve, times = _SurvivalOnly(), [2.0, 0.5, 7.25]
+    assert curve.survivals(times) == [curve.survival(t) for t in times]
+
+
+@pytest.mark.parametrize("call, message", [
+    # exp(-1000) underflows to 0.0, so Q(T) / Q(1) has no denominator.
+    (lambda: PiecewiseHazardCurve.flat(1000.0).fwd_survival(1.0, 2.0),
+     "survival vanishes at t=1.0"),
+    # exp(-40 * 19) underflows before the knot at 20; the knotted factor then lifts Q by
+    # 3.3e-14, within _Q0_TOL, so the curve is accepted with Q(19) = 0.
+    (lambda: SplineSurvivalCurve(SplineBasis(eta=40.0, size=4, knots=((4, 20.0),)),
+                                 (1.0 - 1e-13, 0.0, 0.0, 1e-13), horizon=30.0).hazard(19.0),
+     "survival vanishes at t=19.0; hazard undefined"),
+], ids=["fwd_survival", "spline hazard"])
+def test_a_measure_conditional_on_vanished_survival_raises(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_zz_spread_where_survival_vanishes_names_the_tenor():
