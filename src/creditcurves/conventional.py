@@ -86,13 +86,13 @@ class FrnSpec:
     fixings: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.freq < 1:
+        if check_number(self.freq, "freq", whole=True) < 1:
             raise ValueError("freq must be >= 1")
-        if not math.isfinite(self.quoted_margin):
+        if not math.isfinite(check_number(self.quoted_margin, "quoted_margin")):
             raise ValueError(f"quoted_margin must be finite, got {self.quoted_margin!r}")
-        n = grid_periods(self.maturity, self.freq)
+        n = grid_periods(check_number(self.maturity, "maturity"), self.freq)
         if self.fixings is not None:
-            fixings = tuple(float(x) for x in self.fixings)
+            fixings = tuple(float(check_number(x, "fixings")) for x in self.fixings)
             if len(fixings) != n or not all(math.isfinite(x) for x in fixings):
                 raise ValueError(f"need one finite fixing per payment period, got {fixings!r}")
             object.__setattr__(self, "fixings", fixings)

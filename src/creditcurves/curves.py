@@ -20,7 +20,7 @@ import math
 from bisect import bisect_right
 from typing import Callable, Iterable
 
-from .errors import ParseError, ScheduleError
+from .errors import ParseError, ScheduleError, check_number
 
 MAX_PERIODS = 1200  # longest schedule grid_periods allows: 100 years of monthly periods
 
@@ -29,7 +29,8 @@ class BaseCurve:
     """Immutable discount curve, log-linear in discount factors."""
 
     def __init__(self, nodes: Iterable[tuple[float, float]]):
-        pts = [(float(t), float(df)) for t, df in nodes]
+        pts = [(float(check_number(t, "node tenor")), float(check_number(df, "discount factor")))
+               for t, df in nodes]
         if not pts:
             raise ValueError("curve needs at least one node")
         prev_t, prev_df = 0.0, 1.0

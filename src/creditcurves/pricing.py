@@ -83,8 +83,8 @@ class RecoveryAssumption(float):
     """Fractional recovery of par, validated; accrued recovers the same rate."""
 
     def __new__(cls, principal: float, accrued: float | None = None):
-        check_recovery(principal, "principal")
-        if accrued is not None and float(accrued) != principal:
+        check_recovery(check_number(principal, "principal"), "principal")
+        if accrued is not None and check_number(accrued, "accrued") != principal:
             raise ValueError("accrued recovery must equal principal recovery")
         return super().__new__(cls, principal)
 
@@ -120,10 +120,10 @@ class TriangleQuotes:
 
     def __post_init__(self) -> None:
         for name in ("cds_spread", "dds_spread"):
-            if not math.isfinite(getattr(self, name)):
+            if not math.isfinite(check_number(getattr(self, name), name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("dds_recovery", "rs_rate"):
-            check_recovery(getattr(self, name), name)
+            check_recovery(check_number(getattr(self, name), name), name)
 
 
 def _legs(zs: list[float], qs: list[float],

@@ -6,8 +6,9 @@ is convex and decreasing, so Newton's method from s = 0 lands left of the root
 after one step and then climbs to it monotonically.  A step out of the bracket,
 a slope not > 0 (flows pushed negative at float noise) or a spent budget falls
 back to ``solve_bracketed``, bisection refined by secant steps, which also
-serves the FRN discount margin and CDS bootstrap solves; for a spread it reads
-Newton's own PV, ``pv_slope`` (also ``pricing.bond_pv_frp``'s).  Every solve accepts a
+serves the FRN discount margin and the CDS bootstrap's fallback, once a segment's
+secant steps from the credit triangle fail; for a spread it reads Newton's own
+PV, ``pv_slope`` (also ``pricing.bond_pv_frp``'s).  Every solve accepts a
 residual of at most ``PRICE_TOL``; the tolerances are fixed here, not passed by callers.
 """
 

@@ -26,7 +26,7 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import Sequence
 
-from .errors import ParseError
+from .errors import ParseError, check_number
 from .splines import SplineBasis
 
 DEFAULT_HORIZON = 30.0
@@ -203,7 +203,8 @@ class PiecewiseHazardCurve(SurvivalCurve):
     """Piecewise-constant hazard; segment k covers (tenor_{k-1}, tenor_k]."""
 
     def __init__(self, segments: Sequence[tuple[float, float]]):
-        segs = tuple((float(t), float(h)) for t, h in segments)
+        segs = tuple((float(check_number(t, "segment tenor")),
+                      float(check_number(h, "hazard rate"))) for t, h in segments)
         if not segs:
             raise ValueError("need at least one hazard segment")
         cum, prev = [0.0], 0.0  # cumulative hazard at the segment ends

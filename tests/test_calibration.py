@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -26,7 +27,7 @@ from creditcurves.conventional import BondSpec, z_spread_duration
 from creditcurves.curves import BaseCurve, grid_times
 from creditcurves.errors import (ArbitrageError, ConvergenceError, FitError,
                                 InsufficientDataError, ParseError, ScheduleError)
-from creditcurves.rootfind import solve_bracketed
+from creditcurves.rootfind import PRICE_TOL, solve_bracketed
 from creditcurves.splines import SplineBasis
 from creditcurves.survival import PiecewiseHazardCurve, SplineSurvivalCurve
 
@@ -297,10 +298,43 @@ def inside(stack, call, calls=None):
     return wrapper
 
 
-def full_walk_bootstrap(quotes, base, rs_rate):
+def bracket_search(gap, maturity, spread, rs_rate):
+    """The bracket alone: ``ArbitrageError`` if gap(0) > 0, the upper end doubled from 1
+    up to 64 (``ConvergenceError`` past it), then ``solve_bracketed`` on [0, hi]."""
+    if gap(0.0) > 0.0:
+        raise ArbitrageError(f"no non-negative hazard reproduces the {maturity}y quote")
+    hi = 1.0
+    while gap(hi) < 0.0:
+        if hi >= 64.0:
+            raise ConvergenceError(f"no hazard up to {hi:g} reproduces the {maturity}y quote")
+        hi *= 2.0
+    return solve_bracketed(gap, 0.0, hi)
+
+
+def secant_search(gap, maturity, spread, rs_rate):
+    """The search of ``calibrate_from_cds``: the hazards h0 = S / (1 - R) and 1.01 h0, then
+    secant steps while the last gap exceeds ``PRICE_TOL``, up to 10 hazards in all, each in
+    [0, 64); ``bracket_search`` on a hazard out of range, equal gaps or a spent budget."""
+    h0 = pricing.credit_triangle_hazard(spread, rs_rate)
+    hazards = [h0, 1.01 * h0]
+    while hazards[-1] < 64.0:
+        a, b = hazards[-2:]
+        fa, fb = gap(a), gap(b)
+        if abs(fb) <= PRICE_TOL:
+            return b
+        if len(hazards) == 10 or fa == fb:
+            break
+        x = b - fb * (b - a) / (fb - fa)
+        if not 0.0 <= x:
+            break
+        hazards.append(x)
+    return bracket_search(gap, maturity, spread, rs_rate)
+
+
+def full_walk_bootstrap(quotes, base, rs_rate, search=secant_search):
     """The reference bootstrap: the quote rule up front, then every trial hazard prices a
     fresh curve by ``pricing.cds_par_spread``, a walk of the whole schedule from t = 0,
-    with the bracket, solver and errors of ``calibrate_from_cds``."""
+    with each segment's hazard from ``search`` (by default that of ``calibrate_from_cds``)."""
     count = 0
     for maturity, spread in quotes:
         count = pricing.check_cds_quote(maturity, spread, count)
@@ -315,14 +349,7 @@ def full_walk_bootstrap(quotes, base, rs_rate):
                 gaps[h] = par - spread
             return gaps[h]
 
-        if spread_gap(0.0) > 0.0:
-            raise ArbitrageError(f"no non-negative hazard reproduces the {maturity}y quote")
-        hi = 1.0
-        while spread_gap(hi) < 0.0:
-            if hi >= 64.0:
-                raise ConvergenceError(f"no hazard up to {hi:g} reproduces the {maturity}y quote")
-            hi *= 2.0
-        segments.append((maturity, solve_bracketed(spread_gap, 0.0, hi)))
+        segments.append((maturity, search(spread_gap, maturity, spread, rs_rate)))
     return PiecewiseHazardCurve(segments)
 
 
@@ -345,6 +372,8 @@ BOOTSTRAP_CASES = {
     "hazards past 1": ([(1.0, 0.9), (2.0, 0.9)], "steep", None),
     "arbitrage": ([(1.0, 0.0200), (3.0, 0.0001)], "flat 3%", ArbitrageError),
     "bracket exhausted": ([(1.0, 0.01), (2.0, 50.0)], "flat 0", ConvergenceError),
+    # Past any par spread the 2y quarters allow: the secant's first step leaves [0, 64).
+    "secant past the cap": ([(1.0, 0.01), (2.0, 4.0)], "flat 0", ConvergenceError),
     "off grid": ([(1.0, 0.01), (2.1, 0.02)], "steep", ScheduleError),
     "shared quarter": ([(1.0, 0.01), (1.000000001, 0.0101)], "steep", ValueError),
 }
@@ -373,6 +402,24 @@ def cds_quote_lists(draw):
     return [(m, 10.0 ** (level + move)) for m, move in zip(maturities, moves)]
 
 
+def segment_trials(monkeypatch, quotes, base, rs_rate=0.40):
+    """Each segment's trial hazards, in the order they are priced, and the outcome of
+    ``calibrate_from_cds`` (hazards as hex floats, or the error's type and message).  A
+    trial is one Q read on its trial curve; the gate's repricing reads are not trials."""
+    trials, gating = [], []
+    read, price = PiecewiseHazardCurve.survivals, pricing.cds_par_spread
+
+    def spy(curve, times):
+        if not gating:
+            trials.append(curve.segments)
+        return read(curve, times)
+
+    monkeypatch.setattr(PiecewiseHazardCurve, "survivals", spy)
+    monkeypatch.setattr(pricing, "cds_par_spread", inside(gating, price))
+    outcome = bootstrap_outcome(calibrate_from_cds, quotes, base, rs_rate)
+    return [[s[k][1] for s in trials if len(s) == k + 1] for k in range(len(quotes))], outcome
+
+
 class TestCdsBootstrap:
     def test_single_quote_near_credit_triangle(self):
         base = BaseCurve.flat(0.0)
@@ -397,23 +444,34 @@ class TestCdsBootstrap:
         [(1.0, 0.9), (2.0, 0.9)],  # hazards past 1: the bracket end doubles
     ], ids=["hazards below 1", "hazards past 1"])
     def test_each_trial_hazard_is_priced_once(self, monkeypatch, base_curve, quotes):
-        # A trial is one Q read on its trial curve; the gate's repricing reads are not trials.
-        trials, gating = [], []
-        read, price = PiecewiseHazardCurve.survivals, pricing.cds_par_spread
+        tried, outcome = segment_trials(monkeypatch, quotes, base_curve)
+        assert isinstance(outcome, list)
+        # Each segment's search starts from the credit triangle and 1.01 times it.
+        for (_, spread), hazards, accepted in zip(quotes, tried, outcome):
+            h0 = pricing.credit_triangle_hazard(spread, 0.40)
+            assert len(hazards) == len(set(hazards))
+            assert hazards[:2] == [h0, 1.01 * h0] and float.fromhex(accepted) in hazards
 
-        def spy(curve, times):
-            if not gating:
-                trials.append(curve.segments)
-            return read(curve, times)
+    def test_each_segment_takes_at_most_two_starts_and_eight_secant_steps(
+            self, monkeypatch, base_curve):
+        quotes = [(1.0, 0.0080), (3.0, 0.0120), (5.0, 0.0150), (7.0, 0.0160)]
+        tried, outcome = segment_trials(monkeypatch, quotes, base_curve)
+        assert isinstance(outcome, list)
+        assert all(2 <= len(hazards) <= 10 for hazards in tried)
 
-        monkeypatch.setattr(PiecewiseHazardCurve, "survivals", spy)
-        monkeypatch.setattr(pricing, "cds_par_spread", inside(gating, price))
-        curve = calibrate_from_cds(quotes, base_curve, 0.40)
-        assert len(trials) == len(set(trials))
-        # Each segment's search starts from h = 0 and the bracket end, priced before it.
-        for k in range(len(quotes)):
-            tried = [s[k][1] for s in trials if len(s) == k + 1]
-            assert tried[:2] == [0.0, 1.0] and curve.hazard_rates[k] in tried
+    @pytest.mark.parametrize("name", ["arbitrage", "bracket exhausted", "secant past the cap"])
+    def test_a_failed_secant_falls_back_to_the_bracket_and_its_error(self, monkeypatch, name):
+        quotes, base, kind = BOOTSTRAP_CASES[name]
+        # gap(0) > 0 ends the bracket search at once; else its end doubles from 1 to 64.
+        bracket = [0.0] if kind is ArbitrageError else [0.0] + [2.0 ** k for k in range(7)]
+        tried, outcome = segment_trials(monkeypatch, quotes, BOOTSTRAP_BASES[base])
+        secant = tried[-1][:tried[-1].index(0.0)]  # the failing segment's secant trials
+        assert len(secant) <= 10 and all(0.0 < h < 64.0 for h in secant)
+        assert tried[-1][len(secant):] == bracket
+        assert outcome == bootstrap_outcome(
+            functools.partial(full_walk_bootstrap, search=bracket_search),
+            quotes, BOOTSTRAP_BASES[base], 0.40)
+        assert outcome[0] == kind.__name__
 
     def test_one_df_a_date_q_on_the_trial_segment_and_one_repricing_a_quote(
             self, monkeypatch, base_curve):
@@ -475,6 +533,46 @@ class TestCdsBootstrap:
         curve = BOOTSTRAP_BASES[base]
         assert (bootstrap_outcome(calibrate_from_cds, quotes, curve, rs_rate)
                 == bootstrap_outcome(full_walk_bootstrap, quotes, curve, rs_rate))
+
+    @settings(max_examples=60, deadline=None)
+    @given(quotes=cds_quote_lists(), base=st.sampled_from(sorted(BOOTSTRAP_BASES)),
+           rs_rate=st.sampled_from([0.0, 0.4, 0.75]))
+    @case_example("hazards past 1")
+    @case_example("arbitrage")
+    @case_example("bracket exhausted")
+    # Q(6.75) is about 2e-12, so every last-quarter hazard meets the 7y quote within
+    # PRICE_TOL: the secant's first trials are accepted, while the bracket alone finds
+    # gap(0) > 0 by less than PRICE_TOL and raises ArbitrageError.
+    @example(quotes=[(6.75, 1.0), (7.0, 1.0)], base="flat 0", rs_rate=0.75)
+    def test_hazards_reprice_each_quote_wherever_the_bracket_alone_succeeds(
+            self, quotes, base, rs_rate):
+        # Segment by segment, on the same earlier hazards: the search meets the quote within
+        # PRICE_TOL wherever the bracket alone does, and raises only the bracket's own error
+        # and message.  It may meet a quote the bracket refuses on a gap within PRICE_TOL.
+        def compared(gap, maturity, spread, rs_rate):
+            def outcome(search):
+                try:
+                    return search(gap, maturity, spread, rs_rate)
+                except (ArbitrageError, ConvergenceError) as exc:
+                    return type(exc).__name__, str(exc)
+
+            new, bracket = outcome(secant_search), outcome(bracket_search)
+            if isinstance(new, tuple):
+                assert new == bracket
+            else:
+                assert abs(gap(new)) <= PRICE_TOL
+            return secant_search(gap, maturity, spread, rs_rate)
+
+        curve = BOOTSTRAP_BASES[base]
+        outcome = bootstrap_outcome(calibrate_from_cds, quotes, curve, rs_rate)
+        assert outcome == bootstrap_outcome(functools.partial(full_walk_bootstrap, search=compared),
+                                            quotes, curve, rs_rate)
+        if isinstance(outcome, list):
+            hazards = PiecewiseHazardCurve(
+                [(m, float.fromhex(h)) for (m, _), h in zip(quotes, outcome)])
+            for maturity, spread in quotes:
+                par = pricing.cds_par_spread(maturity, pricing.CDS_FREQ, curve, hazards, rs_rate)
+                assert abs(par - spread) <= PRICE_TOL
 
     def test_arbitrage_error_names_maturity(self, base_curve):
         with pytest.raises(ArbitrageError, match="3.0"):

@@ -565,6 +565,23 @@ _MISTYPED_INPUTS = {
     "basis eta bool": ("eta", lambda: SplineBasis(eta=True)),
     "fit factors float": ("factors", lambda: FitConfig(factors=2.0)),
     "fit factors bool": ("factors", lambda: FitConfig(factors=True)),
+    "hazard rate bool": ("hazard rate", lambda: PiecewiseHazardCurve([(1.0, True)])),
+    "hazard rate string": ("hazard rate", lambda: PiecewiseHazardCurve([(1.0, "0.01")])),
+    "hazard tenor string": ("segment tenor", lambda: PiecewiseHazardCurve([("1.0", 0.01)])),
+    "base df string": ("discount factor", lambda: BaseCurve([(1.0, "0.97")])),
+    "base tenor bool": ("node tenor", lambda: BaseCurve([(True, 0.97)])),
+    "recovery string": ("principal", lambda: RecoveryAssumption("0.4")),
+    "recovery bool": ("principal", lambda: RecoveryAssumption(False)),
+    "recovery accrued string": ("accrued", lambda: RecoveryAssumption(0.4, "0.4")),
+    "frn margin string": ("quoted_margin", lambda: FrnSpec("0.01", 4, 2.0)),
+    "frn margin bool": ("quoted_margin", lambda: FrnSpec(True, 4, 2.0)),
+    "frn freq float": ("freq", lambda: FrnSpec(0.01, 4.0, 2.0)),
+    "frn maturity string": ("maturity", lambda: FrnSpec(0.01, 4, "2.0")),
+    "frn fixing string": ("fixings", lambda: FrnSpec(0.01, 4, 0.5, fixings=("0.02", 0.02))),
+    "triangle cds string": ("cds_spread", lambda: TriangleQuotes("0.01", 0.02, 0.2, 0.4)),
+    "triangle dds bool": ("dds_spread", lambda: TriangleQuotes(0.01, True, 0.2, 0.4)),
+    "triangle recovery string": ("dds_recovery", lambda: TriangleQuotes(0.01, 0.02, "0.2", 0.4)),
+    "triangle rs_rate bool": ("rs_rate", lambda: TriangleQuotes(0.01, 0.02, 0.2, False)),
 }
 
 
