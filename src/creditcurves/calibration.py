@@ -71,7 +71,6 @@ OUTLIER_TUNING = 4.685   # Tukey bisquare constant, in robust standard deviation
 OUTLIER_TOL = 1e-8       # IRLS stops once no weight moves this much or no residual > PRICE_TOL
 OUTLIER_MAX_ITER = 10    # IRLS cap: weighted solves per eta candidate
 FLAT_ERROR_TOL = 1e-6    # recovery not identified: fit error spread across the scan below this
-_SECANT_STEPS = 8        # secant steps of a CDS segment's search before its bracket
 _HAZARD_CAP = 64.0       # the largest hazard a CDS segment's search tries
 _FEAS_TOL = 1e-10
 _MULT_TOL = 1e-10
@@ -460,45 +459,17 @@ def fit_survival(
     return _fit_core(prepared, [config.recovery])[1](0)
 
 
-def _segment_hazard(gap: Callable[[float], float], maturity: float, spread: float,
-                    rs_rate: float) -> float:
-    """The hazard h with |gap(h)| <= ``PRICE_TOL`` for the ``maturity``-year quote at
-    ``spread``.  Secant steps from the credit triangle h0 = S / (1 - R) and 1.01 h0, at
-    most ``_SECANT_STEPS``, each in [0, ``_HAZARD_CAP``); on a step out of that range,
-    equal gaps or a spent budget, the bracket search: ``ArbitrageError`` if gap(0) > 0,
-    the upper end doubled from 1 (``ConvergenceError`` past the cap), then
-    ``solve_bracketed`` on [0, hi].  The gap rises with h, so both find its one root; the
-    secant may also accept a gap within ``PRICE_TOL`` that the sign test at 0 refuses."""
-    a = pricing.credit_triangle_hazard(spread, rs_rate)
-    b = 1.01 * a
-    if b < _HAZARD_CAP:
-        fa, fb = gap(a), gap(b)
-        for _ in range(_SECANT_STEPS):
-            if (abs(fb) <= PRICE_TOL or fb == fa
-                    or not 0.0 <= (x := b - fb * (b - a) / (fb - fa)) < _HAZARD_CAP):
-                break
-            a, fa, b, fb = b, fb, x, gap(x)
-        if abs(fb) <= PRICE_TOL:
-            return b
-    if gap(0.0) > 0.0:
-        raise ArbitrageError(f"no non-negative hazard reproduces the {maturity}y quote")
-    hi = 1.0
-    while gap(hi) < 0.0:
-        if hi >= _HAZARD_CAP:
-            raise ConvergenceError(f"no hazard up to {hi:g} reproduces the {maturity}y quote")
-        hi *= 2.0
-    return solve_bracketed(gap, 0.0, hi)
-
-
 def calibrate_from_cds(quotes: list[tuple[float, float]], base: BaseCurve,
                        rs_rate: float) -> PiecewiseHazardCurve:
     """Bootstrap a piecewise-constant hazard curve from par CDS quotes.
 
     Quotes are (maturity, par spread in decimal), each checked up front by
     ``pricing.check_cds_quote``; each segment hazard is solved so the par spread
-    of the partial curve (``pricing.CDS_FREQ`` payments a year) reproduces it.  Each
-    segment's search (``_segment_hazard``) takes secant steps from the credit triangle
-    S / (1 - R), falling back to a bracket; each trial hazard is priced once.
+    of the partial curve (``pricing.CDS_FREQ`` payments a year) reproduces it, by
+    ``solve_bracketed`` on [0, ``_HAZARD_CAP``] from the credit triangle h0 = S / (1 - R)
+    and 1.01 h0; each trial hazard is priced once.  The gap rises with h, so a bracket
+    with no sign change is an ``ArbitrageError`` if gap(0) > 0, else no hazard up to the
+    cap reproduces the quote.
 
     The schedule is read once, one ``base.df`` a date.  A trial hazard reads Q only
     on the dates past the last solved maturity (the trial curve's ``survivals``) and
@@ -528,7 +499,17 @@ def calibrate_from_cds(quotes: list[tuple[float, float]], base: BaseCurve,
                 trials[h] = pricing.LegTable(dfs, qs, freq, before)
             return trials[h].par_spread(len(dates), rs_rate) - spread
 
-        h = _segment_hazard(spread_gap, maturity, spread, rs_rate)
+        h0 = pricing.credit_triangle_hazard(spread, rs_rate)
+        try:
+            h = solve_bracketed(spread_gap, 0.0, _HAZARD_CAP, x0=h0, x1=1.01 * h0)
+        except ConvergenceError:  # both reads below are in the memo
+            if spread_gap(0.0) > 0.0:
+                raise ArbitrageError(
+                    f"no non-negative hazard reproduces the {maturity}y quote") from None
+            if spread_gap(_HAZARD_CAP) < 0.0:
+                raise ConvergenceError(f"no hazard up to {_HAZARD_CAP:g} reproduces the "
+                                       f"{maturity}y quote") from None
+            raise
         segments.append((maturity, h))
         reach = bisect_right(times, maturity)  # a maturity a hair below its date leaves it out
         if reach > first:

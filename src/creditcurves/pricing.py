@@ -49,8 +49,8 @@ CDS_FREQ = 4  # CDS premium payments per year: contracts, bootstrap, BCDS and he
 
 def check_recovery(value: float, name: str = "recovery") -> float:
     """``value`` as a plain float if it is a recovery rate in [0, 1); else a
-    ``ValueError`` naming the argument."""
-    rate = float(value)
+    ``ValueError`` naming the argument (``check_number``'s for a string or a bool)."""
+    rate = float(check_number(value, name))
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"{name} must be in [0, 1), got {value!r}")
     return rate
@@ -83,7 +83,7 @@ class RecoveryAssumption(float):
     """Fractional recovery of par, validated; accrued recovers the same rate."""
 
     def __new__(cls, principal: float, accrued: float | None = None):
-        check_recovery(check_number(principal, "principal"), "principal")
+        check_recovery(principal, "principal")
         if accrued is not None and check_number(accrued, "accrued") != principal:
             raise ValueError("accrued recovery must equal principal recovery")
         return super().__new__(cls, principal)
@@ -123,7 +123,7 @@ class TriangleQuotes:
             if not math.isfinite(check_number(getattr(self, name), name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("dds_recovery", "rs_rate"):
-            check_recovery(check_number(getattr(self, name), name), name)
+            check_recovery(getattr(self, name), name)
 
 
 def _legs(zs: list[float], qs: list[float],

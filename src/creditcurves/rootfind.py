@@ -1,15 +1,16 @@
-"""Scalar root finding on the fixed rate bracket ``RATE_BRACKET``.
+"""Scalar root finding: one spread solver and one root finder.
 
 ``solve_spread`` (DAS, basis, Z-spread, yield) and ``spread_duration`` solve
-PV(s) = sum w_i exp(-s t_i) = dirty.  For flows w_i >= 0 at times t_i > 0 PV
-is convex and decreasing, so Newton's method from s = 0 lands left of the root
-after one step and then climbs to it monotonically.  A step out of the bracket,
-a slope not > 0 (flows pushed negative at float noise) or a spent budget falls
-back to ``solve_bracketed``, bisection refined by secant steps, which also
-serves the FRN discount margin and the CDS bootstrap's fallback, once a segment's
-secant steps from the credit triangle fail; for a spread it reads Newton's own
-PV, ``pv_slope`` (also ``pricing.bond_pv_frp``'s).  Every solve accepts a
-residual of at most ``PRICE_TOL``; the tolerances are fixed here, not passed by callers.
+PV(s) = sum w_i exp(-s t_i) = dirty on ``RATE_BRACKET``.  For flows w_i >= 0 at
+times t_i > 0 PV is convex and decreasing, so Newton's method from s = 0 lands
+left of the root after one step and then climbs to it monotonically; its PV and
+slope are ``pv_slope`` (also ``pricing.bond_pv_frp``'s).  Every other search,
+and Newton's fallback, is ``solve_bracketed``: secant steps from two given starts
+(the CDS bootstrap's credit triangle), then, on a step out of the bracket, equal
+values or a spent budget, bisection refined by secant steps (the FRN discount
+margin, and a spread Newton gives up on).  When the ends show no sign change its
+error names the side the root lies on.  Every solve accepts a residual of at
+most ``PRICE_TOL``; the tolerances are fixed here, not passed by callers.
 """
 
 from __future__ import annotations
@@ -25,14 +26,30 @@ _X_TOL = 1e-14              # bracket width at which the search stops
 _MAX_ITER = 200
 
 
-def solve_bracketed(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Find x in [lo, hi] with |f(x)| <= PRICE_TOL, assuming f changes sign.
+def solve_bracketed(f: Callable[[float], float], lo: float, hi: float, *,
+                    x0: float | None = None, x1: float | None = None) -> float:
+    """Find x in [lo, hi] with |f(x)| <= PRICE_TOL, for f that changes sign there.
 
-    Raises ConvergenceError when the bracket does not straddle a root or
-    the iteration budget runs out before reaching the tolerance.
+    Given starts x0 and x1, both in [lo, hi], secant steps from them come first; a
+    step out of [lo, hi], equal values or ``_MAX_ITER`` steps end them.  Then the
+    bracket search on [lo, hi]: bisection refined by secant steps.  Raises
+    ConvergenceError when the ends show no sign change (naming the end nearer the
+    root, right for a monotone f) or the search ends short of the tolerance.
     """
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
+    if (x0 is None) != (x1 is None):
+        raise ValueError("secant starts x0 and x1 must be given together")
+    if x0 is not None and lo <= x0 <= hi and lo <= x1 <= hi:
+        a, b = x0, x1
+        fa, fb = f(a), f(b)
+        for _ in range(_MAX_ITER):
+            if (abs(fb) <= PRICE_TOL or fb == fa
+                    or not lo <= (x := b - fb * (b - a) / (fb - fa)) <= hi):
+                break
+            a, fa, b, fb = b, fb, x, f(x)
+        if abs(fb) <= PRICE_TOL:
+            return b
     fa = f(lo)
     if abs(fa) <= PRICE_TOL:
         return lo
@@ -40,9 +57,9 @@ def solve_bracketed(f: Callable[[float], float], lo: float, hi: float) -> float:
     if abs(fb) <= PRICE_TOL:
         return hi
     if fa * fb > 0.0:
-        raise ConvergenceError(
-            f"no sign change on bracket [{lo}, {hi}]: f(lo)={fa:.6g}, f(hi)={fb:.6g}"
-        )
+        side = f"below {lo}" if abs(fa) < abs(fb) else f"above {hi}"
+        raise ConvergenceError(f"no sign change on bracket [{lo}, {hi}]: f(lo)={fa:.6g}, "
+                               f"f(hi)={fb:.6g}; the root lies {side}")
     a, b = lo, hi
     for iteration in range(_MAX_ITER):
         # Secant candidate from the bracket endpoints; fall back to the

@@ -27,7 +27,7 @@ from creditcurves.conventional import BondSpec, z_spread_duration
 from creditcurves.curves import BaseCurve, grid_times
 from creditcurves.errors import (ArbitrageError, ConvergenceError, FitError,
                                 InsufficientDataError, ParseError, ScheduleError)
-from creditcurves.rootfind import PRICE_TOL, solve_bracketed
+from creditcurves.rootfind import _MAX_ITER, PRICE_TOL, solve_bracketed
 from creditcurves.splines import SplineBasis
 from creditcurves.survival import PiecewiseHazardCurve, SplineSurvivalCurve
 
@@ -313,22 +313,31 @@ def bracket_search(gap, maturity, spread, rs_rate):
 
 def secant_search(gap, maturity, spread, rs_rate):
     """The search of ``calibrate_from_cds``: the hazards h0 = S / (1 - R) and 1.01 h0, then
-    secant steps while the last gap exceeds ``PRICE_TOL``, up to 10 hazards in all, each in
-    [0, 64); ``bracket_search`` on a hazard out of range, equal gaps or a spent budget."""
+    secant steps while the last gap exceeds ``PRICE_TOL``, up to 2 + ``_MAX_ITER`` hazards
+    in all, each in [0, 64]; on a hazard out of range, equal gaps or a spent budget the
+    plain bracket search on [0, 64], its no-sign-change error read as ``ArbitrageError`` if
+    gap(0) > 0, else as no hazard up to 64."""
     h0 = pricing.credit_triangle_hazard(spread, rs_rate)
     hazards = [h0, 1.01 * h0]
-    while hazards[-1] < 64.0:
+    while hazards[-1] <= 64.0:
         a, b = hazards[-2:]
         fa, fb = gap(a), gap(b)
         if abs(fb) <= PRICE_TOL:
             return b
-        if len(hazards) == 10 or fa == fb:
+        if len(hazards) == 2 + _MAX_ITER or fa == fb:
             break
         x = b - fb * (b - a) / (fb - fa)
         if not 0.0 <= x:
             break
         hazards.append(x)
-    return bracket_search(gap, maturity, spread, rs_rate)
+    try:
+        return solve_bracketed(gap, 0.0, 64.0)
+    except ConvergenceError:
+        if gap(0.0) > 0.0:
+            raise ArbitrageError(f"no non-negative hazard reproduces the {maturity}y quote")
+        if gap(64.0) < 0.0:
+            raise ConvergenceError(f"no hazard up to 64 reproduces the {maturity}y quote")
+        raise
 
 
 def full_walk_bootstrap(quotes, base, rs_rate, search=secant_search):
@@ -441,7 +450,7 @@ class TestCdsBootstrap:
 
     @pytest.mark.parametrize("quotes", [
         [(1.0, 0.0080), (3.0, 0.0120), (5.0, 0.0150), (7.0, 0.0160)],
-        [(1.0, 0.9), (2.0, 0.9)],  # hazards past 1: the bracket end doubles
+        [(1.0, 0.9), (2.0, 0.9)],  # hazards past 1
     ], ids=["hazards below 1", "hazards past 1"])
     def test_each_trial_hazard_is_priced_once(self, monkeypatch, base_curve, quotes):
         tried, outcome = segment_trials(monkeypatch, quotes, base_curve)
@@ -462,12 +471,11 @@ class TestCdsBootstrap:
     @pytest.mark.parametrize("name", ["arbitrage", "bracket exhausted", "secant past the cap"])
     def test_a_failed_secant_falls_back_to_the_bracket_and_its_error(self, monkeypatch, name):
         quotes, base, kind = BOOTSTRAP_CASES[name]
-        # gap(0) > 0 ends the bracket search at once; else its end doubles from 1 to 64.
-        bracket = [0.0] if kind is ArbitrageError else [0.0] + [2.0 ** k for k in range(7)]
         tried, outcome = segment_trials(monkeypatch, quotes, BOOTSTRAP_BASES[base])
         secant = tried[-1][:tried[-1].index(0.0)]  # the failing segment's secant trials
         assert len(secant) <= 10 and all(0.0 < h < 64.0 for h in secant)
-        assert tried[-1][len(secant):] == bracket
+        # The bracket's two ends show no sign change; the error reads them from the memo.
+        assert tried[-1][len(secant):] == [0.0, 64.0]
         assert outcome == bootstrap_outcome(
             functools.partial(full_walk_bootstrap, search=bracket_search),
             quotes, BOOTSTRAP_BASES[base], 0.40)

@@ -621,6 +621,15 @@ def test_recovery_outside_unit_interval_raises_naming_it(field, value):
         call(value)
 
 
+@pytest.mark.parametrize("field", sorted(_RECOVERY_INPUTS))
+def test_a_mistyped_recovery_raises_naming_it_and_a_numpy_float_passes(field):
+    name, call = _RECOVERY_INPUTS[field]
+    for value in ("0.4", False):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got {value!r}$"):
+            call(value)
+    call(np.float64(0.4))
+
+
 _BOND = BondSpec(0.05, 2, 5.0)
 _FINITE_ARGUMENTS = {
     "bond_pv_frp das": ("das", lambda x: pricing.bond_pv_frp(_BOND, *_FLAT, 0.4, das=x)),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +93,52 @@ def test_solve_bracketed_stops_at_its_iteration_cap():
 def test_solve_bracketed_needs_lo_below_hi():
     with pytest.raises(ValueError, match="^bracket must satisfy lo < hi$"):
         rootfind.solve_bracketed(lambda x: x - 1.0, 1.0, 1.0)
+
+
+# Increasing functions with slopes between 0.009 and 3 on [-10, 10]: near a root, a
+# step of one ulp moves f by far less than PRICE_TOL, so both modes can meet it.
+_MONOTONE = {"x": lambda x: x, "atan": math.atan, "x + sin x / 2": lambda x: x + math.sin(x) / 2,
+             "exp(x / 4)": lambda x: math.exp(x / 4)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=st.sampled_from(sorted(_MONOTONE)), scale=st.floats(0.01, 10.0), rising=st.booleans(),
+       lo=st.floats(-10.0, 9.0), width=st.floats(0.1, 10.0), where=st.floats(-1.0, 2.0),
+       starts=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_secant_starts_meet_a_root_in_the_bracket_or_name_its_side(
+        h, scale, rising, lo, width, where, starts):
+    hi = min(lo + width, 10.0)
+    root = lo + where * (hi - lo)  # inside the bracket for where in [0, 1]
+    g, sign = _MONOTONE[h], (scale if rising else -scale)
+    gr = g(root)
+
+    def f(x):
+        return sign * (g(x) - gr)
+
+    x0, x1 = (lo + u * (hi - lo) for u in starts)
+    if lo <= root <= hi:
+        x = rootfind.solve_bracketed(f, lo, hi, x0=x0, x1=x1)
+        assert lo <= x <= hi and abs(f(x)) <= PRICE_TOL
+    elif not lo - 0.01 <= root <= hi + 0.01:
+        side = f"below {lo}" if root < lo else f"above {hi}"
+        with pytest.raises(ConvergenceError, match=re.escape(f"; the root lies {side}") + "$"):
+            rootfind.solve_bracketed(f, lo, hi, x0=x0, x1=x1)
+
+
+def test_secant_starts_come_in_pairs_and_skip_to_the_bracket_outside_it():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 0.25
+
+    assert rootfind.solve_bracketed(f, 0.0, 1.0, x0=0.5, x1=0.75) == 0.25
+    assert calls == [0.5, 0.75, 0.25]  # one secant step from the starts, no bracket
+    calls.clear()
+    assert rootfind.solve_bracketed(f, 0.0, 1.0, x0=0.5, x1=2.0) == 0.25
+    assert calls[:2] == [0.0, 1.0]  # a start out of [lo, hi]: the bracket search alone
+    with pytest.raises(ValueError, match="^secant starts x0 and x1 must be given together$"):
+        rootfind.solve_bracketed(f, 0.0, 1.0, x0=0.5)
 
 
 @pytest.mark.parametrize("price", [0.0, -1.0, math.nan, math.inf])
