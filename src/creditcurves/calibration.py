@@ -267,10 +267,13 @@ def _bisquare_weights(residuals: np.ndarray, tuning: float) -> np.ndarray:
 def _kkt_frames(ineq: np.ndarray, bound: np.ndarray) -> tuple:
     """The weight-free part of the KKT levels of E constraint sets G beta >= b: G, b,
     each row's bound -``_FEAS_TOL`` times its largest entry, whether beta = e1 breaks a
-    row, and per working-set size the sets (rows in sorted order), their KKT matrices,
-    principal submatrices of [0 1 G'; 1' 0 0; G 0 0], and right-hand sides (0, 1, b)."""
+    row, each row's bit 2**row, a table from a working set's bit mask (the sum of its
+    rows' bits) to its index in its level, and per working-set size the sets (rows in
+    sorted order), their KKT matrices, principal submatrices of [0 1 G'; 1' 0 0; G 0 0],
+    and right-hand sides (0, 1, b)."""
     import numpy as np
     (count, m, k), levels = ineq.shape, []
+    bits, lookup = 1 << np.arange(m), np.zeros(1 << m, dtype=int)
     for size in range(min(k - 1, m) + 1):
         sets, n = np.array(list(itertools.combinations(range(m), size)), dtype=int), k + 1 + size
         kkt, rhs = np.zeros((count, len(sets), n, n)), np.zeros((count, len(sets), n))
@@ -278,10 +281,11 @@ def _kkt_frames(ineq: np.ndarray, bound: np.ndarray) -> tuple:
         g = ineq[:, sets]
         kkt[:, :, k + 1:, :k], kkt[:, :, :k, k + 1:] = g, np.swapaxes(g, 2, 3)
         rhs[:, :, k + 1:] = bound[:, sets]
+        lookup[bits[sets].sum(axis=1)] = np.arange(len(sets))
         levels.append((sets, kkt, rhs))
     # The fit's monotonicity rows read 1 at e1, so only its positivity row can fail the start.
     return (ineq, bound, -_FEAS_TOL * np.abs(ineq).max(axis=2),
-            (ineq[:, :, 0] - bound < -_FEAS_TOL).any(axis=1), levels)
+            (ineq[:, :, 0] - bound < -_FEAS_TOL).any(axis=1), bits, lookup, levels)
 
 
 def _solve_constrained_wls(
@@ -290,11 +294,14 @@ def _solve_constrained_wls(
     weights: np.ndarray,
     frames: tuple,
     index: np.ndarray,
+    warm: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimize sum w (U beta - V)^2 s.t. sum(beta) = 1, G beta >= b for each problem
     (U, V, w) of a stack, G and b those of its eta ``index[i]`` in ``_kkt_frames``: the
     betas, a (count, m) mask of each chosen working set's rows, and each status (0
-    where solved, else the index of its message in ``_STATUS``).
+    where solved, else the index of its message in ``_STATUS``).  ``warm``, if given,
+    is a (count, m) mask of a working set to try first for each problem (the fit's
+    working set of the IRLS step before).
 
     KKT enumeration by level (Nocedal & Wright 2006, ch. 16).  Once the weighted
     design pins beta on sum(beta) = 1 the QP is strictly convex, so the first working
@@ -310,9 +317,19 @@ def _solve_constrained_wls(
     sum(beta) = 1, e.g. too many zero weights) fails with it (``_SINGULAR``) while any
     other singular set drops only itself, and one that no set satisfies fails last
     (``_NO_SET``).
+
+    Warm start (N&W 2006, section 16.5): before the enumeration each problem tries
+    its warm set, if not empty (an empty one is level 0 anyway), by the same tests, one
+    stacked solve per set size.  A problem whose warm set passes is solved there and
+    skips the enumeration; a failed or singular warm set leaves its problem open for
+    it.  So a warm set changes a result only where the enumeration would stop earlier:
+    on a degenerate problem, where an earlier set also passes (a row active with a zero
+    multiplier), the warm set wins the tie; on one whose equality-only KKT matrix is
+    singular (the QP convex but not strictly), which the enumeration fails as
+    ``_SINGULAR``, the warm set's point is one of its optima.
     """
     import numpy as np
-    (count, _, k), (ineq, bound, tol, infeasible, levels) = designs.shape, frames
+    (count, _, k), (ineq, bound, tol, infeasible, bits, lookup, levels) = designs.shape, frames
     wsqrt = np.sqrt(weights)
     dw = designs * wsqrt[:, :, None]
     dwt = np.swapaxes(dw, 1, 2)  # a view: doubling after the products is exact
@@ -320,13 +337,12 @@ def _solve_constrained_wls(
     del dw, dwt  # the largest array here: free it before the level solves
     betas, active = np.zeros((count, k)), np.zeros((count, ineq.shape[1]), dtype=bool)
     status = np.where(infeasible[index], _INFEASIBLE, -1)  # -1 while open
-    for size, (sets, kkt_frame, rhs_frame) in enumerate(levels):
-        open_ = np.flatnonzero(status < 0)
-        if not len(open_):
-            break
-        at, n = index[open_], k + 1 + size
-        kkt, rhs = kkt_frame[at], rhs_frame[at]
-        kkt[:, :, :k, :k], rhs[:, :, :k] = hess[open_, None], lin[open_, None]
+
+    def kkt_points(rows, at, kkt, rhs):
+        """(sols, ok): the KKT points of problems ``rows`` (etas ``at``) on their (p, S)
+        candidate sets' frames ``kkt`` and ``rhs``, filled in here, and whether each passes."""
+        p, s, n = rhs.shape
+        kkt[:, :, :k, :k], rhs[:, :, :k] = hess[rows, None], lin[rows, None]
         kkt, rhs = kkt.reshape(-1, n, n), rhs.reshape(-1, n, 1)
         try:
             sols = np.linalg.solve(kkt, rhs)[:, :, 0]
@@ -337,17 +353,34 @@ def _solve_constrained_wls(
                     sols[i] = np.linalg.solve(matrix, vector)[:, 0]
                 except np.linalg.LinAlgError:
                     pass
-        sols = sols.reshape(len(open_), len(sets), n)
-        if size == 0:  # a NaN KKT point passes no test below
-            status[open_[np.isnan(sols[:, 0, 0])]] = _SINGULAR
+        sols = sols.reshape(p, s, n)
         # H beta + A' nu = lin: the multipliers are -nu, of the right sign once nu <= 0.
-        cand = sols[:, :, :k]
-        slack = (ineq[at, None] @ cand[:, :, :, None])[:, :, :, 0] - bound[at, None]
-        ok = ((slack >= tol[at, None]).all(axis=2)
-              & (sols[:, :, k + 1:] <= _MULT_TOL).all(axis=2))
+        slack = (ineq[at, None] @ sols[:, :, :k, None])[:, :, :, 0] - bound[at, None]
+        return sols, ((slack >= tol[at, None]).all(axis=2)
+                      & (sols[:, :, k + 1:] <= _MULT_TOL).all(axis=2))
+
+    if warm is not None and warm.any():  # one solve per warm set size
+        # Size 0, no warm pass: an empty set (level 0 anyway) or an infeasible start.
+        codes, sizes = lookup[warm @ bits], warm.sum(axis=1) * (status < 0)
+        for size, (_, kkt_frame, rhs_frame) in enumerate(levels[1:], 1):
+            rows = np.flatnonzero(sizes == size)
+            if len(rows):
+                at, j = index[rows], codes[rows]
+                sols, ok = kkt_points(rows, at, kkt_frame[at, j][:, None],
+                                      rhs_frame[at, j][:, None])
+                won = rows[ok[:, 0]]
+                betas[won], status[won], active[won] = sols[ok[:, 0], 0, :k], 0, warm[won]
+    for size, (sets, kkt_frame, rhs_frame) in enumerate(levels):
+        open_ = np.flatnonzero(status < 0)
+        if not len(open_):
+            break
+        at = index[open_]
+        sols, ok = kkt_points(open_, at, kkt_frame[at], rhs_frame[at])
+        if size == 0:  # a NaN KKT point passes no test
+            status[open_[np.isnan(sols[:, 0, 0])]] = _SINGULAR
         hit = np.flatnonzero(ok.any(axis=1))
         won, first = open_[hit], ok[hit].argmax(axis=1)
-        betas[won], status[won], active[won[:, None], sets[first]] = cand[hit, first], 0, True
+        betas[won], status[won], active[won[:, None], sets[first]] = sols[hit, first, :k], 0, True
     status[status < 0] = _NO_SET
     return betas, active, status
 
@@ -375,7 +408,8 @@ def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> tuple[np.ndarray,
     DAS built on call.  Built once per fit: one ``design_grid`` and ``_kkt_frames``,
     and every (eta, rate) problem as one row of one stack, eta the outer axis.  Per
     IRLS step: one ``_solve_constrained_wls`` call, which fills in the weighted blocks
-    only; a problem leaves the stack once converged or once its status (a ``_STATUS``
+    only and tries each problem's working set of the step before first (its warm set);
+    a problem leaves the stack once converged or once its status (a ``_STATUS``
     index, or ``_RANK_DEFICIENT``) is not 0.  Each rate takes the argmin over eta of
     the final objective, failed problems at +inf (an earlier eta wins ties); a rate
     whose every eta failed raises."""
@@ -403,7 +437,7 @@ def _fit_core(prepared: _QuoteSet, recoveries: list[float]) -> tuple[np.ndarray,
         w_live = w_out[live]
         weights = w_live * base_w
         betas[live], active[live], status[live] = _solve_constrained_wls(
-            designs, targets, weights, frames, live // count)
+            designs, targets, weights, frames, live // count, active[live])
         eps[live] = residuals = targets - (designs @ betas[live, :, None])[:, :, 0]
         w_out[live] = w_new = _bisquare_weights(residuals, OUTLIER_TUNING)
         history[live, step], steps[live] = np.sum(weights * residuals**2, axis=1), step + 1

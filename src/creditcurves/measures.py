@@ -35,6 +35,7 @@ def par_coupon(
     maturity: float, freq: int, base: BaseCurve, curve: SurvivalCurve, recovery: float
 ) -> float:
     """Coupon making a hypothetical bond price exactly at par (clean)."""
+    recovery = pricing.check_recovery(recovery)
     legs = pricing.LegTable.walk(grid_times(maturity, freq), freq, base, curve)
     return legs.par_coupon(len(legs.zq), recovery)
 
@@ -43,6 +44,7 @@ def p_spread(
     maturity: float, freq: int, base: BaseCurve, curve: SurvivalCurve, recovery: float
 ) -> float:
     """Par coupon less the risk-free par coupon of the same maturity (``_p_spread``)."""
+    recovery = pricing.check_recovery(recovery)
     return _p_spread(pricing.LegTable.walk(grid_times(maturity, freq), freq, base, curve),
                      recovery)
 
@@ -57,6 +59,7 @@ def ccp(
 ) -> float:
     """Constant coupon price: clean fitted price of a coupon-C bond (the report's CCP)."""
     BondSpec(coupon=coupon, freq=freq, maturity=maturity)  # reject the terms BondSpec rejects
+    recovery = pricing.check_recovery(recovery)
     legs = pricing.LegTable.walk(grid_times(maturity, freq), freq, base, curve)
     return legs.price(len(legs.zq), coupon, recovery)
 
@@ -76,6 +79,7 @@ def fwd_cds_spread(
     """
     if not 0.0 < t1 < t2:
         raise ValueError("need 0 < t1 < t2")
+    recovery = pricing.check_recovery(recovery)
     legs = pricing.LegTable.walk(grid_times(t2, CDS_FREQ), CDS_FREQ, base, curve)
     n1, n2 = legs.n(t1), len(legs.zq)
     s1, s2 = legs.par_spread(n1, recovery), legs.par_spread(n2, recovery)
@@ -102,6 +106,7 @@ def fitted_par_coupon(
     and carries a slightly higher fitted par coupon than the generic same-
     maturity one.
     """
+    recovery = pricing.check_recovery(recovery)
     legs = pricing.LegTable.walk(bond.payment_times, bond.freq, base, curve)
     return legs.par_coupon(len(legs.zq), recovery, bond.accrued_time)
 
@@ -116,6 +121,7 @@ def fitted_p_spread(
     bond: BondSpec, base: BaseCurve, curve: SurvivalCurve, recovery: float
 ) -> float:
     """``fitted_par_coupon`` less ``fitted_base_par_coupon``, from one walk of the schedule."""
+    recovery = pricing.check_recovery(recovery)
     return _p_spread(pricing.LegTable.walk(bond.payment_times, bond.freq, base, curve),
                      recovery, bond.accrued_time)
 
@@ -153,6 +159,7 @@ def excess_spread(
     the P-spread leg does not refer to the bond's actual cash flows.  The
     P-spread and the DAS flows are read from one walk of the bond's schedule.
     """
+    recovery = pricing.check_recovery(recovery)
     times = bond.payment_times
     legs = pricing.LegTable.walk(times, bond.freq, base, curve)
     spread = _p_spread(legs, recovery, bond.accrued_time)
@@ -231,6 +238,7 @@ def term_structure_report(
         raise ValueError(f"report grid must be > 0, got {tenors!r}")
     for c in coupons:  # a CCP column is a coupon-c bond: reject the terms BondSpec rejects
         BondSpec(coupon=c, freq=freq, maturity=tenors[-1])
+    recovery = pricing.check_recovery(recovery)
     legs = pricing.LegTable.walk(grid_times(tenors[-1], freq), freq, base, curve)
     riskless = pricing.LegTable(legs.zs, [1.0] * len(legs.zs), freq)  # Q = 1: zero hazard
     cds_legs = pricing.LegTable.walk(grid_times(tenors[-1], CDS_FREQ), CDS_FREQ, base, curve)

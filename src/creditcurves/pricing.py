@@ -142,7 +142,10 @@ class LegTable:
     ``before``, if given, is ``carried(n)`` of a table on the earlier dates of the same
     schedule: this table then holds only the later dates, numbered from 1 again; its first
     leg takes that Q as Q_prev and its running sums continue that table's, so each is the
-    float one walk over all the dates gives."""
+    float one walk over all the dates gives.
+
+    The readers take a recovery rate that ``check_recovery`` has passed: each public
+    caller checks its rate once, not once a read."""
 
     def __init__(self, zs: list[float], qs: list[float], freq: int,
                  before: tuple[float, float, float] | None = None) -> None:
@@ -171,11 +174,10 @@ class LegTable:
     def par_spread(self, n: int, recovery: float) -> float:
         """Breakeven CDS premium to date n.  It is paid on each period's mean survival, so
         its annuity is sum Z*(Q_prev + Q)/2 = annuity + protection/2."""
-        R = check_recovery(recovery)
         den = 2.0 * self.annuity[n - 1] + self.protection[n - 1]
         if den <= 0.0:
             raise ValueError("degenerate premium annuity")
-        return 2.0 * self.freq * (1.0 - R) * self.protection[n - 1] / den
+        return 2.0 * self.freq * (1.0 - recovery) * self.protection[n - 1] / den
 
     def rpv01(self, n: int) -> float:
         """Risky PV01 to the n-th date: a unit running premium paid until default."""
@@ -187,13 +189,13 @@ class LegTable:
         ``frp_coefficients`` applied to the running sums as ``frp_flows``
         applies them to the per-date legs."""
         cpn, load = frp_coefficients(coupon, self.freq)
-        rec_factor = check_recovery(recovery) * load
+        rec_factor = recovery * load
         return cpn * self.annuity[n - 1] + rec_factor * self.protection[n - 1] + self.zq[n - 1]
 
     def par_coupon(self, n: int, recovery: float, accrued_time: float = 0.0) -> float:
         """Coupon pricing a bond paying on dates 1..n at par (clean), seasoned by accrued_time:
         the inverse of ``price``, solving price(n, C, R) - C * accrued_time = 1 for C."""
-        recovery, protection = check_recovery(recovery), self.protection[n - 1]
+        protection = self.protection[n - 1]
         den = self.annuity[n - 1] + 0.5 * recovery * protection - self.freq * accrued_time
         if den <= 0.0:
             raise ValueError("non-positive par-coupon denominator")
@@ -253,6 +255,7 @@ def cds_par_spread(
     maturity: float, freq: int, base: BaseCurve, curve: SurvivalCurve, recovery: float
 ) -> float:
     """Breakeven running premium for zero upfront: ``LegTable.par_spread``."""
+    recovery = check_recovery(recovery)
     legs = LegTable.walk(grid_times(maturity, freq), freq, base, curve)
     return legs.par_spread(len(legs.zq), recovery)
 

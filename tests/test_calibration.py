@@ -871,10 +871,11 @@ def solve_stack(stack):
     return calibration._solve_constrained_wls(*framed(*stack))
 
 
-def reference_stack(designs, targets, weights, frames, index):
+def reference_stack(designs, targets, weights, frames, index, warm=None):
     """Each problem of a stack through ``reference_solve``, in the stacked
     solver's arguments and return shape: a failure's status is its message's index
-    in ``_STATUS``, or ``_NO_SET`` for a message the stacked solver does not have."""
+    in ``_STATUS``, or ``_NO_SET`` for a message the stacked solver does not have.
+    The warm sets are ignored: the reference starts every problem cold."""
     ineq, bound = frames[0][index], frames[1][index]
     betas, active = np.zeros((len(designs), designs.shape[2])), np.zeros(ineq.shape[:2], bool)
     status = np.zeros(len(designs), dtype=int)
@@ -1127,6 +1128,114 @@ class TestStackedSolver:
             # Where the prices fit exactly both objectives are float noise.
             assert (objective(design, target, weights, beta)[0]
                     <= res.fun * (1.0 + 1e-9) + noise_floor(target, weights))
+
+
+def assert_warm_start_matches_cold(stack, warm):
+    """The solver warm-started at the masks ``warm`` against itself cold (no warm sets,
+    and all-False ones, which agree bit for bit) and against the reference.  Each
+    problem ends where it ends cold, or on its warm set, with the beta of one solve of
+    that set's KKT system, where that set passes ``optimal_set`` and the cold run stops
+    before reaching it: on an earlier set that passes too, at the same optimum up to
+    noise, or failing as singular."""
+    args = framed(*stack)
+    cold = calibration._solve_constrained_wls(*args)
+    blank = calibration._solve_constrained_wls(*args, np.zeros_like(warm))
+    assert [a.tobytes() for a in blank] == [a.tobytes() for a in cold]
+    hot = calibration._solve_constrained_wls(*args, warm)
+    ref_betas, _, ref_status = reference_stack(*args, warm)
+    sets = working_sets(*stack[3].shape[1:])
+    for i, problem in enumerate(zip(*stack)):
+        if all(h[i].tobytes() == c[i].tobytes() for h, c in zip(hot, cold)):
+            continue
+        chosen = np.flatnonzero(warm[i]).tolist()
+        assert hot[2][i] == 0 and hot[1][i].tolist() == warm[i].tolist()
+        assert hot[0][i].tobytes() == kkt_solve(*problem, chosen)[0].tobytes()
+        assert optimal_set(problem, chosen)
+        if cold[2][i] == calibration._SINGULAR:
+            continue
+        assert cold[2][i] == 0 and sets.index(np.flatnonzero(cold[1][i]).tolist()) < sets.index(
+            chosen)
+        design, target, weights = problem[:3]
+        for other in [cold[0][i]] + ([ref_betas[i]] if ref_status[i] == 0 else []):
+            assert (abs(objective(design, target, weights, hot[0][i])[0]
+                        - objective(design, target, weights, other)[0])
+                    <= 1e-9 * objective(design, target, weights, other)[0]
+                    + noise_floor(target, weights))
+
+
+def warm_masks(data, stack):
+    """One arbitrary mask of G's rows per problem of ``stack``, drawn from ``data``."""
+    count, m = stack[3].shape[:2]
+    rows = st.lists(st.booleans(), min_size=m, max_size=m)
+    return np.array(data.draw(st.lists(rows, min_size=count, max_size=count)), dtype=bool)
+
+
+class TestWarmStart:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), hazard=st.floats(0.005, 0.3), recovery=st.floats(0.0, 0.6),
+           sigma=st.sampled_from([0.0, 1e-3]), eta=st.sampled_from([0.005, 0.02, 0.1, 0.5, 2.0]),
+           picks=st.lists(st.integers(0, 90), min_size=1, max_size=8, unique=True),
+           scales=st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=1, max_size=24),
+           binding=st.none() | st.integers(0, 80))
+    def test_a_warm_set_moves_only_a_tie_or_a_singular_problem(
+            self, data, hazard, recovery, sigma, eta, picks, scales, binding):
+        stack = stack_problem(hazard, recovery, sigma, eta, picks, scales, binding)
+        assert_warm_start_matches_cold(stack, warm_masks(data, stack))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), targets=st.lists(
+        st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5]), min_size=3, max_size=3),
+        min_size=1, max_size=6))
+    def test_degenerate_problems_keep_one_optimum_whatever_the_warm_set(self, data, targets):
+        # On these constraints ties are common: rows 0 and 1 are one row twice.
+        stack = three_factor_stack(targets, *DEGENERATE)
+        assert_warm_start_matches_cold(stack, warm_masks(data, stack))
+
+    def test_the_warm_set_wins_a_tie(self):
+        stack = three_factor_stack([[1.0, 1.0, 0.0]] * 2, *DEGENERATE)
+        warm = np.array([[False, True, True], [False, False, False]])
+        betas, active, status = calibration._solve_constrained_wls(*framed(*stack), warm)
+        # Cold, {0} comes first: the second problem keeps it.
+        assert active.tolist() == [[False, True, True], [True, False, False]]
+        assert status.tolist() == [0, 0]
+        assert np.abs(betas - [1.0, 0.0, 0.0]).max() <= 1e-15
+
+    def test_a_passing_warm_set_solves_a_problem_the_enumeration_finds_singular(self):
+        # The middle problem's zero weights leave beta free along a line on
+        # sum(beta) = 1; rows {0, 1} and rows {1, 2} each pin a point of it that
+        # passes, two optima at one objective.
+        stack = stack_problem(*PATH_EXAMPLES["singular KKT"])
+        problem = [a[1] for a in stack]
+        cold = calibration._solve_constrained_wls(*framed(*stack))
+        assert cold[2].tolist() == [0, calibration._SINGULAR, 0]
+        design, target, weights = problem[:3]
+        values = []
+        for rows in ([0, 1], [1, 2]):
+            warm = np.zeros((3, 4), dtype=bool)
+            warm[1, rows] = True
+            betas, active, status = calibration._solve_constrained_wls(*framed(*stack), warm)
+            assert status.tolist() == [0, 0, 0] and active[1].tolist() == warm[1].tolist()
+            assert optimal_set(problem, rows)
+            assert [b.tobytes() for b in betas[::2]] == [b.tobytes() for b in cold[0][::2]]
+            values.append(objective(design, target, weights, betas[1])[0])
+        assert abs(values[0] - values[1]) <= 1e-9 * values[0] + noise_floor(target, weights)
+
+    def test_a_wrong_warm_set_falls_back_to_the_cold_answer(self):
+        # c = (1.6, -0.4, -0.2) is feasible, so the empty set is optimal.  Warm set
+        # {2} holds beta_3 = 0 with a multiplier of the wrong sign, {0, 1} is singular,
+        # and {0, 2} puts beta off its optimum too.
+        stack = three_factor_stack([[1.6, -0.4, -0.2]] * 4, *DEGENERATE)
+        problem = [a[0] for a in stack]
+        assert not optimal_set(problem, [2]) and not optimal_set(problem, [0, 2])
+        assert kkt_solve(*problem, [0, 1]) is None
+        warm = np.array([[False, False, True], [True, True, False], [True, False, True],
+                         [False, False, False]])
+        cold = calibration._solve_constrained_wls(*framed(*stack))
+        hot = calibration._solve_constrained_wls(*framed(*stack), warm)
+        assert [a.tobytes() for a in hot] == [a.tobytes() for a in cold]
+        betas, active, status = hot
+        assert status.tolist() == [0] * 4 and not active.any()
+        assert np.abs(betas - [1.6, -0.4, -0.2]).max() <= 1e-15
 
 
 def core_fits(prepared, rates):

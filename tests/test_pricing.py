@@ -654,6 +654,29 @@ def test_non_finite_argument_raises_naming_it(field, value):
         call(value)
 
 
+# The public entries that read a ``LegTable`` beyond those in ``_RECOVERY_INPUTS``: the
+# table's readers take a checked rate, so each entry checks its own once.
+_TABLE_ENTRIES = {
+    "p_spread": lambda x: measures.p_spread(5.0, 2, *_FLAT, x),
+    "ccp": lambda x: measures.ccp(5.0, 0.05, 2, *_FLAT, x),
+    "bcds": lambda x: measures.bcds(5.0, *_FLAT, x),
+    "fwd_cds_spread": lambda x: measures.fwd_cds_spread(1.0, 5.0, *_FLAT, x),
+    "fitted_p_spread": lambda x: measures.fitted_p_spread(_BOND, *_FLAT, x),
+    "excess_spread": lambda x: measures.excess_spread(_BOND, 0.97, *_FLAT, x),
+    "term_structure_report": lambda x: measures.term_structure_report(*_FLAT, x),
+    "cds_par_spread": lambda x: pricing.cds_par_spread(5.0, 4, *_FLAT, x),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_TABLE_ENTRIES))
+@pytest.mark.parametrize("value, message", [
+    ("0.4", "must be a real number"), (False, "must be a real number"),
+    (math.nan, r"must be in \[0, 1\)"), (1.0, r"must be in \[0, 1\)")])
+def test_each_entry_reading_a_leg_table_checks_its_recovery(entry, value, message):
+    with pytest.raises(ValueError, match=f"^recovery {message}, got "):
+        _TABLE_ENTRIES[entry](value)
+
+
 @pytest.mark.parametrize("maturity", [-1.0, 0.0])
 def test_continuous_par_spread_needs_a_positive_maturity(maturity):
     with pytest.raises(ValueError, match="maturity must be finite and > 0, got"):

@@ -36,10 +36,10 @@ WORKLOADS = ("issuer_eod", "recovery_scan", "cds_hedge")
 SEEDS, CYCLES = (11, 12), 2
 
 
-def collect(name: str) -> dict:
-    """ru_maxrss (MB) after one plain pass over the fixed operation list of
-    workload ``name``, its largest per-operation tracemalloc peak (KB), and that
-    operation's issuer id and bond count."""
+def fixed_ops(name: str) -> tuple[list, list]:
+    """The fixed operation list of workload ``name``, seeds ``SEEDS`` over cycles 0 to
+    ``CYCLES`` - 1, as (operation, bond count of its block) pairs, and the workloads
+    holding them, each to be closed when done."""
     from workloads import WORKLOAD_CLASSES  # the bench/ of the tree under test
 
     ops, loaded = [], []
@@ -48,6 +48,14 @@ def collect(name: str) -> dict:
         workload.prepare(CYCLES)
         ops += [(op, block.bonds) for block in workload.prepared for op in block.ops]
         loaded.append(workload)
+    return ops, loaded
+
+
+def collect(name: str) -> dict:
+    """ru_maxrss (MB) after one plain pass over the fixed operation list of
+    workload ``name``, its largest per-operation tracemalloc peak (KB), and that
+    operation's issuer id and bond count."""
+    ops, loaded = fixed_ops(name)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for op, _ in ops:
@@ -69,12 +77,13 @@ def collect(name: str) -> dict:
             "op_peak_bonds": largest[1], "ops": len(ops)}
 
 
-def run_tree(tree: str, name: str) -> dict:
-    """``collect(name)`` in a fresh subprocess on ``tree``'s own sources."""
+def run_tree(tree: str, name: str, *args: str, script: str = __file__) -> dict:
+    """``script --collect name *args`` (this tool's ``collect(name)`` by default) in a
+    fresh subprocess on ``tree``'s own sources: the JSON it prints."""
     tree = os.path.abspath(tree)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(tree, "src"), os.path.join(tree, "bench")]))
-    cmd = [sys.executable, os.path.abspath(__file__), "--collect", name]
+    cmd = [sys.executable, os.path.abspath(script), "--collect", name, *args]
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: {name} exited {proc.returncode}\n{proc.stderr[-2000:]}")
